@@ -30,16 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .errors import (
-    InputError,
-    NoMinimalEnvelopeError,
-    RootOutsideFieldError,
-    UnsupportedModelError,
-)
+from .errors import InputError, NoMinimalEnvelopeError, UnsupportedModelError
 from .model import ExcDivisor, ThreefoldModel
-from .qfield import QuadNumber, field_sqrt
+from .qfield import QuadNumber, bilinear, dot, quadratic_roots
 from .surfaces import POLYHEDRAL
 
 Point = tuple[QuadNumber, ...]
@@ -54,10 +49,7 @@ class LinearConstraint:
     const: QuadNumber
 
     def value(self, point: Sequence[QuadNumber]) -> QuadNumber:
-        acc = self.const
-        for c, x in zip(self.coeffs, point):
-            acc = acc + c * x
-        return acc
+        return self.const + dot(self.coeffs, point)
 
 
 @dataclass(frozen=True)
@@ -68,24 +60,10 @@ class QuadraticConstraint:
     matrix: tuple[tuple[QuadNumber, ...], ...]
 
     def value(self, point: Sequence[QuadNumber]) -> QuadNumber:
-        return _bilinear(self.matrix, point, point)
+        return bilinear(self.matrix, point, point)
 
 
 Constraint = Union[LinearConstraint, QuadraticConstraint]
-
-
-def _bilinear(
-    matrix: Sequence[Sequence[QuadNumber]],
-    u: Sequence[QuadNumber],
-    v: Sequence[QuadNumber],
-) -> QuadNumber:
-    acc = None
-    for ui, row in zip(u, matrix):
-        for mij, vj in zip(row, v):
-            term = ui * mij * vj
-            acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
 
 
 @dataclass(frozen=True)
@@ -159,16 +137,9 @@ def _nef_constraints(model: ThreefoldModel, pad: int = 0) -> list[Constraint]:
         cone = surface.nef_cone
         if cone.kind == POLYHEDRAL:
             for k, functional in enumerate(cone.functionals):
-                coeffs = []
-                for r in restr:
-                    v = zero
-                    for c, x in zip(functional, r.coords):
-                        v = v + c * x
-                    coeffs.append(-v)
+                coeffs = tuple(-dot(functional, r.coords) for r in restr)
                 constraints.append(
-                    LinearConstraint(
-                        f"nef[{prime}]:{k}", tuple(coeffs) + padding, zero
-                    )
+                    LinearConstraint(f"nef[{prime}]:{k}", coeffs + padding, zero)
                 )
         else:
             size = len(restr) + pad
@@ -192,20 +163,27 @@ def _nef_constraints(model: ThreefoldModel, pad: int = 0) -> list[Constraint]:
     return constraints
 
 
-def _bound_constraints(
-    model: ThreefoldModel, lower: Sequence[QuadNumber], pad: int = 0
-) -> list[LinearConstraint]:
+def _constraints(
+    model: ThreefoldModel, D1: ExcDivisor, D2: Optional[ExcDivisor] = None
+) -> list[Constraint]:
+    """Bounds ``g_i >= coeff_i(D1 + r*D2)`` followed by the nef constraints.
+
+    Without ``D2`` the variables are ``g``; with it the slope ``r`` is
+    appended as one more variable.
+    """
     d = model.field_d
     zero, one = QuadNumber.zero(d), QuadNumber.one(d)
     t = len(model.primes)
-    out = []
+    bounds: list[Constraint] = []
     for i, prime in enumerate(model.primes):
-        coeffs = [zero] * (t + pad)
+        coeffs = [zero] * t
         coeffs[i] = one
-        out.append(
-            LinearConstraint(f"coeff[{prime}]", tuple(coeffs), -lower[i])
+        if D2 is not None:
+            coeffs.append(-D2.coeffs[i])
+        bounds.append(
+            LinearConstraint(f"coeff[{prime}]", tuple(coeffs), -D1.coeffs[i])
         )
-    return out
+    return bounds + _nef_constraints(model, pad=0 if D2 is None else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +236,6 @@ def _solve_linear_rows(
     return particular, null_basis
 
 
-def _quadratic_roots(
-    alpha: QuadNumber, beta: QuadNumber, chi: QuadNumber, d: int
-) -> Optional[list[QuadNumber]]:
-    """Roots of ``alpha s^2 + beta s + chi = 0`` in Q(sqrt(d)).
-
-    Returns None when the equation holds identically (a whole line of
-    solutions), a possibly-empty list otherwise.
-    """
-    if alpha.sign() == 0:
-        if beta.sign() == 0:
-            return None if chi.sign() == 0 else []
-        return [-chi / beta]
-    disc = beta * beta - 4 * alpha * chi
-    s = disc.sign()
-    if s < 0:
-        return []
-    if s == 0:
-        return [-beta / (2 * alpha)]
-    root = field_sqrt(disc)
-    if root is None:
-        raise RootOutsideFieldError(
-            f"root outside field: sqrt({disc.canonical_string()}) "
-            f"is not in Q(sqrt({d}))"
-        )
-    return [(-beta + root) / (2 * alpha), (-beta - root) / (2 * alpha)]
-
-
 def _solve_equality_system(
     constraints: Sequence[Constraint], nvars: int, d: int
 ) -> list[Point]:
@@ -312,10 +263,10 @@ def _solve_equality_system(
     if len(null_basis) == 1:
         direction = null_basis[0]
         for chosen in quads:
-            alpha = _bilinear(chosen.matrix, direction, direction)
-            beta = 2 * _bilinear(chosen.matrix, particular, direction)
-            chi = _bilinear(chosen.matrix, particular, particular)
-            roots = _quadratic_roots(alpha, beta, chi, d)
+            alpha = bilinear(chosen.matrix, direction, direction)
+            beta = 2 * bilinear(chosen.matrix, particular, direction)
+            chi = bilinear(chosen.matrix, particular, particular)
+            roots = quadratic_roots(alpha, beta, chi)
             if roots is None:
                 continue  # this quadratic vanishes on the whole line
             points = []
@@ -337,11 +288,23 @@ def _solve_equality_system(
     )
 
 
+def _active_set_points(
+    constraints: Sequence[Constraint], nvars: int, d: int
+) -> Iterator[Point]:
+    """Isolated solutions of every ``nvars``-subset taken as equalities."""
+    for subset in combinations(constraints, nvars):
+        yield from _solve_equality_system(subset, nvars, d)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def _require_effective(D: ExcDivisor, *, nonzero: bool) -> None:
+def _require_effective(
+    model: ThreefoldModel, D: ExcDivisor, *, nonzero: bool
+) -> None:
+    if D.model != model:
+        raise InputError("divisor belongs to a different model")
     if not D.is_effective:
         raise InputError(f"divisor {D} must be effective")
     if nonzero and D.is_zero():
@@ -350,14 +313,8 @@ def _require_effective(D: ExcDivisor, *, nonzero: bool) -> None:
 
 def is_antinef(model: ThreefoldModel, D: ExcDivisor) -> bool:
     """True iff ``-D`` restricts into the nef cone over every prime."""
-    if D.model != model:
-        raise InputError("divisor belongs to a different model")
-    _require_effective(D, nonzero=False)
-    negated = -D
-    return all(
-        model.surface(prime).cone_contains("nef", model.restrict(negated, prime))
-        for prime in model.primes
-    )
+    _require_effective(model, D, nonzero=False)
+    return all(c.value(D.coeffs).sign() >= 0 for c in _nef_constraints(model))
 
 
 def _coordwise_le(x: Point, y: Point) -> bool:
@@ -388,19 +345,10 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     improvable by lowering any single coordinate by 1/1000 — so a bogus
     "minimum" cannot escape silently.
     """
-    if D.model != model:
-        raise InputError("divisor belongs to a different model")
-    _require_effective(D, nonzero=True)
+    _require_effective(model, D, nonzero=True)
     t = len(model.primes)
-    d = model.field_d
-    constraints: list[Constraint] = list(
-        _bound_constraints(model, D.coeffs)
-    ) + _nef_constraints(model)
-
-    candidates: dict[Point, None] = {}
-    for subset in combinations(constraints, t):
-        for point in _solve_equality_system(subset, t, d):
-            candidates.setdefault(point, None)
+    constraints = _constraints(model, D)
+    candidates = dict.fromkeys(_active_set_points(constraints, t, model.field_d))
 
     def feasible(point: Point) -> bool:
         return all(c.value(point).sign() >= 0 for c in constraints)
@@ -454,33 +402,18 @@ def regions(
     breakpoints (a single region).
     """
     for D in (D1, D2):
-        if D.model != model:
-            raise InputError("divisor belongs to a different model")
-        _require_effective(D, nonzero=True)
-    t = len(model.primes)
+        _require_effective(model, D, nonzero=True)
     d = model.field_d
-    nvars = t + 1
-
-    bounds = []
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    for i, prime in enumerate(model.primes):
-        coeffs = [zero] * nvars
-        coeffs[i] = one
-        coeffs[t] = -D2.coeffs[i]
-        bounds.append(
-            LinearConstraint(f"coeff[{prime}]", tuple(coeffs), -D1.coeffs[i])
-        )
-    constraints: list[Constraint] = bounds + _nef_constraints(model, pad=1)
-
-    candidates: set[QuadNumber] = set()
-    for subset in combinations(constraints, nvars):
-        for point in _solve_equality_system(subset, nvars, d):
-            r = point[-1]
-            if r.sign() > 0:
-                candidates.add(r)
+    nvars = len(model.primes) + 1
+    candidates = {
+        point[-1]
+        for point in _active_set_points(_constraints(model, D1, D2), nvars, d)
+        if point[-1].sign() > 0
+    }
     if not candidates:
         return []
 
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
     slopes = sorted(candidates)
     samples = []
     previous = zero

@@ -164,18 +164,9 @@ class ThreefoldModel:
     # -- divisors ---------------------------------------------------------
 
     def divisor(self, coeffs: Iterable[ScalarLike]) -> ExcDivisor:
-        out = []
-        for c in coeffs:
-            if isinstance(c, QuadNumber):
-                if c.b != 0 and c.d != self.field_d:
-                    raise InputError(
-                        f"coefficient in Q(sqrt({c.d})) does not fit field "
-                        f"Q(sqrt({self.field_d}))"
-                    )
-                out.append(QuadNumber(c.a, c.b, self.field_d))
-            else:
-                out.append(QuadNumber.rational(c, self.field_d))
-        return ExcDivisor(self, tuple(out))
+        return ExcDivisor(
+            self, tuple(QuadNumber.in_field(c, self.field_d) for c in coeffs)
+        )
 
     def prime_divisor(self, prime: str) -> ExcDivisor:
         i = self.index_of(prime)
@@ -307,8 +298,18 @@ def _require_keys(doc: Mapping, required: set, optional: set, where: str) -> Non
         raise ParseError(f"{where}: unknown fields {sorted(extra)}")
 
 
+def _is_list(doc: object) -> bool:
+    return isinstance(doc, Sequence) and not isinstance(doc, (str, bytes))
+
+
+def _names(doc: object, where: str) -> tuple[str, ...]:
+    if not _is_list(doc) or not doc or not all(isinstance(x, str) for x in doc):
+        raise ParseError(f"{where}: expected a nonempty list of names")
+    return tuple(doc)
+
+
 def _scalar_vector(doc: object, d: int, where: str) -> tuple[QuadNumber, ...]:
-    if not isinstance(doc, Sequence) or isinstance(doc, (str, bytes)):
+    if not _is_list(doc):
         raise ParseError(f"{where}: expected a list of scalars")
     try:
         return tuple(scalar_from_json(x, d) for x in doc)
@@ -325,7 +326,7 @@ def _cone_from_json(doc: object, d: int, where: str) -> ConeSpec:
         return ConeSpec(QUADRATIC)
     if kind == POLYHEDRAL:
         rows = doc.get("inequalities")
-        if not isinstance(rows, Sequence) or not rows:
+        if not _is_list(rows) or not rows:
             raise ParseError(f"{where}: polyhedral cone needs inequalities")
         return ConeSpec(
             POLYHEDRAL,
@@ -360,30 +361,20 @@ def model_from_dict(doc: Mapping) -> ThreefoldModel:
     except ValueError as exc:
         raise ParseError(f"model.field.d: {exc}") from None
 
-    primes = doc["primes"]
-    if (
-        not isinstance(primes, Sequence)
-        or isinstance(primes, (str, bytes))
-        or not primes
-        or not all(isinstance(p, str) for p in primes)
-    ):
-        raise ParseError("model.primes: expected a nonempty list of names")
-    primes = tuple(primes)
+    primes = _names(doc["primes"], "model.primes")
 
-    if not isinstance(doc["surfaces"], Sequence):
+    if not _is_list(doc["surfaces"]):
         raise ParseError("model.surfaces: expected a list")
     lattices: dict[str, SurfaceLattice] = {}
     for i, sdoc in enumerate(doc["surfaces"]):
         where = f"model.surfaces[{i}]"
         _require_keys(sdoc, {"name", "basis", "gram", "ample", "nef", "eff"}, set(), where)
         name = sdoc["name"]
-        basis = sdoc["basis"]
-        if not isinstance(basis, Sequence) or not all(
-            isinstance(b, str) for b in basis
-        ):
-            raise ParseError(f"{where}.basis: expected a list of labels")
+        if not isinstance(name, str):
+            raise ParseError(f"{where}.name: expected a string")
+        basis = _names(sdoc["basis"], f"{where}.basis")
         gram_doc = sdoc["gram"]
-        if not isinstance(gram_doc, Sequence):
+        if not _is_list(gram_doc):
             raise ParseError(f"{where}.gram: expected a matrix")
         gram = tuple(
             _scalar_vector(row, d, f"{where}.gram[{k}]")
@@ -392,7 +383,7 @@ def model_from_dict(doc: Mapping) -> ThreefoldModel:
         try:
             lattice = SurfaceLattice(
                 name=name,
-                basis=tuple(basis),
+                basis=basis,
                 gram=gram,
                 ample_ref=_scalar_vector(sdoc["ample"], d, f"{where}.ample"),
                 nef_cone=_cone_from_json(sdoc["nef"], d, f"{where}.nef"),

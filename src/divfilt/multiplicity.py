@@ -15,6 +15,13 @@ the divisor built from the envelope coordinates of ``D``:
   ``(n, j)`` on each cone of constant envelope behaviour, assembled here
   into a :class:`PiecewisePoly` whose coefficients may be irrational.
 
+``product_limit`` and ``minkowski_check`` read one vector of four mixed
+values ``e(i) = (P^i . Q^(3-i))`` of the two envelope divisors ``P, Q``
+(``_mixed_values``), as does each region's cubic in ``piecewise_limit``.
+The Minkowski report's ``((P + Q)^3)`` is ``e(3) + 3 e(2) + 3 e(1) + e(0)``
+by trilinearity and the symmetry that :meth:`ThreefoldModel.validate`
+certifies.
+
 The four Minkowski-style inequalities among these numbers are checked
 exactly inside the field where possible; the genuinely transcendental one
 (cube roots) is decided by certified interval refinement with an exact
@@ -34,6 +41,7 @@ from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber, ScalarLike
 
 MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3))
+MONOMIAL_NAMES = ("n^3", "n^2*j", "n*j^2", "j^3")
 
 
 @dataclass(frozen=True)
@@ -67,11 +75,9 @@ class CubicForm:
     def is_zero(self) -> bool:
         return all(c.sign() == 0 for c in self.coefficients)
 
-    def render(self, variables: tuple[str, str] = ("n", "j")) -> str:
-        n, j = variables
-        names = (f"{n}^3", f"{n}^2*{j}", f"{n}*{j}^2", f"{j}^3")
+    def render(self) -> str:
         parts: list[tuple[bool, str]] = []
-        for coeff, mono in zip(self.coefficients, names):
+        for coeff, mono in zip(self.coefficients, MONOMIAL_NAMES):
             if coeff.sign() == 0:
                 continue
             if coeff.is_rational:
@@ -91,10 +97,9 @@ class CubicForm:
         return text
 
     def to_json_dict(self) -> dict:
-        names = ("n^3", "n^2*j", "n*j^2", "j^3")
         return {
             name: c.canonical_string()
-            for name, c in zip(names, self.coefficients)
+            for name, c in zip(MONOMIAL_NAMES, self.coefficients)
         }
 
     def __str__(self) -> str:
@@ -145,8 +150,7 @@ class PiecewisePoly:
 
     def region_for(self, n: ScalarLike, j: ScalarLike) -> PiecewiseRegion:
         d = self.regions[0].lower_slope.d
-        n = QuadNumber.rational(n, d) if not isinstance(n, QuadNumber) else n
-        j = QuadNumber.rational(j, d) if not isinstance(j, QuadNumber) else j
+        n, j = QuadNumber.in_field(n, d), QuadNumber.in_field(j, d)
         if n.sign() < 0 or j.sign() < 0 or (n.sign() == 0 and j.sign() == 0):
             raise InputError("evaluation point must be effective and nonzero")
         if n.sign() == 0:
@@ -235,17 +239,13 @@ def limit_single(model: ThreefoldModel, D: ExcDivisor) -> MultReport:
 
 
 def mixed(
-    model: ThreefoldModel,
-    factors: Sequence[tuple[ExcDivisor, int]],
-    total: int = 3,
+    model: ThreefoldModel, factors: Sequence[tuple[ExcDivisor, int]]
 ) -> QuadNumber:
     """Mixed multiplicity with the given exponents (summing to 3).
 
     Symmetric in its factors; ``mixed([(D, 3)])`` equals the plain
     multiplicity of ``D``.
     """
-    if total != model.dimension:
-        raise InputError(f"total degree must be {model.dimension}")
     slots: list[ExcDivisor] = []
     for D, exponent in factors:
         if not isinstance(exponent, int) or exponent < 0:
@@ -254,8 +254,8 @@ def mixed(
             continue
         _, sigma = _sigma(model, D)
         slots.extend([sigma] * exponent)
-    if len(slots) != total:
-        raise InputError(f"exponents must sum to {total}")
+    if len(slots) != model.dimension:
+        raise InputError(f"exponents must sum to {model.dimension}")
     return model.triple(slots[0], slots[1], slots[2])
 
 
@@ -282,18 +282,24 @@ def _envelope_family_affine(
     return model.divisor(u), model.divisor(v)
 
 
+def _mixed_values(
+    model: ThreefoldModel, P: ExcDivisor, Q: ExcDivisor
+) -> tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]:
+    """``(e(0), e(1), e(2), e(3))`` with ``e(i) = (P^i . Q^(3-i))``."""
+    return (
+        model.triple(Q, Q, Q),
+        model.triple(P, Q, Q),
+        model.triple(P, P, Q),
+        model.triple(P, P, P),
+    )
+
+
 def _region_form(
     model: ThreefoldModel, P: ExcDivisor, Q: ExcDivisor
 ) -> CubicForm:
     """Cubic of (n*P + j*Q)^3 / 6 expanded in the monomial basis."""
-    return CubicForm(
-        (
-            model.triple(P, P, P) / 6,
-            model.triple(P, P, Q) / 2,
-            model.triple(P, Q, Q) / 2,
-            model.triple(Q, Q, Q) / 6,
-        )
-    )
+    e0, e1, e2, e3 = _mixed_values(model, P, Q)
+    return CubicForm((e3 / 6, e2 / 2, e1 / 2, e0 / 6))
 
 
 def piecewise_limit(
@@ -342,11 +348,7 @@ def product_limit(
     """
     _, sigma1 = _sigma(model, D1)
     _, sigma2 = _sigma(model, D2)
-    e3 = model.triple(sigma1, sigma1, sigma1)
-    e2 = model.triple(sigma1, sigma1, sigma2)
-    e1 = model.triple(sigma1, sigma2, sigma2)
-    e0 = model.triple(sigma2, sigma2, sigma2)
-    return CubicForm((e3 / 6, e2 / 2, e1 / 2, e0 / 6))
+    return _region_form(model, sigma1, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +455,8 @@ def minkowski_check(
     """
     _, sigma1 = _sigma(model, D1)
     _, sigma2 = _sigma(model, D2)
-    slots = [sigma2, sigma2, sigma2]
-    e = []
-    for i in range(4):
-        e.append(model.triple(slots[0], slots[1], slots[2]))
-        if i < 3:
-            slots[i] = sigma1
-    # e[i] now holds the mixed multiplicity with i copies of sigma1.
-    product_sigma = sigma1 + sigma2
-    L = model.triple(product_sigma, product_sigma, product_sigma)
+    e = _mixed_values(model, sigma1, sigma2)
+    L = e[3] + 3 * e[2] + 3 * e[1] + e[0]
 
     checks: list[InequalityCheck] = []
 
@@ -493,7 +488,7 @@ def minkowski_check(
         )
     )
     return MinkowskiReport(
-        e_values=(e[0], e[1], e[2], e[3]),
+        e_values=e,
         product_multiplicity=L,
         checks=tuple(checks),
     )

@@ -14,6 +14,10 @@ squarefree integer ``d >= 2``.  All operations are exact.  In particular:
   (``sqrt(q)`` is either rational or a rational multiple of ``sqrt(d)``)
   and reported as absent otherwise.
 
+The vector kernels every higher layer shares — ``dot``, ``bilinear`` and
+the roots of a quadratic (``quadratic_roots``) — live here too, so each
+is written once.
+
 No floating point participates in any of these paths; ``float(x)`` exists
 only as a convenience for display.
 """
@@ -21,18 +25,28 @@ only as a convenience for display.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .errors import DiscriminantMismatchError, ParseError
+from .errors import (
+    DiscriminantMismatchError,
+    InputError,
+    ParseError,
+    RootOutsideFieldError,
+)
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadNumber"]
 
 _SQUAREFREE_CACHE: set[int] = set()
+
+# Squarefreeness is decided by trial division up to sqrt(d); this bound
+# keeps that under half a million steps.
+MAX_DISCRIMINANT = 10**12
 
 
 def _require_squarefree(d: int) -> None:
@@ -40,6 +54,10 @@ def _require_squarefree(d: int) -> None:
         return
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"field discriminant must be an integer >= 2, got {d!r}")
+    if d > MAX_DISCRIMINANT:
+        raise ValueError(
+            f"field discriminant must be at most {MAX_DISCRIMINANT}, got {d}"
+        )
     if d % 4 == 0:
         raise ValueError(f"field discriminant must be squarefree, got {d}")
     p = 3
@@ -76,6 +94,24 @@ class QuadNumber:
     @classmethod
     def rational(cls, value: RationalLike, d: int) -> "QuadNumber":
         return cls(Fraction(value), Fraction(0), d)
+
+    @classmethod
+    def in_field(cls, value: ScalarLike, d: int) -> "QuadNumber":
+        """``value`` as an element of Q(sqrt(d)).
+
+        Integers, Fractions and rational elements of any field are
+        accepted; an irrational element of another field raises
+        :class:`InputError`.
+        """
+        if isinstance(value, QuadNumber):
+            if value.d == d:
+                return value
+            if value.b != 0:
+                raise InputError(
+                    f"scalar in Q(sqrt({value.d})) does not fit field Q(sqrt({d}))"
+                )
+            return cls(value.a, value.b, d)
+        return cls.rational(value, d)
 
     @classmethod
     def zero(cls, d: int) -> "QuadNumber":
@@ -301,6 +337,57 @@ class QuadNumber:
     def __float__(self) -> float:
         # Display convenience only; exact code paths never call this.
         return float(self.a) + float(self.b) * math.sqrt(self.d)
+
+
+# ---------------------------------------------------------------------------
+# vector kernels
+
+
+def dot(u: Sequence[QuadNumber], v: Sequence[QuadNumber]) -> QuadNumber:
+    """``sum u_i * v_i`` over two nonempty vectors of equal length."""
+    terms = map(operator.mul, u, v)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def bilinear(
+    matrix: Sequence[Sequence[QuadNumber]],
+    u: Sequence[QuadNumber],
+    v: Sequence[QuadNumber],
+) -> QuadNumber:
+    """``u^T matrix v`` for a nonempty square matrix."""
+    return dot(u, [dot(row, v) for row in matrix])
+
+
+def quadratic_roots(
+    alpha: QuadNumber, beta: QuadNumber, chi: QuadNumber
+) -> Optional[list[QuadNumber]]:
+    """Roots of ``alpha s^2 + beta s + chi = 0`` in the coefficients' field.
+
+    Returns None when the equation holds for every ``s``, otherwise the
+    (possibly empty) list of distinct roots.  Raises
+    :class:`RootOutsideFieldError` when real roots exist but lie outside
+    the field.
+    """
+    if alpha.sign() == 0:
+        if beta.sign() == 0:
+            return None if chi.sign() == 0 else []
+        return [-chi / beta]
+    disc = beta * beta - 4 * alpha * chi
+    s = disc.sign()
+    if s < 0:
+        return []
+    if s == 0:
+        return [-beta / (2 * alpha)]
+    root = field_sqrt(disc)
+    if root is None:
+        raise RootOutsideFieldError(
+            f"root outside field: sqrt({disc.canonical_string()}) "
+            f"is not in Q(sqrt({disc.d}))"
+        )
+    return [(-beta + root) / (2 * alpha), (-beta - root) / (2 * alpha)]
 
 
 # ---------------------------------------------------------------------------

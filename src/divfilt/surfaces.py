@@ -19,11 +19,10 @@ sign tests alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InputError, RootOutsideFieldError
-from .qfield import QuadNumber, ScalarLike, field_sqrt
+from .errors import InputError
+from .qfield import QuadNumber, ScalarLike, bilinear, dot, quadratic_roots
 
 POLYHEDRAL = "polyhedral"
 QUADRATIC = "quadratic"
@@ -94,11 +93,7 @@ class SurfaceClass:
     def pair(self, other: "SurfaceClass") -> QuadNumber:
         """Intersection number ``(self . other)`` under the gram matrix."""
         self._check_same_lattice(other)
-        total = QuadNumber.zero(self.lattice.field_d)
-        for xi, row in zip(self.coords, self.lattice.gram):
-            for gij, yj in zip(row, other.coords):
-                total = total + xi * gij * yj
-        return total
+        return bilinear(self.lattice.gram, self.coords, other.coords)
 
     def self_intersection(self) -> QuadNumber:
         return self.pair(self)
@@ -122,10 +117,14 @@ class SurfaceLattice:
 
     def __post_init__(self) -> None:
         rank = len(self.basis)
+        if rank == 0:
+            raise InputError(f"surface {self.name!r}: basis is empty")
         if len(set(self.basis)) != rank:
             raise InputError(f"surface {self.name!r}: basis labels not unique")
         if len(self.gram) != rank or any(len(row) != rank for row in self.gram):
             raise InputError(f"surface {self.name!r}: gram shape != {rank}x{rank}")
+        object.__setattr__(self, "gram", tuple(map(self._vector, self.gram)))
+        object.__setattr__(self, "ample_ref", self._vector(self.ample_ref))
         for i in range(rank):
             for j in range(rank):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -143,18 +142,12 @@ class SurfaceLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def _scalar(self, value: ScalarLike) -> QuadNumber:
-        if isinstance(value, QuadNumber):
-            if value.b == 0 or value.d == self.field_d:
-                return QuadNumber(value.a, value.b, self.field_d)
-            raise InputError(
-                f"scalar lives in Q(sqrt({value.d})), lattice uses sqrt({self.field_d})"
-            )
-        return QuadNumber.rational(Fraction(value), self.field_d)
+    def _vector(self, values: Iterable[ScalarLike]) -> tuple[QuadNumber, ...]:
+        return tuple(QuadNumber.in_field(v, self.field_d) for v in values)
 
     def cls(self, coords: Iterable[ScalarLike]) -> SurfaceClass:
         """Build a class from any mix of ints / Fractions / QuadNumbers."""
-        return SurfaceClass(self, tuple(self._scalar(c) for c in coords))
+        return SurfaceClass(self, self._vector(coords))
 
     def basis_class(self, label: str) -> SurfaceClass:
         if label not in self.basis:
@@ -181,13 +174,7 @@ class SurfaceLattice:
         return cone
 
     def _functional_values(self, cone: ConeSpec, x: SurfaceClass) -> list[QuadNumber]:
-        values = []
-        for functional in cone.functionals:
-            acc = QuadNumber.zero(self.field_d)
-            for c, xi in zip(functional, x.coords):
-                acc = acc + c * xi
-            values.append(acc)
-        return values
+        return [dot(functional, x.coords) for functional in cone.functionals]
 
     def cone_contains(self, cone: Union[ConeSpec, str], x: SurfaceClass) -> bool:
         """Exact membership of ``x`` in the CLOSED cone."""
@@ -215,46 +202,33 @@ class SurfaceLattice:
         self, cone: ConeSpec, base: SurfaceClass, direction: SurfaceClass
     ) -> list[QuadNumber]:
         """All t >= 0 where some defining form of the cone vanishes on the ray."""
-        candidates: list[QuadNumber] = []
-
-        def add_linear_root(at_base: QuadNumber, along: QuadNumber) -> None:
-            if along.sign() != 0:
-                t = -at_base / along
-                if t.sign() >= 0:
-                    candidates.append(t)
-
+        zero = QuadNumber.zero(self.field_d)
+        # Each defining form along the ray is alpha t^2 + beta t + chi.
+        forms: list[tuple[QuadNumber, QuadNumber, QuadNumber]] = []
         if cone.kind == POLYHEDRAL:
             for v0, v1 in zip(
                 self._functional_values(cone, base),
                 self._functional_values(cone, direction),
             ):
-                add_linear_root(v0, v1)
+                forms.append((zero, v1, v0))
         else:
-            # (base + t dir)^2 = alpha t^2 + beta t + chi
-            alpha = direction.self_intersection()
-            beta = 2 * base.pair(direction)
-            chi = base.self_intersection()
-            if alpha.sign() == 0:
-                add_linear_root(chi, beta)
-            else:
-                disc = beta * beta - 4 * alpha * chi
-                if disc.sign() >= 0:
-                    root = field_sqrt(disc)
-                    if root is None:
-                        raise RootOutsideFieldError(
-                            "discriminant outside field: sqrt of "
-                            f"{disc.canonical_string()} is not in Q(sqrt({self.field_d}))"
-                        )
-                    for sgn in (1, -1):
-                        t = (-beta + sgn * root) / (2 * alpha)
-                        if t.sign() >= 0:
-                            candidates.append(t)
-            # The ample side-condition is linear along the ray.
-            add_linear_root(
-                base.pair(self.ample_class), direction.pair(self.ample_class)
+            forms.append(
+                (
+                    direction.self_intersection(),
+                    2 * base.pair(direction),
+                    base.self_intersection(),
+                )
             )
-
-        return sorted(set(candidates))
+            # The ample side-condition is linear along the ray.
+            ample = self.ample_class
+            forms.append((zero, direction.pair(ample), base.pair(ample)))
+        candidates = {
+            t
+            for form in forms
+            for t in quadratic_roots(*form) or ()
+            if t.sign() >= 0
+        }
+        return sorted(candidates)
 
     def boundary_slopes(
         self,

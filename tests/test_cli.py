@@ -250,6 +250,28 @@ def test_missing_model_file_exit_2(capsys, tmp_path):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["surfaces"][0].update(name=["Sbar"]),
+        lambda d: d["surfaces"][0].update(basis="ABC"),
+        lambda d: d["surfaces"][1].update(basis=[]),
+        lambda d: d.update(surfaces="xx"),
+        lambda d: d["field"].update(d=10**30 + 1),
+    ],
+    ids=["list-name", "string-basis", "empty-basis", "string-surfaces", "huge-d"],
+)
+def test_malformed_model_file_exit_2(capsys, tmp_path, mutate):
+    doc = builtin_document()
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, ["gamma", "--model", str(path), "-D", "1,1"])
+    assert code == 2
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
 def test_computation_error_exit_3(capsys, monkeypatch):
     def explode(model, D):
         raise ComputationError("synthetic failure")

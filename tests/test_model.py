@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -204,13 +205,20 @@ def test_load_model_bad_json(tmp_path):
         (lambda d: d["field"].update(d=12), "squarefree"),
         (lambda d: d["restrictions"]["F"].pop("Sbar"), "restriction"),
         (lambda d: d["surfaces"][1]["nef"].update(type="weird"), "cone"),
+        (lambda d: d["surfaces"][0].update(name=["Sbar"]), "name: expected a string"),
+        (lambda d: d["surfaces"][0].update(basis="ABC"), "basis: expected a nonempty"),
+        (lambda d: d["surfaces"][1].update(basis=[]), "basis: expected a nonempty"),
+        (lambda d: d.update(surfaces="xx"), "surfaces: expected a list"),
+        (lambda d: d["field"].update(d=10**30 + 1), "field.d: .* at most"),
     ],
 )
 def test_schema_violations(mutate, fragment):
     doc = builtin_document()
     mutate(doc)
+    start = time.perf_counter()
     with pytest.raises(ParseError, match=fragment):
         model_from_dict(doc)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- divisors ----------------------------------------------------------------------

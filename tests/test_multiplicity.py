@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from divfilt.envelope import gamma
 from divfilt.errors import ComputationError, InputError
 from divfilt.model import builtin_model
 from divfilt.multiplicity import (
@@ -299,6 +300,17 @@ def test_minkowski_equality_cases_decided_exactly(model):
         report = minkowski_check(model, S, other)
         assert report.all_hold
         assert report.checks[-1].method == "exact-equality"
+
+
+@pytest.mark.parametrize(
+    "c1, c2",
+    [((1, 0), (0, 1)), ((1, 1), (0, 3)), ((1, 0), (2, 0)), ((2, 1), (4, 2))],
+)
+def test_minkowski_product_multiplicity_is_direct_triple(model, c1, c2):
+    D1, D2 = model.divisor(c1), model.divisor(c2)
+    report = minkowski_check(model, D1, D2)
+    total = gamma(model, D1).envelope_divisor + gamma(model, D2).envelope_divisor
+    assert report.product_multiplicity == model.triple(total, total, total)
 
 
 def test_minkowski_degenerate_zero_side(model):

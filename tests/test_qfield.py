@@ -11,6 +11,7 @@ from divfilt import (
     DiscriminantMismatchError,
     ParseError,
     QuadNumber,
+    RootOutsideFieldError,
     field_sqrt,
     parse_scalar,
     rational_sqrt,
@@ -18,6 +19,7 @@ from divfilt import (
     scalar_to_json,
     sqrt_in_field,
 )
+from divfilt.qfield import quadratic_roots
 
 
 def q3(a, b=0):
@@ -217,6 +219,16 @@ def test_field_sqrt_absent_cases():
     assert field_sqrt(q3(-1)) is None
     assert field_sqrt(q3(2)) is None          # sqrt(2) not in Q(sqrt(3))
     assert field_sqrt(q3(1, 1)) is None       # norm 1 - 3 < 0 is not a square
+
+
+def test_quadratic_roots_cases():
+    zero = q3(0)
+    assert quadratic_roots(zero, zero, zero) is None  # holds for every s
+    assert quadratic_roots(zero, zero, q3(1)) == []
+    assert quadratic_roots(q3(1), zero, q3(1)) == []  # s^2 + 1: disc < 0
+    assert quadratic_roots(q3(1), q3(-2), q3(1)) == [q3(1)]  # (s - 1)^2
+    with pytest.raises(RootOutsideFieldError):
+        quadratic_roots(q3(1), zero, q3(-2))  # s = ±sqrt(2), not in Q(sqrt(3))
 
 
 @given(quads, st.integers(0, 6))

@@ -218,6 +218,19 @@ def test_asymmetric_gram_rejected():
         )
 
 
+def test_empty_basis_rejected():
+    with pytest.raises(InputError, match="basis is empty"):
+        SurfaceLattice(
+            name="bad",
+            basis=(),
+            gram=(),
+            ample_ref=(),
+            nef_cone=ConeSpec("quadratic", ()),
+            eff_cone=ConeSpec("quadratic", ()),
+            field_d=3,
+        )
+
+
 def test_duplicate_basis_rejected():
     with pytest.raises(InputError):
         SurfaceLattice(
