@@ -59,6 +59,10 @@ from .verify import run_golden_suite
 
 TEXT, JSON = "text", "json"
 
+# ``examples`` evaluates every index up to --n-max, in time and memory
+# linear in it; larger requests are refused instead of left to run.
+MAX_EXAMPLES_N = 10**5
+
 
 def _load(name_or_path: str) -> ThreefoldModel:
     if name_or_path == BUILTIN_MODEL_NAME:
@@ -243,8 +247,8 @@ def _cmd_minkowski(args) -> int:
 
 def _cmd_examples(args) -> int:
     n_max = args.n_max if args.n_max is not None else 10
-    if n_max < 1:
-        raise ParseError("--n-max must be at least 1")
+    if not 1 <= n_max <= MAX_EXAMPLES_N:
+        raise ParseError(f"--n-max must be between 1 and {MAX_EXAMPLES_N}")
     sequences = (
         ("sqrt2", sqrt2_sequence()),
         ("diagonal_norm", diagonal_norm_sequence()),
@@ -382,7 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="closed-form filtration length tables (CSV)")
     common(p)
-    p.add_argument("--n-max", dest="n_max", type=int, help="last index (default 10)")
+    p.add_argument(
+        "--n-max",
+        dest="n_max",
+        type=int,
+        help=f"last index (default 10, at most {MAX_EXAMPLES_N})",
+    )
     p.set_defaults(handler=_cmd_examples)
 
     p = sub.add_parser("verify-paper", help="golden regression table")

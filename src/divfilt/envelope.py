@@ -9,15 +9,15 @@ elements of Q(sqrt(d)) and may well be irrational.
 
 The computation is an exhaustive active-set enumeration.  The feasible
 set is cut out by the bound constraints ``g_i - a_i >= 0`` together with
-the nef constraints (linear functionals for polyhedral cones, one
-homogeneous quadratic plus an ample-side linear form for quadratic
-cones).  Every subset of constraints of size ``t`` (the number of primes)
-is solved as an equality system over the field; the feasible solutions
-are collected, and the coordinatewise minimum among them — whose
-existence is certified, not assumed — is the envelope.  Equality systems
-stay tractable because after eliminating the linear equations at most one
-quadratic survives in one free variable; anything richer is refused
-loudly rather than solved approximately.
+the nef constraints: each surface's own cone inequalities
+(:meth:`SurfaceLattice.constraints`) pulled back to ``g`` along
+``g -> -sum g_i r_E(E_i)``.  Every subset of constraints of size ``t``
+(the number of primes) is solved as an equality system over the field;
+the feasible solutions are collected, and the coordinatewise minimum
+among them — whose existence is certified, not assumed — is the
+envelope.  Equality systems stay tractable because after eliminating the
+linear equations at most one quadratic survives in one free variable;
+anything richer is refused loudly rather than solved approximately.
 
 ``regions`` analyses the one-parameter family ``D1 + r*D2`` and returns
 the finitely many slopes ``r`` where the envelope's active constraint set
@@ -30,40 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, NoMinimalEnvelopeError, UnsupportedModelError
 from .model import ExcDivisor, ThreefoldModel
-from .qfield import QuadNumber, bilinear, dot, quadratic_roots
-from .surfaces import POLYHEDRAL
+from .qfield import QuadNumber, quadratic_roots
+from .surfaces import Constraint, LinearConstraint, QuadraticConstraint
 
 Point = tuple[QuadNumber, ...]
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """The affine inequality ``coeffs . v + const >= 0``."""
-
-    ident: str
-    coeffs: tuple[QuadNumber, ...]
-    const: QuadNumber
-
-    def value(self, point: Sequence[QuadNumber]) -> QuadNumber:
-        return self.const + dot(self.coeffs, point)
-
-
-@dataclass(frozen=True)
-class QuadraticConstraint:
-    """The homogeneous inequality ``v^T matrix v >= 0`` (matrix symmetric)."""
-
-    ident: str
-    matrix: tuple[tuple[QuadNumber, ...], ...]
-
-    def value(self, point: Sequence[QuadNumber]) -> QuadNumber:
-        return bilinear(self.matrix, point, point)
-
-
-Constraint = Union[LinearConstraint, QuadraticConstraint]
 
 
 @dataclass(frozen=True)
@@ -120,46 +94,20 @@ class GammaEnvelope:
 def _nef_constraints(model: ThreefoldModel, pad: int = 0) -> list[Constraint]:
     """Nef conditions on ``g`` for ``-sum g_i E_i``, as constraints.
 
-    Restricting ``-sum g_i E_i`` to the surface over ``E`` gives
-    ``-sum g_i r_E(E_i)``; applying a cone functional L yields the linear
-    form with coefficients ``-L(r_E(E_i))``, and the quadratic cone's
-    self-intersection yields the form with matrix ``(r_E(E_i).r_E(E_j))``
-    (the two minus signs cancel).  ``pad`` appends extra variables that
-    the nef conditions do not involve (used for the slope variable).
+    Restricting ``-sum g_i E_i`` to the surface over ``E`` gives the point
+    ``sum g_i (-r_E(E_i))``, so each nef constraint of that surface pulls
+    back along the columns ``-r_E(E_i)``.  ``pad`` appends zero columns:
+    extra variables that the nef conditions do not involve (used for the
+    slope variable).
     """
-    d = model.field_d
-    zero = QuadNumber.zero(d)
-    padding = (zero,) * pad
     constraints: list[Constraint] = []
-    for prime in model.primes:
-        surface = model.surface(prime)
-        restr = [model.restriction(prime, p) for p in model.primes]
-        cone = surface.nef_cone
-        if cone.kind == POLYHEDRAL:
-            for k, functional in enumerate(cone.functionals):
-                coeffs = tuple(-dot(functional, r.coords) for r in restr)
-                constraints.append(
-                    LinearConstraint(f"nef[{prime}]:{k}", coeffs + padding, zero)
-                )
-        else:
-            size = len(restr) + pad
-            matrix = [[zero] * size for _ in range(size)]
-            for i, ri in enumerate(restr):
-                for j, rj in enumerate(restr):
-                    matrix[i][j] = ri.pair(rj)
-            constraints.append(
-                QuadraticConstraint(
-                    f"nef[{prime}]:quad", tuple(tuple(row) for row in matrix)
-                )
-            )
-            ample = surface.ample_class
-            constraints.append(
-                LinearConstraint(
-                    f"nef[{prime}]:ample",
-                    tuple(-r.pair(ample) for r in restr) + padding,
-                    zero,
-                )
-            )
+    for prime, surface, row in zip(model.primes, model.surfaces, model.restrictions):
+        columns = [(-r).coords for r in row]
+        columns += [(QuadNumber.zero(model.field_d),) * surface.rank] * pad
+        constraints.extend(
+            c.pullback(f"nef[{prime}]:{c.ident}", columns)
+            for c in surface.constraints("nef")
+        )
     return constraints
 
 
@@ -263,10 +211,7 @@ def _solve_equality_system(
     if len(null_basis) == 1:
         direction = null_basis[0]
         for chosen in quads:
-            alpha = bilinear(chosen.matrix, direction, direction)
-            beta = 2 * bilinear(chosen.matrix, particular, direction)
-            chi = bilinear(chosen.matrix, particular, particular)
-            roots = quadratic_roots(alpha, beta, chi)
+            roots = quadratic_roots(*chosen.along(particular, direction))
             if roots is None:
                 continue  # this quadratic vanishes on the whole line
             points = []

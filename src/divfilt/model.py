@@ -10,9 +10,13 @@ entered by hand — it is *derived* from the restriction table,
     (D1 . D2 . D3)  =  sum over primes E of
                        coeff(D3, E) * ( restrict(D1, E) . restrict(D2, E) ),
 
-and :meth:`ThreefoldModel.validate` checks that every way of expanding a
-basis monomial gives the same number, which is exactly the redundancy that
-catches transcription errors in the restriction data.
+through one table of restriction pairings computed when the model is
+built, ``pairings[e][i][j] = r_e(E_i) . r_e(E_j)``.  The number
+``(E_i . E_j . E_k)`` can be read from that table in three ways
+(``pairings[i][j][k]``, ``pairings[j][i][k]``, ``pairings[k][i][j]``);
+:meth:`ThreefoldModel.validate` checks that all three agree, which is
+exactly the redundancy that catches transcription errors in the
+restriction data.
 
 The built-in model (addressable as ``"paper"`` on the command line) has
 two primes over Q(sqrt(3)): an abelian surface with basis ``A, B, Delta``
@@ -22,13 +26,21 @@ and a ruled surface with basis ``C0, f``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError, ModelValidationError, ParseError
-from .qfield import QuadNumber, ScalarLike, scalar_from_json, scalar_to_json
+from .qfield import (
+    QuadNumber,
+    ScalarLike,
+    bilinear,
+    dot,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .surfaces import POLYHEDRAL, QUADRATIC, ConeSpec, SurfaceClass, SurfaceLattice
 
 BUILTIN_MODEL_NAME = "paper"
@@ -124,6 +136,10 @@ class ThreefoldModel:
     surfaces: tuple[SurfaceLattice, ...]
     # restrictions[i][j]: class of O(E_j) restricted to the surface over E_i
     restrictions: tuple[tuple[SurfaceClass, ...], ...]
+    # pairings[e][i][j]: restrictions[e][i] . restrictions[e][j]
+    pairings: tuple[tuple[tuple[QuadNumber, ...], ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         t = len(self.primes)
@@ -143,6 +159,11 @@ class ThreefoldModel:
                     raise InputError(
                         f"restriction class for {prime!r} lies on the wrong surface"
                     )
+        pairings = tuple(
+            tuple(tuple(ri.pair(rj) for rj in row) for ri in row)
+            for row in self.restrictions
+        )
+        object.__setattr__(self, "pairings", pairings)
 
     @property
     def dimension(self) -> int:
@@ -188,37 +209,29 @@ class ThreefoldModel:
             acc = acc + cls * coeff
         return acc
 
-    def _triple_expanding(
-        self, pair_a: ExcDivisor, pair_b: ExcDivisor, expanded: ExcDivisor
-    ) -> QuadNumber:
-        total = QuadNumber.zero(self.field_d)
-        for prime, weight in zip(self.primes, expanded.coeffs):
-            if weight.sign() == 0:
-                continue
-            value = self.restrict(pair_a, prime).pair(self.restrict(pair_b, prime))
-            total = total + weight * value
-        return total
-
     def triple(self, D1: ExcDivisor, D2: ExcDivisor, D3: ExcDivisor) -> QuadNumber:
         """Trilinear intersection number (D1 . D2 . D3).
 
-        Expands the third argument over primes; :meth:`validate` certifies
-        that the choice of expanded argument does not matter.
+        Expands the third argument over primes and pairs the other two
+        through each prime's table in ``pairings``; :meth:`validate`
+        certifies that the choice of expanded argument does not matter.
         """
         for D in (D1, D2, D3):
             if D.model != self:
                 raise InputError("divisor belongs to a different model")
-        return self._triple_expanding(D1, D2, D3)
+        return dot(
+            D3.coeffs,
+            [bilinear(table, D1.coeffs, D2.coeffs) for table in self.pairings],
+        )
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         """Cross-check the restriction data and surface cone declarations.
 
-        For every degree-3 monomial in the primes, all three argument
-        expansions of the trilinear form must agree exactly; each surface's
-        ample class must sit strictly inside its nef cone and inside its
-        effective cone.
+        For every degree-3 monomial in the primes, its three readings from
+        the pairing table must agree exactly; each surface's ample class
+        must sit strictly inside its nef cone and inside its effective cone.
         """
         checks: list[CheckResult] = []
         t = len(self.primes)
@@ -245,41 +258,22 @@ class ThreefoldModel:
                 )
             )
 
-        unit_divisors = [self.prime_divisor(p) for p in self.primes]
-        for i in range(t):
-            for j in range(i, t):
-                for k in range(j, t):
-                    monomial = "·".join(
-                        (self.primes[i], self.primes[j], self.primes[k])
-                    )
-                    expansions = []
-                    for (pa, pb, ex) in ((j, k, i), (i, k, j), (i, j, k)):
-                        value = self._triple_expanding(
-                            unit_divisors[pa], unit_divisors[pb], unit_divisors[ex]
-                        )
-                        expansions.append((self.primes[ex], value))
-                    values = {v for _, v in expansions}
-                    if len(values) == 1:
-                        only = expansions[0][1]
-                        checks.append(
-                            CheckResult(
-                                f"triple[{monomial}]",
-                                True,
-                                f"all expansions agree: {only.canonical_string()}",
-                            )
-                        )
-                    else:
-                        detail = ", ".join(
-                            f"on {name} -> {v.canonical_string()}"
-                            for name, v in expansions
-                        )
-                        checks.append(
-                            CheckResult(
-                                f"triple[{monomial}]",
-                                False,
-                                f"expansions disagree: {detail}",
-                            )
-                        )
+        T = self.pairings
+        for i, j, k in combinations_with_replacement(range(t), 3):
+            monomial = "·".join(self.primes[n] for n in (i, j, k))
+            expansions = [
+                (self.primes[i], T[i][j][k]),
+                (self.primes[j], T[j][i][k]),
+                (self.primes[k], T[k][i][j]),
+            ]
+            agree = len({v for _, v in expansions}) == 1
+            if agree:
+                detail = f"all expansions agree: {T[i][j][k].canonical_string()}"
+            else:
+                detail = "expansions disagree: " + ", ".join(
+                    f"on {name} -> {v.canonical_string()}" for name, v in expansions
+                )
+            checks.append(CheckResult(f"triple[{monomial}]", agree, detail))
         return ValidationReport(tuple(checks))
 
 

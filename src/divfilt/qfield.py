@@ -408,6 +408,13 @@ def _check_discriminant(found: int, expected: int) -> None:
         raise ParseError(f"expected sqrt({expected}), found sqrt({found})")
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+
+
 def parse_scalar(text: str, d: int) -> QuadNumber:
     """Parse the canonical scalar form back into a :class:`QuadNumber`.
 
@@ -419,12 +426,12 @@ def parse_scalar(text: str, d: int) -> QuadNumber:
         raise ParseError("empty scalar")
     m = _RE_RATIONAL.match(compact)
     if m:
-        return QuadNumber(Fraction(m.group(1)), Fraction(0), d)
+        return QuadNumber(_rational(m.group(1)), Fraction(0), d)
     m = _RE_ROOT_TERM.match(compact)
     if m:
         sign_str, coeff, found_d = m.groups()
         _check_discriminant(int(found_d), d)
-        b = Fraction(coeff) if coeff else Fraction(1)
+        b = _rational(coeff) if coeff else Fraction(1)
         if sign_str == "-":
             b = -b
         return QuadNumber(Fraction(0), b, d)
@@ -432,10 +439,10 @@ def parse_scalar(text: str, d: int) -> QuadNumber:
     if m:
         a_str, op, coeff, found_d = m.groups()
         _check_discriminant(int(found_d), d)
-        b = Fraction(coeff) if coeff else Fraction(1)
+        b = _rational(coeff) if coeff else Fraction(1)
         if op == "-":
             b = -b
-        return QuadNumber(Fraction(a_str), b, d)
+        return QuadNumber(_rational(a_str), b, d)
     raise ParseError(f"cannot parse scalar {text!r}")
 
 

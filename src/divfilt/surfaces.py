@@ -10,6 +10,13 @@ two distinguished cones — nef and effective.  Cones come in two kinds:
   nonnegatively with a designated ample class (the standard picture on an
   abelian surface, where nef = effective = one half of the light cone).
 
+:meth:`SurfaceLattice.constraints` is the one place that turns a cone into
+inequalities: a list of :class:`LinearConstraint` and
+:class:`QuadraticConstraint` objects.  Membership, strict interiority of
+the ample class and the boundary crossings of a ray all evaluate that
+list, and the envelope solver pulls the same constraints back to the
+coefficients of exceptional divisors.
+
 Both cones are CLOSED: boundary classes are members.  Downstream limit
 formulas are continuous across the boundaries, which makes the closed
 convention the consistent one, and it keeps membership decidable by exact
@@ -19,13 +26,71 @@ sign tests alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 from .qfield import QuadNumber, ScalarLike, bilinear, dot, quadratic_roots
 
 POLYHEDRAL = "polyhedral"
 QUADRATIC = "quadratic"
+
+Vector = Sequence[QuadNumber]
+Quadratic = tuple[QuadNumber, QuadNumber, QuadNumber]
+
+
+@dataclass(frozen=True)
+class LinearConstraint:
+    """The affine inequality ``coeffs . v + const >= 0``."""
+
+    ident: str
+    coeffs: tuple[QuadNumber, ...]
+    const: QuadNumber
+
+    def value(self, point: Vector) -> QuadNumber:
+        return self.const + dot(self.coeffs, point)
+
+    def along(self, base: Vector, direction: Vector) -> Quadratic:
+        """``value(base + s*direction)`` as ``alpha s^2 + beta s + chi``."""
+        zero = QuadNumber.zero(self.const.d)
+        return (zero, dot(self.coeffs, direction), self.value(base))
+
+    def pullback(self, ident: str, columns: Sequence[Vector]) -> "LinearConstraint":
+        """The constraint on ``v`` at the point ``sum v_i columns[i]``."""
+        return LinearConstraint(
+            ident, tuple(dot(self.coeffs, column) for column in columns), self.const
+        )
+
+
+@dataclass(frozen=True)
+class QuadraticConstraint:
+    """The homogeneous inequality ``v^T matrix v >= 0`` (matrix symmetric)."""
+
+    ident: str
+    matrix: tuple[tuple[QuadNumber, ...], ...]
+
+    def value(self, point: Vector) -> QuadNumber:
+        return bilinear(self.matrix, point, point)
+
+    def along(self, base: Vector, direction: Vector) -> Quadratic:
+        """``value(base + s*direction)`` as ``alpha s^2 + beta s + chi``."""
+        return (
+            bilinear(self.matrix, direction, direction),
+            2 * bilinear(self.matrix, base, direction),
+            bilinear(self.matrix, base, base),
+        )
+
+    def pullback(self, ident: str, columns: Sequence[Vector]) -> "QuadraticConstraint":
+        """The constraint on ``v`` at the point ``sum v_i columns[i]``."""
+        return QuadraticConstraint(
+            ident,
+            tuple(
+                tuple(bilinear(self.matrix, ci, cj) for cj in columns)
+                for ci in columns
+            ),
+        )
+
+
+Constraint = Union[LinearConstraint, QuadraticConstraint]
 
 
 @dataclass(frozen=True)
@@ -95,9 +160,6 @@ class SurfaceClass:
         self._check_same_lattice(other)
         return bilinear(self.lattice.gram, self.coords, other.coords)
 
-    def self_intersection(self) -> QuadNumber:
-        return self.pair(self)
-
     def __str__(self) -> str:
         inner = ", ".join(x.canonical_string() for x in self.coords)
         return f"({inner})"
@@ -158,83 +220,60 @@ class SurfaceLattice:
     def ample_class(self) -> SurfaceClass:
         return SurfaceClass(self, tuple(self.ample_ref))
 
-    def pair(self, x: SurfaceClass, y: SurfaceClass) -> QuadNumber:
-        if x.lattice != self or y.lattice != self:
-            raise InputError("classes do not belong to this lattice")
-        return x.pair(y)
+    # -- cones as constraints -------------------------------------------
 
-    # -- cone membership -------------------------------------------------
+    def constraints(self, name: str) -> list[Constraint]:
+        """The inequalities on coordinates that cut out the cone ``name``.
 
-    def _cone(self, cone: Union[ConeSpec, str]) -> ConeSpec:
-        if isinstance(cone, str):
-            try:
-                return {"nef": self.nef_cone, "eff": self.eff_cone}[cone]
-            except KeyError:
-                raise InputError(f"unknown cone name {cone!r}") from None
-        return cone
+        ``name`` is ``"nef"`` or ``"eff"``.  A polyhedral cone gives its
+        functionals, identified ``"0"``, ``"1"``, ...; a quadratic cone
+        gives ``x.x >= 0`` (``"quad"``) and then the ample side
+        ``x.ample >= 0`` (``"ample"``).
+        """
+        try:
+            cone = {"nef": self.nef_cone, "eff": self.eff_cone}[name]
+        except KeyError:
+            raise InputError(f"unknown cone name {name!r}") from None
+        zero = QuadNumber.zero(self.field_d)
+        if cone.kind == POLYHEDRAL:
+            return [
+                LinearConstraint(str(k), functional, zero)
+                for k, functional in enumerate(cone.functionals)
+            ]
+        ample_side = tuple(dot(row, self.ample_ref) for row in self.gram)
+        return [
+            QuadraticConstraint("quad", self.gram),
+            LinearConstraint("ample", ample_side, zero),
+        ]
 
-    def _functional_values(self, cone: ConeSpec, x: SurfaceClass) -> list[QuadNumber]:
-        return [dot(functional, x.coords) for functional in cone.functionals]
-
-    def cone_contains(self, cone: Union[ConeSpec, str], x: SurfaceClass) -> bool:
+    def cone_contains(self, cone: str, x: SurfaceClass) -> bool:
         """Exact membership of ``x`` in the CLOSED cone."""
-        cone = self._cone(cone)
         if x.lattice != self:
             raise InputError("class does not belong to this lattice")
-        if cone.kind == POLYHEDRAL:
-            return all(v.sign() >= 0 for v in self._functional_values(cone, x))
-        return (
-            x.self_intersection().sign() >= 0
-            and x.pair(self.ample_class).sign() >= 0
-        )
+        return all(c.value(x.coords).sign() >= 0 for c in self.constraints(cone))
 
-    def ample_is_strictly_interior(self, cone: Union[ConeSpec, str]) -> bool:
+    def ample_is_strictly_interior(self, cone: str) -> bool:
         """Strict membership of the ample class (every defining form > 0)."""
-        cone = self._cone(cone)
-        ample = self.ample_class
-        if cone.kind == POLYHEDRAL:
-            return all(v.sign() > 0 for v in self._functional_values(cone, ample))
-        return ample.self_intersection().sign() > 0
+        return all(
+            c.value(self.ample_ref).sign() > 0 for c in self.constraints(cone)
+        )
 
     # -- ray / boundary analysis -----------------------------------------
 
     def _ray_breakpoints(
-        self, cone: ConeSpec, base: SurfaceClass, direction: SurfaceClass
+        self, cone: str, base: SurfaceClass, direction: SurfaceClass
     ) -> list[QuadNumber]:
         """All t >= 0 where some defining form of the cone vanishes on the ray."""
-        zero = QuadNumber.zero(self.field_d)
-        # Each defining form along the ray is alpha t^2 + beta t + chi.
-        forms: list[tuple[QuadNumber, QuadNumber, QuadNumber]] = []
-        if cone.kind == POLYHEDRAL:
-            for v0, v1 in zip(
-                self._functional_values(cone, base),
-                self._functional_values(cone, direction),
-            ):
-                forms.append((zero, v1, v0))
-        else:
-            forms.append(
-                (
-                    direction.self_intersection(),
-                    2 * base.pair(direction),
-                    base.self_intersection(),
-                )
-            )
-            # The ample side-condition is linear along the ray.
-            ample = self.ample_class
-            forms.append((zero, direction.pair(ample), base.pair(ample)))
         candidates = {
             t
-            for form in forms
-            for t in quadratic_roots(*form) or ()
+            for c in self.constraints(cone)
+            for t in quadratic_roots(*c.along(base.coords, direction.coords)) or ()
             if t.sign() >= 0
         }
         return sorted(candidates)
 
     def boundary_slopes(
-        self,
-        cone: Union[ConeSpec, str],
-        base: SurfaceClass,
-        direction: SurfaceClass,
+        self, cone: str, base: SurfaceClass, direction: SurfaceClass
     ) -> list[QuadNumber]:
         """Parameters t >= 0 where ``base + t*direction`` leaves the cone.
 
@@ -244,7 +283,6 @@ class SurfaceLattice:
         vanishing points of the defining forms; membership is sampled
         exactly between consecutive candidates to find the true crossing.
         """
-        cone = self._cone(cone)
         if direction.is_zero():
             raise InputError("direction must be nonzero")
         if not self.cone_contains(cone, base):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -272,6 +273,27 @@ def test_malformed_model_file_exit_2(capsys, tmp_path, mutate):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("divisor", ["1/0,1", "1,2/0*sqrt(3)"])
+def test_zero_denominator_exit_2(divisor):
+    result = subprocess.run(
+        [sys.executable, "-m", "divfilt.cli", "gamma", "-D", divisor],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("parse error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_examples_n_max_bounded(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["examples", "--n-max", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: --n-max")
+    assert run_cli(capsys, ["examples", "--n-max", str(cli.MAX_EXAMPLES_N + 1)])[0] == 2
+
+
 def test_computation_error_exit_3(capsys, monkeypatch):
     def explode(model, D):
         raise ComputationError("synthetic failure")
@@ -299,6 +321,22 @@ def test_gamma_json_mirror(capsys):
     doc = json.loads(out)
     assert doc["gamma"] == ["9/26 + 1/26*sqrt(3)", "1"]
     assert doc["region"] == "3"
+
+
+@pytest.mark.parametrize(
+    "divisor, active",
+    [
+        ("2,1", ["coeff[Sbar]", "nef[F]:0"]),
+        ("1,1", ["coeff[F]", "coeff[Sbar]", "nef[F]:0"]),
+        ("2,3", ["coeff[F]", "coeff[Sbar]"]),
+        ("1,3", ["coeff[F]", "nef[Sbar]:quad"]),
+        ("0,1", ["coeff[F]", "nef[Sbar]:quad"]),
+    ],
+)
+def test_gamma_json_active_pinned(capsys, divisor, active):
+    code, out, _ = run_cli(capsys, ["gamma", "-D", divisor, "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["active"] == active
 
 
 def test_limit_json_mirror(capsys):

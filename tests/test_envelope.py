@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from divfilt.envelope import EPSILON, gamma, is_antinef, regions
+from divfilt.envelope import EPSILON, _nef_constraints, gamma, is_antinef, regions
 from divfilt.errors import InputError
 from divfilt.model import builtin_model
 from divfilt.qfield import QuadNumber
@@ -162,6 +162,35 @@ def test_active_constraints_reported(model):
     assert env.active == frozenset({"coeff[F]", "nef[Sbar]:quad"})
     flat = gamma(model, model.divisor([1, 1]))
     assert "coeff[Sbar]" in flat.active and "coeff[F]" in flat.active
+
+
+# -- nef constraints ------------------------------------------------------------
+
+
+def test_nef_constraint_idents_pinned(model):
+    assert [c.ident for c in _nef_constraints(model)] == [
+        "nef[Sbar]:quad",
+        "nef[Sbar]:ample",
+        "nef[F]:0",
+        "nef[F]:1",
+    ]
+
+
+def test_nef_constraints_are_surface_constraints_on_restrictions(model):
+    """Each nef constraint at ``g`` is its surface constraint at ``r_E(-D)``."""
+    rng = random.Random(3)
+    constraints = {c.ident: c for c in _nef_constraints(model)}
+    for _ in range(10):
+        g = [
+            q3(Fraction(rng.randint(0, 20), rng.randint(1, 5)), rng.randint(-2, 2))
+            for _ in model.primes
+        ]
+        D = model.divisor(g)
+        for prime in model.primes:
+            restricted = model.restrict(-D, prime).coords
+            for c in model.surface(prime).constraints("nef"):
+                pulled = constraints[f"nef[{prime}]:{c.ident}"]
+                assert pulled.value(g) == c.value(restricted)
 
 
 # -- regions ------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -75,6 +76,76 @@ def test_triple_is_trilinear(model, x, y, z, lam):
         dx, dz, dz
     ) + model.triple(dy, dz, dz)
     assert model.triple(dx * lam, dy, dz) == lam * model.triple(dx, dy, dz)
+
+
+# Unimodular U and its inverse per rank: the new basis is e'_k = sum_i U[k][i] e_i.
+UNIMODULAR = {
+    2: ([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+    3: ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1, -1, 1], [0, 1, -1], [0, 0, 1]]),
+}
+
+
+def basis_changed_document():
+    """The builtin document with every surface lattice in a new basis.
+
+    The gram matrix G becomes U G U^T, class coordinates c become U^-T c
+    and cone functionals f become U f, so every pairing is unchanged.
+    """
+    doc = builtin_document()
+    for surface in doc["surfaces"]:
+        u, u_inv = UNIMODULAR[len(surface["basis"])]
+        n = len(u)
+
+        def coords(c):
+            return [sum(u_inv[i][k] * c[i] for i in range(n)) for k in range(n)]
+
+        g = surface["gram"]
+        surface["gram"] = [
+            [
+                sum(u[k][i] * g[i][j] * u[l][j] for i in range(n) for j in range(n))
+                for l in range(n)
+            ]
+            for k in range(n)
+        ]
+        surface["ample"] = coords(surface["ample"])
+        for cone in (surface["nef"], surface["eff"]):
+            if "inequalities" in cone:
+                cone["inequalities"] = [
+                    [sum(u[k][i] * f[i] for i in range(n)) for k in range(n)]
+                    for f in cone["inequalities"]
+                ]
+        row = doc["restrictions"][surface["name"]]
+        for of_prime in row:
+            row[of_prime] = coords(row[of_prime])
+    return doc
+
+
+def test_triple_matches_restriction_pairings(model):
+    """``triple`` against the definition through ``restrict`` and ``pair``."""
+    changed = model_from_dict(basis_changed_document())
+    assert changed.surface("Sbar").gram != model.surface("Sbar").gram
+    rng = random.Random(4)
+    for _ in range(15):
+        coeffs = [
+            [
+                q3(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-2, 2))
+                for _ in model.primes
+            ]
+            for _ in range(3)
+        ]
+        values = []
+        for m in (model, changed):
+            D1, D2, D3 = (m.divisor(c) for c in coeffs)
+            reference = sum(
+                (
+                    weight * m.restrict(D1, prime).pair(m.restrict(D2, prime))
+                    for weight, prime in zip(D3.coeffs, m.primes)
+                ),
+                q3(0),
+            )
+            assert m.triple(D1, D2, D3) == reference
+            values.append(reference)
+        assert values[0] == values[1]
 
 
 # -- restrictions ---------------------------------------------------------------

@@ -112,6 +112,14 @@ def test_mixing_distinct_irrationalities_raises():
     assert QuadNumber(Fraction(5), Fraction(0), 2) + r3 == q3(5, 1)
 
 
+@pytest.mark.parametrize(
+    "text", ["1/0", "2/0*sqrt(3)", "1/00 - sqrt(3)", "1+1/0*sqrt(3)"]
+)
+def test_parse_scalar_zero_denominator(text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_scalar(text, 3)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         q3(1, 1) / q3(0)

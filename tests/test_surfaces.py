@@ -1,5 +1,6 @@
 """Surface lattices: pairing, cone membership, boundary crossings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,58 @@ def test_abelian_nef_cone_self_dual(abelian, x, y):
     cx, cy = abelian.cls(x), abelian.cls(y)
     if abelian.cone_contains("nef", cx) and abelian.cone_contains("nef", cy):
         assert cx.pair(cy).sign() >= 0
+
+
+# -- cones as constraints ----------------------------------------------------
+
+
+def random_vector(rng, size):
+    return [
+        q3(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+        for _ in range(size)
+    ]
+
+
+def test_constraint_idents(abelian, ruled):
+    for cone in ("nef", "eff"):
+        assert [c.ident for c in abelian.constraints(cone)] == ["quad", "ample"]
+        assert [c.ident for c in ruled.constraints(cone)] == ["0", "1"]
+    with pytest.raises(InputError, match="unknown cone name"):
+        ruled.constraints("ample")
+
+
+@pytest.mark.parametrize("name", ["Sbar", "F"])
+@pytest.mark.parametrize("cone", ["nef", "eff"])
+def test_constraint_along_matches_value(name, cone):
+    surface = builtin_model().surface(name)
+    rng = random.Random(11)
+    for c in surface.constraints(cone):
+        for _ in range(3):
+            base = random_vector(rng, surface.rank)
+            direction = random_vector(rng, surface.rank)
+            alpha, beta, chi = c.along(base, direction)
+            for s in (q3(0), q3(1), q3(-2), q3(Fraction(1, 3), -1), q3(0, 5)):
+                point = [b + s * v for b, v in zip(base, direction)]
+                assert alpha * s * s + beta * s + chi == c.value(point)
+
+
+@pytest.mark.parametrize("name", ["Sbar", "F"])
+@pytest.mark.parametrize("cone", ["nef", "eff"])
+def test_constraint_pullback_matches_value(name, cone):
+    surface = builtin_model().surface(name)
+    rng = random.Random(12)
+    for c in surface.constraints(cone):
+        for size in (1, 2, 3):
+            columns = [random_vector(rng, surface.rank) for _ in range(size)]
+            pulled = c.pullback("pulled", columns)
+            assert pulled.ident == "pulled"
+            for _ in range(3):
+                v = random_vector(rng, size)
+                point = [
+                    sum((v[i] * columns[i][k] for i in range(size)), q3(0))
+                    for k in range(surface.rank)
+                ]
+                assert pulled.value(v) == c.value(point)
 
 
 # -- boundary crossings --------------------------------------------------------
