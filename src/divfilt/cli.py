@@ -1,20 +1,12 @@
 """Command-line interface.
 
-One subcommand per library computation:
-
-========================  ====================================================
-``intersect``             triple products (basis table, D^3, or raw mixed)
-``gamma``                 minimal nef envelope of one divisor
-``antinef``               test whether the negated divisor is nef
-``limit``                 normalized colength limit and multiplicity
-``mixed``                 mixed multiplicity for given exponents
-``piecewise``             piecewise limit cubic of a two-divisor family
-``product``               single-cubic limit of the product filtration
-``minkowski``             the four mixed-multiplicity inequality families
-``examples``              CSV of the closed-form filtration length oracles
-``verify-paper``          golden regression table for the builtin model
-``validate-model``        cross-check a model document's restriction data
-========================  ====================================================
+Every subcommand is one row of :data:`_COMMANDS`: its name, its help
+text, the divisor flags it reads, any further flags, and a function that
+maps ``(model, args, divisors)`` to ``(text lines, JSON document, exit
+code)``.  :func:`build_parser` builds each subparser from its row, adding
+the common ``--model`` and ``--output`` flags, and :func:`_run` is the one
+path that loads the model, parses the given divisor flags, calls the row's
+function and prints the text lines or the JSON document.
 
 Divisors are passed as comma-separated scalars in prime order, each in the
 canonical form ``p/q``, ``r/s*sqrt(d)``, or ``p/q +/- r/s*sqrt(d)``.
@@ -28,8 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .envelope import gamma, is_antinef
 from .errors import (
@@ -39,7 +32,7 @@ from .errors import (
     ModelValidationError,
     ParseError,
 )
-from .filt_examples import limit_probe, diagonal_norm_sequence, sqrt2_sequence
+from .filt_examples import diagonal_norm_sequence, sqrt2_sequence
 from .model import (
     BUILTIN_MODEL_NAME,
     ExcDivisor,
@@ -54,7 +47,7 @@ from .multiplicity import (
     piecewise_limit,
     product_limit,
 )
-from .qfield import parse_scalar
+from .qfield import QuadNumber, parse_scalar
 from .verify import run_golden_suite
 
 TEXT, JSON = "text", "json"
@@ -62,6 +55,8 @@ TEXT, JSON = "text", "json"
 # ``examples`` evaluates every index up to --n-max, in time and memory
 # linear in it; larger requests are refused instead of left to run.
 MAX_EXAMPLES_N = 10**5
+
+_Outcome = tuple[list[str], dict, int]
 
 
 def _load(name_or_path: str) -> ThreefoldModel:
@@ -91,14 +86,6 @@ def _parse_exponents(text: str) -> tuple[int, int]:
     return values  # type: ignore[return-value]
 
 
-def _emit(args, text_lines: list[str], json_dict: dict) -> None:
-    if args.output == JSON:
-        print(json.dumps(json_dict, indent=2, ensure_ascii=False))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _monomial_name(primes: Sequence[str], index_triple: tuple[int, int, int]) -> str:
     parts = []
     for idx in sorted(set(index_triple)):
@@ -107,210 +94,205 @@ def _monomial_name(primes: Sequence[str], index_triple: tuple[int, int, int]) ->
     return "*".join(parts)
 
 
+def _named(name: str, value: QuadNumber) -> _Outcome:
+    """One ``name = value`` line, mirrored as ``{name: value}``."""
+    text = value.canonical_string()
+    return [f"{name} = {text}"], {name: text}, 0
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand computations: (model, args, divisors by flag) -> _Outcome
 
 
-def _cmd_intersect(args) -> int:
-    model = _load(args.model)
-    if args.divisor is not None:
-        D = _parse_divisor(model, args.divisor, "-D")
-        value = model.triple(D, D, D)
-        _emit(
-            args,
-            [f"triple = {value.canonical_string()}"],
-            {"triple": value.canonical_string()},
-        )
-        return 0
-    if args.divisor1 is not None or args.divisor2 is not None:
-        if args.divisor1 is None or args.divisor2 is None:
+def _intersect(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    if "-D" in D:
+        return _named("triple", model.triple(D["-D"], D["-D"], D["-D"]))
+    if D:
+        if len(D) != 2:
             raise ParseError("intersect needs both -D1 and -D2 (or a single -D)")
         if args.exponents is None:
             raise ParseError("intersect with -D1/-D2 needs --exponents 'd1,d2'")
         d1, d2 = _parse_exponents(args.exponents)
         if d1 + d2 != model.dimension:
             raise ParseError(f"exponents must sum to {model.dimension}")
-        D1 = _parse_divisor(model, args.divisor1, "-D1")
-        D2 = _parse_divisor(model, args.divisor2, "-D2")
-        slots = [D1] * d1 + [D2] * d2
-        value = model.triple(slots[0], slots[1], slots[2])
-        _emit(
-            args,
-            [f"triple = {value.canonical_string()}"],
-            {"triple": value.canonical_string()},
-        )
-        return 0
+        slots = [D["-D1"]] * d1 + [D["-D2"]] * d2
+        return _named("triple", model.triple(*slots))
     # no divisor flags: the full basis table
     t = len(model.primes)
     units = [model.prime_divisor(p) for p in model.primes]
-    lines = []
-    table = {}
+    lines, table = [], {}
     for i in range(t):
         for j in range(i, t):
             for k in range(j, t):
                 name = _monomial_name(model.primes, (i, j, k))
-                value = model.triple(units[i], units[j], units[k])
-                lines.append(f"{name} = {value.canonical_string()}")
-                table[name] = value.canonical_string()
-    _emit(args, lines, {"table": table})
-    return 0
+                value = model.triple(units[i], units[j], units[k]).canonical_string()
+                lines.append(f"{name} = {value}")
+                table[name] = value
+    return lines, {"table": table}, 0
 
 
-def _cmd_gamma(args) -> int:
-    model = _load(args.model)
-    D = _parse_divisor(model, args.divisor, "-D")
-    env = gamma(model, D)
-    _emit(args, [f"gamma = {env}"], env.to_json_dict())
-    return 0
+def _gamma(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    env = gamma(model, D["-D"])
+    return [f"gamma = {env}"], env.to_json_dict(), 0
 
 
-def _cmd_antinef(args) -> int:
-    model = _load(args.model)
-    D = _parse_divisor(model, args.divisor, "-D")
-    result = is_antinef(model, D)
-    _emit(args, [f"antinef = {result}"], {"antinef": result})
-    return 0
+def _antinef(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    result = is_antinef(model, D["-D"])
+    return [f"antinef = {result}"], {"antinef": result}, 0
 
 
-def _cmd_limit(args) -> int:
-    model = _load(args.model)
-    D = _parse_divisor(model, args.divisor, "-D")
-    report = limit_single(model, D)
-    _emit(
-        args,
-        [
-            f"limit = {report.limit.canonical_string()}, "
-            f"e_R = {report.multiplicity.canonical_string()}"
-        ],
-        {
-            "limit": report.limit.canonical_string(),
-            "e_R": report.multiplicity.canonical_string(),
-            "gamma": report.gamma_used.to_json_dict(),
-        },
-    )
-    return 0
+def _limit(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    report = limit_single(model, D["-D"])
+    limit, e_R = report.limit.canonical_string(), report.multiplicity.canonical_string()
+    doc = {"limit": limit, "e_R": e_R, "gamma": report.gamma_used.to_json_dict()}
+    return [f"limit = {limit}, e_R = {e_R}"], doc, 0
 
 
-def _cmd_mixed(args) -> int:
-    model = _load(args.model)
-    D1 = _parse_divisor(model, args.divisor1, "-D1")
-    D2 = _parse_divisor(model, args.divisor2, "-D2")
+def _mixed(model: ThreefoldModel, args, D: dict) -> _Outcome:
     d1, d2 = _parse_exponents(args.exponents)
-    value = mixed(model, [(D1, d1), (D2, d2)])
-    _emit(
-        args,
-        [f"mixed = {value.canonical_string()}"],
-        {"mixed": value.canonical_string()},
-    )
-    return 0
+    return _named("mixed", mixed(model, [(D["-D1"], d1), (D["-D2"], d2)]))
 
 
-def _cmd_piecewise(args) -> int:
-    model = _load(args.model)
-    D1 = _parse_divisor(model, args.divisor1, "-D1")
-    D2 = _parse_divisor(model, args.divisor2, "-D2")
-    pw = piecewise_limit(model, D1, D2)
+def _piecewise(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    pw = piecewise_limit(model, D["-D1"], D["-D2"])
     scaled = pw.scaled(6)
-    lines = ["limit:"]
-    lines.extend(pw.lines())
-    lines.append("e_R (6x limit):")
-    lines.extend(scaled.lines())
-    _emit(
-        args,
-        lines,
-        {"limit": pw.to_json_dict(), "e_R": scaled.to_json_dict()},
-    )
-    return 0
+    lines = ["limit:", *pw.lines(), "e_R (6x limit):", *scaled.lines()]
+    return lines, {"limit": pw.to_json_dict(), "e_R": scaled.to_json_dict()}, 0
 
 
-def _cmd_product(args) -> int:
-    model = _load(args.model)
-    D1 = _parse_divisor(model, args.divisor1, "-D1")
-    D2 = _parse_divisor(model, args.divisor2, "-D2")
-    form = product_limit(model, D1, D2)
-    _emit(
-        args,
-        [f"product_limit = {form.render()}"],
-        {"product_limit": form.render(), "coefficients": form.to_json_dict()},
-    )
-    return 0
+def _product(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    form = product_limit(model, D["-D1"], D["-D2"])
+    doc = {"product_limit": form.render(), "coefficients": form.to_json_dict()}
+    return [f"product_limit = {form.render()}"], doc, 0
 
 
-def _cmd_minkowski(args) -> int:
-    model = _load(args.model)
-    D1 = _parse_divisor(model, args.divisor1, "-D1")
-    D2 = _parse_divisor(model, args.divisor2, "-D2")
-    report = minkowski_check(model, D1, D2)
-    _emit(args, report.lines(), report.to_json_dict())
-    return 0
+def _minkowski(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    report = minkowski_check(model, D["-D1"], D["-D2"])
+    return report.lines(), report.to_json_dict(), 0
 
 
-def _cmd_examples(args) -> int:
-    n_max = args.n_max if args.n_max is not None else 10
-    if not 1 <= n_max <= MAX_EXAMPLES_N:
+def _examples(model: None, args, D: dict) -> _Outcome:
+    if not 1 <= args.n_max <= MAX_EXAMPLES_N:
         raise ParseError(f"--n-max must be between 1 and {MAX_EXAMPLES_N}")
-    sequences = (
-        ("sqrt2", sqrt2_sequence()),
-        ("diagonal_norm", diagonal_norm_sequence()),
-    )
-    rows = []
+    lines, rows = ["sequence,n,length,estimate"], []
+    sequences = (("sqrt2", sqrt2_sequence()), ("diagonal_norm", diagonal_norm_sequence()))
     for name, seq in sequences:
-        for n in range(1, n_max + 1):
+        for n in range(1, args.n_max + 1):
             value = seq.length(n)
-            estimate = Fraction(value, n**seq.dimension)
-            rows.append((name, n, value, estimate))
-    if args.output == JSON:
-        print(
-            json.dumps(
-                {
-                    "rows": [
-                        {
-                            "sequence": name,
-                            "n": n,
-                            "length": value,
-                            "estimate": str(estimate),
-                        }
-                        for name, n, value, estimate in rows
-                    ]
-                },
-                indent=2,
-            )
-        )
-    else:
-        print("sequence,n,length,estimate")
-        for name, n, value, estimate in rows:
-            print(f"{name},{n},{value},{estimate}")
-    return 0
+            estimate = str(Fraction(value, n**seq.dimension))
+            lines.append(f"{name},{n},{value},{estimate}")
+            rows.append({"sequence": name, "n": n, "length": value, "estimate": estimate})
+    return lines, {"rows": rows}, 0
 
 
-def _cmd_verify_paper(args) -> int:
-    model = _load(args.model)
+def _verify_paper(model: ThreefoldModel, args, D: dict) -> _Outcome:
     report = run_golden_suite(model)
-    _emit(args, report.lines(), report.to_json_dict())
-    return 0 if report.all_pass else 4
+    return report.lines(), report.to_json_dict(), 0 if report.all_pass else 4
 
 
-def _cmd_validate_model(args) -> int:
+def _validate_model(model: None, args, D: dict) -> _Outcome:
+    # loading is the validation: a model that fails it is reported, not raised
     try:
         model = _load(args.model)
     except ModelValidationError as exc:
-        for failure in exc.failures:
-            print(f"FAIL {failure}")
-        print("model INVALID")
-        return 2
+        lines = [f"FAIL {failure}" for failure in exc.failures] + ["model INVALID"]
+        return lines, {"ok": False, "failures": list(exc.failures)}, 2
     report = model.validate()
     lines = [c.line() for c in report.checks]
-    lines.append(
-        f"model valid ({len(report.checks)} checks)"
-        if report.ok
-        else "model INVALID"
-    )
-    _emit(args, lines, report.to_json_dict())
-    return 0 if report.ok else 2
+    lines.append(f"model valid ({len(report.checks)} checks)")
+    return lines, report.to_json_dict(), 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the subcommand table
+
+
+# the positional and keyword arguments of one ``add_argument`` call
+_Arg = tuple[tuple[str, ...], dict]
+
+
+def _arg(*flags: str, **options) -> _Arg:
+    return flags, options
+
+
+@dataclass(frozen=True)
+class _Command:
+    name: str
+    help: str
+    compute: Callable[[Optional[ThreefoldModel], argparse.Namespace, dict], _Outcome]
+    # divisor flags; each given one is parsed and passed under its flag
+    divisors: tuple[_Arg, ...] = ()
+    flags: tuple[_Arg, ...] = ()
+    loads_model: bool = True
+
+
+_ONE = (_arg("-D", dest="divisor", required=True, help="effective divisor"),)
+_TWO = (
+    _arg("-D1", dest="divisor1", required=True),
+    _arg("-D2", dest="divisor2", required=True),
+)
+
+_COMMANDS = (
+    _Command(
+        "intersect",
+        "triple intersection products",
+        _intersect,
+        (
+            _arg("-D", dest="divisor", help="divisor for D^3"),
+            _arg("-D1", dest="divisor1", help="first divisor (with --exponents)"),
+            _arg("-D2", dest="divisor2", help="second divisor (with --exponents)"),
+        ),
+        (_arg("--exponents", help="exponents 'd1,d2' for D1^d1 . D2^d2"),),
+    ),
+    _Command("gamma", "minimal nef envelope of a divisor", _gamma, _ONE),
+    _Command("antinef", "is the negated divisor nef?", _antinef, _ONE),
+    _Command("limit", "normalized colength limit and multiplicity", _limit, _ONE),
+    _Command(
+        "mixed",
+        "mixed multiplicity of two divisors",
+        _mixed,
+        _TWO,
+        (_arg("--exponents", required=True, help="exponents 'd1,d2'"),),
+    ),
+    _Command("piecewise", "piecewise limit of n*D1 + j*D2", _piecewise, _TWO),
+    _Command("product", "limit of the product filtration", _product, _TWO),
+    _Command("minkowski", "mixed-multiplicity inequality checks", _minkowski, _TWO),
+    _Command(
+        "examples",
+        "closed-form filtration length tables (CSV)",
+        _examples,
+        flags=(
+            _arg(
+                "--n-max",
+                dest="n_max",
+                type=int,
+                default=10,
+                help=f"last index (default 10, at most {MAX_EXAMPLES_N})",
+            ),
+        ),
+        loads_model=False,
+    ),
+    _Command("verify-paper", "golden regression table", _verify_paper),
+    _Command(
+        "validate-model", "cross-check a model document", _validate_model, loads_model=False
+    ),
+)
+
+
+def _run(command: _Command, args: argparse.Namespace) -> int:
+    model = _load(args.model) if command.loads_model else None
+    divisors = {}
+    for (flag,), options in command.divisors:
+        text = getattr(args, options["dest"])
+        if text is not None:
+            divisors[flag] = _parse_divisor(model, text, flag)
+    lines, doc, code = command.compute(model, args, divisors)
+    if args.output == JSON:
+        print(json.dumps(doc, indent=2, ensure_ascii=False))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command in _COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
         p.add_argument(
             "--model",
             default=BUILTIN_MODEL_NAME,
@@ -335,73 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=TEXT,
             help="output format (default: text)",
         )
-
-    p = sub.add_parser("intersect", help="triple intersection products")
-    common(p)
-    p.add_argument("-D", dest="divisor", help="divisor for D^3")
-    p.add_argument("-D1", dest="divisor1", help="first divisor (with --exponents)")
-    p.add_argument("-D2", dest="divisor2", help="second divisor (with --exponents)")
-    p.add_argument("--exponents", help="exponents 'd1,d2' for D1^d1 . D2^d2")
-    p.set_defaults(handler=_cmd_intersect)
-
-    p = sub.add_parser("gamma", help="minimal nef envelope of a divisor")
-    common(p)
-    p.add_argument("-D", dest="divisor", required=True, help="effective divisor")
-    p.set_defaults(handler=_cmd_gamma)
-
-    p = sub.add_parser("antinef", help="is the negated divisor nef?")
-    common(p)
-    p.add_argument("-D", dest="divisor", required=True, help="effective divisor")
-    p.set_defaults(handler=_cmd_antinef)
-
-    p = sub.add_parser("limit", help="normalized colength limit and multiplicity")
-    common(p)
-    p.add_argument("-D", dest="divisor", required=True, help="effective divisor")
-    p.set_defaults(handler=_cmd_limit)
-
-    p = sub.add_parser("mixed", help="mixed multiplicity of two divisors")
-    common(p)
-    p.add_argument("-D1", dest="divisor1", required=True)
-    p.add_argument("-D2", dest="divisor2", required=True)
-    p.add_argument("--exponents", required=True, help="exponents 'd1,d2'")
-    p.set_defaults(handler=_cmd_mixed)
-
-    p = sub.add_parser("piecewise", help="piecewise limit of n*D1 + j*D2")
-    common(p)
-    p.add_argument("-D1", dest="divisor1", required=True)
-    p.add_argument("-D2", dest="divisor2", required=True)
-    p.set_defaults(handler=_cmd_piecewise)
-
-    p = sub.add_parser("product", help="limit of the product filtration")
-    common(p)
-    p.add_argument("-D1", dest="divisor1", required=True)
-    p.add_argument("-D2", dest="divisor2", required=True)
-    p.set_defaults(handler=_cmd_product)
-
-    p = sub.add_parser("minkowski", help="mixed-multiplicity inequality checks")
-    common(p)
-    p.add_argument("-D1", dest="divisor1", required=True)
-    p.add_argument("-D2", dest="divisor2", required=True)
-    p.set_defaults(handler=_cmd_minkowski)
-
-    p = sub.add_parser("examples", help="closed-form filtration length tables (CSV)")
-    common(p)
-    p.add_argument(
-        "--n-max",
-        dest="n_max",
-        type=int,
-        help=f"last index (default 10, at most {MAX_EXAMPLES_N})",
-    )
-    p.set_defaults(handler=_cmd_examples)
-
-    p = sub.add_parser("verify-paper", help="golden regression table")
-    common(p)
-    p.set_defaults(handler=_cmd_verify_paper)
-
-    p = sub.add_parser("validate-model", help="cross-check a model document")
-    common(p)
-    p.set_defaults(handler=_cmd_validate_model)
-
+        for flags, options in command.divisors + command.flags:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=command)
     return parser
 
 
@@ -409,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(args.handler, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -487,6 +487,8 @@ def load_model(source: Union[str, Path, Mapping]) -> ThreefoldModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"model file {path}: number too long to read: {exc}") from None
     return model_from_dict(doc)
 
 

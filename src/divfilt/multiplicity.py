@@ -212,13 +212,6 @@ class MultReport:
                 "negative multiplicity: model violates nonnegativity"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "limit": self.limit.canonical_string(),
-            "multiplicity": self.multiplicity.canonical_string(),
-            "gamma": self.gamma_used.to_json_dict(),
-        }
-
 
 def _sigma(model: ThreefoldModel, D: ExcDivisor) -> tuple[GammaEnvelope, ExcDivisor]:
     env = gamma(model, D)

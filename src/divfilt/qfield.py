@@ -403,7 +403,7 @@ _RE_FULL = re.compile(
 )
 
 
-def _check_discriminant(found: int, expected: int) -> None:
+def _check_discriminant(found: Fraction, expected: int) -> None:
     if found != expected:
         raise ParseError(f"expected sqrt({expected}), found sqrt({found})")
 
@@ -413,6 +413,10 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError:  # the patterns admit only digits, so: past Python's digit limit
+        raise ParseError(
+            f"{len(text)}-character number exceeds Python's integer digit limit"
+        ) from None
 
 
 def parse_scalar(text: str, d: int) -> QuadNumber:
@@ -430,7 +434,7 @@ def parse_scalar(text: str, d: int) -> QuadNumber:
     m = _RE_ROOT_TERM.match(compact)
     if m:
         sign_str, coeff, found_d = m.groups()
-        _check_discriminant(int(found_d), d)
+        _check_discriminant(_rational(found_d), d)
         b = _rational(coeff) if coeff else Fraction(1)
         if sign_str == "-":
             b = -b
@@ -438,7 +442,7 @@ def parse_scalar(text: str, d: int) -> QuadNumber:
     m = _RE_FULL.match(compact)
     if m:
         a_str, op, coeff, found_d = m.groups()
-        _check_discriminant(int(found_d), d)
+        _check_discriminant(_rational(found_d), d)
         b = _rational(coeff) if coeff else Fraction(1)
         if op == "-":
             b = -b

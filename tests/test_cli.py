@@ -11,6 +11,9 @@ from divfilt import cli
 from divfilt.errors import ComputationError
 from divfilt.model import builtin_document
 
+# past Python's default limit of 4300 digits for int() of a string
+BIG = "7" * 5000
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -185,6 +188,17 @@ def test_validate_model_rejects_bad_file(capsys, bad_model_path):
     assert out.splitlines()[-1] == "model INVALID"
 
 
+def test_validate_model_json_on_failure(capsys, bad_model_path):
+    code, out, _ = run_cli(capsys, ["validate-model", "--model", bad_model_path])
+    failures = [ln[len("FAIL "):] for ln in out.splitlines() if ln.startswith("FAIL ")]
+    assert code == 2 and failures
+    code, out, _ = run_cli(
+        capsys, ["validate-model", "--model", bad_model_path, "--output", "json"]
+    )
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "failures": failures}
+
+
 def test_computation_on_bad_model_exits_2(capsys, bad_model_path):
     code, _, err = run_cli(capsys, ["gamma", "--model", bad_model_path, "-D", "1,1"])
     assert code == 2
@@ -273,7 +287,17 @@ def test_malformed_model_file_exit_2(capsys, tmp_path, mutate):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("divisor", ["1/0,1", "1,2/0*sqrt(3)"])
+@pytest.mark.parametrize(
+    "divisor",
+    [
+        "1/0,1",
+        "1,2/0*sqrt(3)",
+        pytest.param(f"{BIG},1", id="long-integer"),
+        pytest.param(f"1/{BIG},1", id="long-denominator"),
+        pytest.param(f"1,{BIG}*sqrt(3)", id="long-sqrt-coefficient"),
+        pytest.param(f"1,sqrt({BIG})", id="long-radicand"),
+    ],
+)
 def test_zero_denominator_exit_2(divisor):
     result = subprocess.run(
         [sys.executable, "-m", "divfilt.cli", "gamma", "-D", divisor],
@@ -283,6 +307,17 @@ def test_zero_denominator_exit_2(divisor):
     assert result.returncode == 2
     assert result.stderr.startswith("parse error:")
     assert "Traceback" not in result.stderr
+
+
+def test_oversized_integer_in_model_file_exit_2(capsys, tmp_path):
+    # json.dumps cannot write such a literal, so the file is edited as text
+    text = json.dumps(builtin_document()).replace('"d": 3', f'"d": {BIG}', 1)
+    path = tmp_path / "oversized.json"
+    path.write_text(text)
+    for argv in (["gamma", "-D", "1,1"], ["validate-model"]):
+        code, out, err = run_cli(capsys, [*argv, "--model", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:")
 
 
 def test_examples_n_max_bounded(capsys):
@@ -391,6 +426,32 @@ def test_verify_paper_json_mirror(capsys):
     assert code == 0
     assert doc["all_pass"] is True
     assert len(doc["claims"]) == 34
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["intersect"],
+        ["intersect", "-D", "1,1"],
+        ["intersect", "-D1", "1,0", "-D2", "0,1", "--exponents", "2,1"],
+        ["gamma", "-D", "0,1"],
+        ["antinef", "-D", "1,1"],
+        ["limit", "-D", "1,1"],
+        ["mixed", "-D1", "1,0", "-D2", "0,1", "--exponents", "2,1"],
+        ["piecewise", "-D1", "1,0", "-D2", "0,1"],
+        ["product", "-D1", "1,0", "-D2", "0,1"],
+        ["minkowski", "-D1", "1,0", "-D2", "0,1"],
+        ["examples", "--n-max", "3"],
+        ["verify-paper"],
+        ["validate-model"],
+    ],
+    ids=" ".join,
+)
+def test_every_subcommand_prints_one_json_document(capsys, argv):
+    text_code, _, _ = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, [*argv, "--output", "json"])
+    assert code == text_code and err == ""
+    json.loads(out)  # rejects anything but exactly one document
 
 
 def test_repeated_requests_byte_identical(capsys):

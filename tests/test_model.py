@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divfilt.errors import InputError, ModelValidationError, ParseError
+from divfilt.errors import DivfiltError, InputError, ModelValidationError, ParseError
 from divfilt.model import (
     builtin_document,
     builtin_model,
@@ -289,6 +289,56 @@ def test_schema_violations(mutate, fragment):
     start = time.perf_counter()
     with pytest.raises(ParseError, match=fragment):
         model_from_dict(doc)
+    assert time.perf_counter() - start < 1.0
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["Sbar", "F", "quadratic", "polyhedral", "1/2", "1/0", "sqrt(3)"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """The key path of every entry below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_documents_raise_only_divfilt_errors(data):
+    doc = builtin_document()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, key = data.draw(st.sampled_from(paths), label="path")
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        if data.draw(st.booleans(), label="delete"):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JSON_VALUES, label="value")
+    start = time.perf_counter()
+    try:
+        model_from_dict(doc)
+    except DivfiltError:
+        pass
     assert time.perf_counter() - start < 1.0
 
 
