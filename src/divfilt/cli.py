@@ -197,7 +197,7 @@ def _validate_model(model: None, args, D: dict) -> _Outcome:
     except ModelValidationError as exc:
         lines = [f"FAIL {failure}" for failure in exc.failures] + ["model INVALID"]
         return lines, {"ok": False, "failures": list(exc.failures)}, 2
-    report = model.validate()
+    report = model.validation
     lines = [c.line() for c in report.checks]
     lines.append(f"model valid ({len(report.checks)} checks)")
     return lines, report.to_json_dict(), 0

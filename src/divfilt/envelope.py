@@ -12,32 +12,38 @@ set is cut out by the bound constraints ``g_i - a_i >= 0`` together with
 the nef constraints: each surface's own cone inequalities
 (:meth:`SurfaceLattice.constraints`) pulled back to ``g`` along
 ``g -> -sum g_i r_E(E_i)``.  Every subset of constraints of size ``t``
-(the number of primes) is solved as an equality system over the field;
-the feasible solutions are collected, and the coordinatewise minimum
-among them — whose existence is certified, not assumed — is the
-envelope.  Equality systems stay tractable because after eliminating the
-linear equations at most one quadratic survives in one free variable;
-anything richer is refused loudly rather than solved approximately.
+(the number of primes) is solved as an equality system over the field,
+and the coordinatewise minimum of the feasible solutions — whose
+existence is certified, not assumed — is the envelope.  Equality systems
+stay tractable because after eliminating the linear equations at most
+one quadratic survives in one free variable; anything richer is refused
+loudly rather than solved approximately.
+
+What does not depend on the divisor is done once per model
+(:attr:`ThreefoldModel.nef_systems`): the nef constraints are pulled
+back, and the subsets made only of nef constraints are solved, on first
+use.  Each call solves just the subsets holding at least one bound row,
+and tests feasibility only for candidates not already at or above a
+feasible one.
 
 ``regions`` analyses the one-parameter family ``D1 + r*D2`` and returns
 the finitely many slopes ``r`` where the envelope's active constraint set
 changes; these are the breakpoints of the piecewise multiplicity
-formulas.
+formulas.  The envelopes it computes between candidate slopes are handed
+on to ``multiplicity.piecewise_limit``, which fits each region's affine
+envelope from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
-from .errors import InputError, NoMinimalEnvelopeError, UnsupportedModelError
+from .errors import InputError, NoMinimalEnvelopeError
 from .model import ExcDivisor, ThreefoldModel
-from .qfield import QuadNumber, quadratic_roots
-from .surfaces import Constraint, LinearConstraint, QuadraticConstraint
-
-Point = tuple[QuadNumber, ...]
+from .qfield import QuadNumber
+from .surfaces import Constraint, LinearConstraint, Point
 
 
 @dataclass(frozen=True)
@@ -88,33 +94,13 @@ class GammaEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# constraint assembly
+# bound constraints
 
 
-def _nef_constraints(model: ThreefoldModel, pad: int = 0) -> list[Constraint]:
-    """Nef conditions on ``g`` for ``-sum g_i E_i``, as constraints.
-
-    Restricting ``-sum g_i E_i`` to the surface over ``E`` gives the point
-    ``sum g_i (-r_E(E_i))``, so each nef constraint of that surface pulls
-    back along the columns ``-r_E(E_i)``.  ``pad`` appends zero columns:
-    extra variables that the nef conditions do not involve (used for the
-    slope variable).
-    """
-    constraints: list[Constraint] = []
-    for prime, surface, row in zip(model.primes, model.surfaces, model.restrictions):
-        columns = [(-r).coords for r in row]
-        columns += [(QuadNumber.zero(model.field_d),) * surface.rank] * pad
-        constraints.extend(
-            c.pullback(f"nef[{prime}]:{c.ident}", columns)
-            for c in surface.constraints("nef")
-        )
-    return constraints
-
-
-def _constraints(
+def _bounds(
     model: ThreefoldModel, D1: ExcDivisor, D2: Optional[ExcDivisor] = None
 ) -> list[Constraint]:
-    """Bounds ``g_i >= coeff_i(D1 + r*D2)`` followed by the nef constraints.
+    """The bounds ``g_i >= coeff_i(D1 + r*D2)``, one per prime.
 
     Without ``D2`` the variables are ``g``; with it the slope ``r`` is
     appended as one more variable.
@@ -131,114 +117,7 @@ def _constraints(
         bounds.append(
             LinearConstraint(f"coeff[{prime}]", tuple(coeffs), -D1.coeffs[i])
         )
-    return bounds + _nef_constraints(model, pad=0 if D2 is None else 1)
-
-
-# ---------------------------------------------------------------------------
-# exact equality-system solving
-
-
-def _solve_linear_rows(
-    rows: list[tuple[tuple[QuadNumber, ...], QuadNumber]], nvars: int, d: int
-) -> Optional[tuple[list[QuadNumber], list[list[QuadNumber]]]]:
-    """Gauss-Jordan over Q(sqrt(d)).
-
-    ``rows`` are equations ``coeffs . v = rhs``.  Returns None when
-    inconsistent, else a particular solution and a basis of the null
-    space (empty basis = unique solution).
-    """
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(nvars):
-        pivot = next(
-            (r for r in range(row, len(aug)) if aug[r][col].sign() != 0), None
-        )
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col].sign() != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    for r in range(row, len(aug)):
-        if aug[r][nvars].sign() != 0:
-            return None
-    particular = [zero] * nvars
-    for r, col in enumerate(pivot_cols):
-        particular[col] = aug[r][nvars]
-    null_basis = []
-    for free_col in (c for c in range(nvars) if c not in pivot_cols):
-        vec = [zero] * nvars
-        vec[free_col] = one
-        for r, col in enumerate(pivot_cols):
-            vec[col] = -aug[r][free_col]
-        null_basis.append(vec)
-    return particular, null_basis
-
-
-def _solve_equality_system(
-    constraints: Sequence[Constraint], nvars: int, d: int
-) -> list[Point]:
-    """Isolated solutions of ``{constraint = 0 for each}`` over Q(sqrt(d)).
-
-    Underdetermined systems contribute no candidates (their solution sets
-    are positive-dimensional, so they cannot pin an optimum that another,
-    fully determined subset would not also pin).
-    """
-    linears = [c for c in constraints if isinstance(c, LinearConstraint)]
-    quads = [c for c in constraints if isinstance(c, QuadraticConstraint)]
-    solved = _solve_linear_rows(
-        [(c.coeffs, -c.const) for c in linears], nvars, d
-    )
-    if solved is None:
-        return []
-    particular, null_basis = solved
-    if not quads:
-        return [tuple(particular)] if not null_basis else []
-    if not null_basis:
-        point = tuple(particular)
-        if all(q.value(point).sign() == 0 for q in quads):
-            return [point]
-        return []
-    if len(null_basis) == 1:
-        direction = null_basis[0]
-        for chosen in quads:
-            roots = quadratic_roots(*chosen.along(particular, direction))
-            if roots is None:
-                continue  # this quadratic vanishes on the whole line
-            points = []
-            for s in roots:
-                candidate = tuple(
-                    p + s * n for p, n in zip(particular, direction)
-                )
-                if all(q.value(candidate).sign() == 0 for q in quads):
-                    points.append(candidate)
-            return points
-        return []  # every quadratic vanishes identically along the line
-    if all(x.sign() == 0 for x in particular):
-        # Fully homogeneous: solutions come in rays through the origin,
-        # never isolated points, so nothing here can pin an optimum.
-        return []
-    raise UnsupportedModelError(
-        "active subsystem requires simultaneous quadratics in two or more "
-        "free variables; this solver handles at most one"
-    )
-
-
-def _active_set_points(
-    constraints: Sequence[Constraint], nvars: int, d: int
-) -> Iterator[Point]:
-    """Isolated solutions of every ``nvars``-subset taken as equalities."""
-    for subset in combinations(constraints, nvars):
-        yield from _solve_equality_system(subset, nvars, d)
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +138,8 @@ def _require_effective(
 def is_antinef(model: ThreefoldModel, D: ExcDivisor) -> bool:
     """True iff ``-D`` restricts into the nef cone over every prime."""
     _require_effective(model, D, nonzero=False)
-    return all(c.value(D.coeffs).sign() >= 0 for c in _nef_constraints(model))
+    nef = model.nef_systems[0].constraints
+    return all(c.value(D.coeffs).sign() >= 0 for c in nef)
 
 
 def _coordwise_le(x: Point, y: Point) -> bool:
@@ -291,27 +171,32 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     "minimum" cannot escape silently.
     """
     _require_effective(model, D, nonzero=True)
-    t = len(model.primes)
-    constraints = _constraints(model, D)
-    candidates = dict.fromkeys(_active_set_points(constraints, t, model.field_d))
+    nef = model.nef_systems[0]
+    bounds = _bounds(model, D)
+    constraints = bounds + list(nef.constraints)
 
     def feasible(point: Point) -> bool:
         return all(c.value(point).sign() >= 0 for c in constraints)
 
-    admissible = [p for p in candidates if feasible(p)]
-    if not admissible:
+    # The minimal elements of the feasible candidates seen so far.  A
+    # candidate at or above one of them cannot be minimal, so its
+    # feasibility is never tested; every feasible candidate stays above
+    # some element, so a single survivor lies below all of them.
+    minimal: list[Point] = []
+    for point in dict.fromkeys(nef.vertices_with(bounds)):
+        if any(_coordwise_le(m, point) for m in minimal) or not feasible(point):
+            continue
+        minimal = [m for m in minimal if not _coordwise_le(point, m)] + [point]
+    if not minimal:
         raise NoMinimalEnvelopeError(
             "no minimal envelope: no feasible active-set point"
         )
-    minimum = next(
-        (p for p in admissible if all(_coordwise_le(p, q) for q in admissible)),
-        None,
-    )
-    if minimum is None:
+    if len(minimal) > 1:
         raise NoMinimalEnvelopeError(
             "no minimal envelope: minimal feasible points are incomparable"
         )
-    for i in range(t):
+    minimum = minimal[0]
+    for i in range(len(minimum)):
         perturbed = tuple(
             g - EPSILON if k == i else g for k, g in enumerate(minimum)
         )
@@ -335,6 +220,44 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     )
 
 
+def _sampled_regions(
+    model: ThreefoldModel, D1: ExcDivisor, D2: ExcDivisor
+) -> tuple[list[QuadNumber], list[tuple[QuadNumber, GammaEnvelope]]]:
+    """:func:`regions`' slopes, and the envelopes it computed on the way.
+
+    The second list pairs each sample slope with ``gamma(D1 + s*D2)``;
+    every sample lies strictly between two consecutive candidate slopes
+    (or above the last), so never on a returned slope.
+    """
+    for D in (D1, D2):
+        _require_effective(model, D, nonzero=True)
+    candidates = {
+        point[-1]
+        for point in model.nef_systems[1].vertices_with(_bounds(model, D1, D2))
+        if point[-1].sign() > 0
+    }
+    if not candidates:
+        return [], []
+
+    d = model.field_d
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    slopes = sorted(candidates)
+    samples = []
+    previous = zero
+    for r in slopes:
+        samples.append((previous + r) / 2)
+        previous = r
+    samples.append(slopes[-1] + one)
+
+    envelopes = [gamma(model, D1 + D2 * s) for s in samples]
+    breakpoints = [
+        slopes[i]
+        for i in range(len(slopes))
+        if envelopes[i].active != envelopes[i + 1].active
+    ]
+    return breakpoints, list(zip(samples, envelopes))
+
+
 def regions(
     model: ThreefoldModel, D1: ExcDivisor, D2: ExcDivisor
 ) -> list[QuadNumber]:
@@ -346,32 +269,4 @@ def regions(
     two adjacent slope intervals.  Dependent directions yield no
     breakpoints (a single region).
     """
-    for D in (D1, D2):
-        _require_effective(model, D, nonzero=True)
-    d = model.field_d
-    nvars = len(model.primes) + 1
-    candidates = {
-        point[-1]
-        for point in _active_set_points(_constraints(model, D1, D2), nvars, d)
-        if point[-1].sign() > 0
-    }
-    if not candidates:
-        return []
-
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    slopes = sorted(candidates)
-    samples = []
-    previous = zero
-    for r in slopes:
-        samples.append((previous + r) / 2)
-        previous = r
-    samples.append(slopes[-1] + one)
-
-    active_sets = [
-        gamma(model, D1 + D2 * s).active for s in samples
-    ]
-    return [
-        slopes[i]
-        for i in range(len(slopes))
-        if active_sets[i] != active_sets[i + 1]
-    ]
+    return _sampled_regions(model, D1, D2)[0]

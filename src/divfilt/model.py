@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
@@ -41,7 +41,14 @@ from .qfield import (
     scalar_from_json,
     scalar_to_json,
 )
-from .surfaces import POLYHEDRAL, QUADRATIC, ConeSpec, SurfaceClass, SurfaceLattice
+from .surfaces import (
+    POLYHEDRAL,
+    QUADRATIC,
+    ConeSpec,
+    ConstraintSystem,
+    SurfaceClass,
+    SurfaceLattice,
+)
 
 BUILTIN_MODEL_NAME = "paper"
 
@@ -224,7 +231,43 @@ class ThreefoldModel:
             [bilinear(table, D1.coeffs, D2.coeffs) for table in self.pairings],
         )
 
+    # -- nef conditions on exceptional divisors ----------------------------
+
+    @cached_property
+    def nef_systems(self) -> tuple[ConstraintSystem, ConstraintSystem]:
+        """Nef conditions on ``g`` for ``-sum g_i E_i``, built on first use.
+
+        Restricting ``-sum g_i E_i`` to the surface over ``E`` gives the
+        point ``sum g_i (-r_E(E_i))``, so each nef constraint of that
+        surface pulls back along the columns ``-r_E(E_i)``.  Entry ``pad``
+        (0 or 1) appends that many zero columns: variables the nef
+        conditions do not involve (the slope of a family ``D1 + r*D2``).
+        Neither the constraints nor their vertices depend on a divisor,
+        so each model computes them once; the cache takes no part in
+        ``==`` or ``hash``.
+        """
+        zero = QuadNumber.zero(self.field_d)
+
+        def system(pad: int) -> ConstraintSystem:
+            constraints = []
+            rows = zip(self.primes, self.surfaces, self.restrictions)
+            for prime, surface, row in rows:
+                columns = [(-r).coords for r in row] + [(zero,) * surface.rank] * pad
+                constraints.extend(
+                    c.pullback(f"nef[{prime}]:{c.ident}", columns)
+                    for c in surface.constraints("nef")
+                )
+            nvars = len(self.primes) + pad
+            return ConstraintSystem(tuple(constraints), nvars, self.field_d)
+
+        return system(0), system(1)
+
     # -- validation ---------------------------------------------------------
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The report of :meth:`validate`, computed once per model."""
+        return self.validate()
 
     def validate(self) -> ValidationReport:
         """Cross-check the restriction data and surface cone declarations.
@@ -442,9 +485,8 @@ def model_from_dict(doc: Mapping) -> ThreefoldModel:
     except InputError as exc:
         raise ParseError(f"model: {exc}") from None
 
-    report = model.validate()
-    if not report.ok:
-        raise ModelValidationError(report.failures)
+    if not model.validation.ok:
+        raise ModelValidationError(model.validation.failures)
     return model
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .envelope import GammaEnvelope, gamma, regions
+from .envelope import GammaEnvelope, _sampled_regions, gamma
 from .errors import ComputationError, InputError, UndecidableError
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
@@ -253,25 +253,20 @@ def mixed(
 
 
 def _envelope_family_affine(
-    model: ThreefoldModel,
-    D1: ExcDivisor,
-    D2: ExcDivisor,
-    samples: tuple[QuadNumber, QuadNumber, QuadNumber],
+    model: ThreefoldModel, samples: Sequence[tuple[QuadNumber, GammaEnvelope]]
 ) -> tuple[ExcDivisor, ExcDivisor]:
-    """Fit gamma(D1 + r*D2) = u + r*v on three sample slopes, verifying."""
-    s1, s2, s3 = samples
-    g1 = gamma(model, D1 + D2 * s1).gamma
-    g2 = gamma(model, D1 + D2 * s2).gamma
-    g3 = gamma(model, D1 + D2 * s3).gamma
+    """Fit gamma(D1 + r*D2) = u + r*v on the first two samples; check the rest."""
+    (s1, env1), (s2, env2), *rest = samples
+    g1, g2 = env1.gamma, env2.gamma
     inv = (s2 - s1).inverse()
     v = tuple((b - a) * inv for a, b in zip(g1, g2))
     u = tuple(a - s1 * vi for a, vi in zip(g1, v))
-    check = tuple(ui + s3 * vi for ui, vi in zip(u, v))
-    if check != g3:
-        raise ComputationError(
-            "envelope is not affine within a region; the model is outside "
-            "this solver's supported family"
-        )
+    for s, env in rest:
+        if tuple(ui + s * vi for ui, vi in zip(u, v)) != env.gamma:
+            raise ComputationError(
+                "envelope is not affine within a region; the model is outside "
+                "this solver's supported family"
+            )
     return model.divisor(u), model.divisor(v)
 
 
@@ -301,31 +296,31 @@ def piecewise_limit(
     """The limit of ``n*D1 + j*D2`` filtrations as a piecewise cubic.
 
     Within each region delivered by :func:`envelope.regions` the envelope
-    is an affine function of the slope, so three exact samples determine
-    it (the third sample is a verification); the region's cubic is then
-    ``(n*P + j*Q)^3/6`` for the affine part ``(P, Q)``.
+    is an affine function of the slope, so two exact samples determine it
+    and every further sample verifies it; the region's cubic is then
+    ``(n*P + j*Q)^3/6`` for the affine part ``(P, Q)``.  Each region
+    reuses every envelope that ``regions`` computed inside it and adds
+    fresh ones, at a quarter, half and three quarters of its width (at
+    ``lo + 1, 2, 3`` for the unbounded last region), until it has three
+    samples at distinct slopes.
     """
-    breakpoints = regions(model, D1, D2)
-    d = model.field_d
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    bounds: list[tuple[QuadNumber, Optional[QuadNumber]]] = []
-    lowers = [zero] + breakpoints
-    for i, lo in enumerate(lowers):
-        hi = breakpoints[i] if i < len(breakpoints) else None
-        bounds.append((lo, hi))
-
+    breakpoints, sampled = _sampled_regions(model, D1, D2)
+    zero = QuadNumber.zero(model.field_d)
     pieces = []
-    for lo, hi in bounds:
+    for lo, hi in zip([zero] + breakpoints, breakpoints + [None]):
+        inside = [
+            (s, env) for s, env in sampled if lo < s and (hi is None or s < hi)
+        ]
         if hi is None:
-            samples = (lo + 1, lo + 2, lo + 3)
+            fresh = (lo + 1, lo + 2, lo + 3)
         else:
             width = hi - lo
-            samples = (
-                lo + width / 4,
-                lo + width / 2,
-                lo + width * Fraction(3, 4),
-            )
-        P, Q = _envelope_family_affine(model, D1, D2, samples)
+            fresh = (lo + width / 4, lo + width / 2, lo + width * Fraction(3, 4))
+        known = {s for s, _ in inside}
+        for s in fresh:
+            if len(inside) < 3 and s not in known:
+                inside.append((s, gamma(model, D1 + D2 * s)))
+        P, Q = _envelope_family_affine(model, inside)
         pieces.append(PiecewiseRegion(lo, hi, _region_form(model, P, Q)))
     return PiecewisePoly(tuple(pieces))
 

@@ -33,6 +33,7 @@ from math import isqrt
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    ComputationError,
     DiscriminantMismatchError,
     InputError,
     ParseError,
@@ -68,7 +69,7 @@ def _require_squarefree(d: int) -> None:
     _SQUAREFREE_CACHE.add(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadNumber:
     """The element ``a + b*sqrt(d)`` of Q(sqrt(d)), stored in lowest terms.
 
@@ -318,15 +319,23 @@ class QuadNumber:
 
         Examples: ``"0"``, ``"33"``, ``"-5/3"``, ``"sqrt(3)"``,
         ``"2007/169 - 9/338*sqrt(3)"``.  ``parse_scalar`` inverts this.
+        Raises :class:`ComputationError` when a numerator or denominator
+        has more digits than Python converts to a string.
         """
-        if self.b == 0:
-            return str(self.a)
-        mag = abs(self.b)
-        term = f"sqrt({self.d})" if mag == 1 else f"{mag}*sqrt({self.d})"
-        if self.a == 0:
-            return term if self.b > 0 else "-" + term
-        op = " + " if self.b > 0 else " - "
-        return f"{self.a}{op}{term}"
+        try:
+            if self.b == 0:
+                return str(self.a)
+            mag = abs(self.b)
+            term = f"sqrt({self.d})" if mag == 1 else f"{mag}*sqrt({self.d})"
+            if self.a == 0:
+                return term if self.b > 0 else "-" + term
+            op = " + " if self.b > 0 else " - "
+            return f"{self.a}{op}{term}"
+        except ValueError:  # int -> str past Python's digit limit
+            raise ComputationError(
+                "result too large to print: an integer in it exceeds Python's "
+                "digit limit for integer-to-string conversion"
+            ) from None
 
     def __str__(self) -> str:
         return self.canonical_string()

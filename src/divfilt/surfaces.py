@@ -15,7 +15,9 @@ inequalities: a list of :class:`LinearConstraint` and
 :class:`QuadraticConstraint` objects.  Membership, strict interiority of
 the ample class and the boundary crossings of a ray all evaluate that
 list, and the envelope solver pulls the same constraints back to the
-coefficients of exceptional divisors.
+coefficients of exceptional divisors.  A :class:`ConstraintSystem` solves
+subsets of constraints taken as equalities, exactly, and keeps the
+solutions of its own fixed subsets.
 
 Both cones are CLOSED: boundary classes are members.  Downstream limit
 formulas are continuous across the boundaries, which makes the closed
@@ -26,9 +28,11 @@ sign tests alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, UnsupportedModelError
 from .qfield import QuadNumber, ScalarLike, bilinear, dot, quadratic_roots
 
 POLYHEDRAL = "polyhedral"
@@ -91,6 +95,143 @@ class QuadraticConstraint:
 
 
 Constraint = Union[LinearConstraint, QuadraticConstraint]
+Point = tuple[QuadNumber, ...]
+
+
+# ---------------------------------------------------------------------------
+# constraints taken as equalities
+
+
+def _solve_linear_rows(
+    rows: list[tuple[tuple[QuadNumber, ...], QuadNumber]], nvars: int, d: int
+) -> Optional[tuple[list[QuadNumber], list[list[QuadNumber]]]]:
+    """Gauss-Jordan over Q(sqrt(d)).
+
+    ``rows`` are equations ``coeffs . v = rhs``.  Returns None when
+    inconsistent, else a particular solution and a basis of the null
+    space (empty basis = unique solution).
+    """
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(nvars):
+        pivot = next(
+            (r for r in range(row, len(aug)) if aug[r][col].sign() != 0), None
+        )
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = aug[row][col].inverse()
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col].sign() != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == len(aug):
+            break
+    for r in range(row, len(aug)):
+        if aug[r][nvars].sign() != 0:
+            return None
+    particular = [zero] * nvars
+    for r, col in enumerate(pivot_cols):
+        particular[col] = aug[r][nvars]
+    null_basis = []
+    for free_col in (c for c in range(nvars) if c not in pivot_cols):
+        vec = [zero] * nvars
+        vec[free_col] = one
+        for r, col in enumerate(pivot_cols):
+            vec[col] = -aug[r][free_col]
+        null_basis.append(vec)
+    return particular, null_basis
+
+
+def _solve_equality_system(
+    constraints: Sequence[Constraint], nvars: int, d: int
+) -> list[Point]:
+    """Isolated solutions of ``{constraint = 0 for each}`` over Q(sqrt(d)).
+
+    Underdetermined systems contribute no candidates (their solution sets
+    are positive-dimensional, so they cannot pin an optimum that another,
+    fully determined subset would not also pin).
+    """
+    linears = [c for c in constraints if isinstance(c, LinearConstraint)]
+    quads = [c for c in constraints if isinstance(c, QuadraticConstraint)]
+    solved = _solve_linear_rows(
+        [(c.coeffs, -c.const) for c in linears], nvars, d
+    )
+    if solved is None:
+        return []
+    particular, null_basis = solved
+    if not quads:
+        return [tuple(particular)] if not null_basis else []
+    if not null_basis:
+        point = tuple(particular)
+        if all(q.value(point).sign() == 0 for q in quads):
+            return [point]
+        return []
+    if len(null_basis) == 1:
+        direction = null_basis[0]
+        for chosen in quads:
+            roots = quadratic_roots(*chosen.along(particular, direction))
+            if roots is None:
+                continue  # this quadratic vanishes on the whole line
+            points = []
+            for s in roots:
+                candidate = tuple(
+                    p + s * n for p, n in zip(particular, direction)
+                )
+                if all(q.value(candidate).sign() == 0 for q in quads):
+                    points.append(candidate)
+            return points
+        return []  # every quadratic vanishes identically along the line
+    if all(x.sign() == 0 for x in particular):
+        # Fully homogeneous: solutions come in rays through the origin,
+        # never isolated points, so nothing here can pin an optimum.
+        return []
+    raise UnsupportedModelError(
+        "active subsystem requires simultaneous quadratics in two or more "
+        "free variables; this solver handles at most one"
+    )
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """Fixed constraints on ``nvars`` variables and the points they pin down.
+
+    A *vertex* is an isolated solution of ``nvars`` constraints taken as
+    equalities.  :attr:`vertices` solves the subsets of the fixed
+    constraints alone, once per system; :meth:`vertices_with` adds rows
+    and solves, on each call, only the subsets that hold one of them.
+    """
+
+    constraints: tuple[Constraint, ...]
+    nvars: int
+    field_d: int
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(
+            point
+            for subset in combinations(self.constraints, self.nvars)
+            for point in _solve_equality_system(subset, self.nvars, self.field_d)
+        )
+
+    def vertices_with(self, extra: Sequence[Constraint]) -> Iterator[Point]:
+        """Vertices of every ``nvars``-subset of ``extra + constraints``.
+
+        They come in the order ``itertools.combinations`` lists the
+        subsets: first those holding an extra row, then :attr:`vertices`.
+        """
+        rows = (*extra, *self.constraints)
+        for i, first in enumerate(extra):
+            for rest in combinations(rows[i + 1 :], self.nvars - 1):
+                yield from _solve_equality_system(
+                    (first, *rest), self.nvars, self.field_d
+                )
+        yield from self.vertices
 
 
 @dataclass(frozen=True)

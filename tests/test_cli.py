@@ -181,6 +181,28 @@ def test_model_file_round_trip(capsys, tmp_path):
     assert out == "gamma = (9/26 + 1/26*sqrt(3), 1), region 3\n"
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_validate_model_validates_once(capsys, tmp_path, monkeypatch, output):
+    from divfilt.model import ThreefoldModel
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(builtin_document()))
+    calls = []
+    validate = ThreefoldModel.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(ThreefoldModel, "validate", counted)
+    code, out, _ = run_cli(
+        capsys, ["validate-model", "--model", str(path), "--output", output]
+    )
+    assert code == 0 and len(calls) == 1
+    expected = run_cli(capsys, ["validate-model", "--output", output])[1]
+    assert out == expected
+
+
 def test_validate_model_rejects_bad_file(capsys, bad_model_path):
     code, out, _ = run_cli(capsys, ["validate-model", "--model", bad_model_path])
     assert code == 2
@@ -287,25 +309,38 @@ def test_malformed_model_file_exit_2(capsys, tmp_path, mutate):
     assert "Traceback" not in err
 
 
+PARSE = (2, "parse error:")
+# cubed, it has about 6,000 digits: past the limit for printing an int
+HUGE_RESULT = (3, "computation error: result too large to print")
+
+
 @pytest.mark.parametrize(
-    "divisor",
+    "argv, expected",
     [
-        "1/0,1",
-        "1,2/0*sqrt(3)",
-        pytest.param(f"{BIG},1", id="long-integer"),
-        pytest.param(f"1/{BIG},1", id="long-denominator"),
-        pytest.param(f"1,{BIG}*sqrt(3)", id="long-sqrt-coefficient"),
-        pytest.param(f"1,sqrt({BIG})", id="long-radicand"),
+        pytest.param(["gamma", "-D", "1/0,1"], PARSE, id="1/0,1"),
+        pytest.param(["gamma", "-D", "1,2/0*sqrt(3)"], PARSE, id="1,2/0*sqrt(3)"),
+        pytest.param(["gamma", "-D", f"{BIG},1"], PARSE, id="long-integer"),
+        pytest.param(["gamma", "-D", f"1/{BIG},1"], PARSE, id="long-denominator"),
+        pytest.param(
+            ["gamma", "-D", f"1,{BIG}*sqrt(3)"], PARSE, id="long-sqrt-coefficient"
+        ),
+        pytest.param(["gamma", "-D", f"1,sqrt({BIG})"], PARSE, id="long-radicand"),
+        pytest.param(["limit", "-D", f"{'7' * 2000},1"], HUGE_RESULT, id="limit-huge-result"),
+        pytest.param(
+            ["intersect", "-D", f"{'7' * 2000},1"], HUGE_RESULT, id="intersect-huge-result"
+        ),
     ],
 )
-def test_zero_denominator_exit_2(divisor):
+def test_zero_denominator_exit_2(argv, expected):
+    """Unreadable numbers exit 2; results too large to print exit 3."""
     result = subprocess.run(
-        [sys.executable, "-m", "divfilt.cli", "gamma", "-D", divisor],
+        [sys.executable, "-m", "divfilt.cli", *argv],
         capture_output=True,
         text=True,
     )
-    assert result.returncode == 2
-    assert result.stderr.startswith("parse error:")
+    code, prefix = expected
+    assert result.returncode == code
+    assert result.stderr.startswith(prefix)
     assert "Traceback" not in result.stderr
 
 

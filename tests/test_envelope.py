@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from test_model import basis_changed_document
 
-from divfilt.envelope import EPSILON, _nef_constraints, gamma, is_antinef, regions
+from divfilt.envelope import EPSILON, _region_label, gamma, is_antinef, regions
 from divfilt.errors import InputError
-from divfilt.model import builtin_model
+from divfilt.model import builtin_document, builtin_model, model_from_dict
 from divfilt.qfield import QuadNumber
+from divfilt.surfaces import LinearConstraint, _solve_equality_system
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +171,7 @@ def test_active_constraints_reported(model):
 
 
 def test_nef_constraint_idents_pinned(model):
-    assert [c.ident for c in _nef_constraints(model)] == [
+    assert [c.ident for c in model.nef_systems[0].constraints] == [
         "nef[Sbar]:quad",
         "nef[Sbar]:ample",
         "nef[F]:0",
@@ -179,7 +182,7 @@ def test_nef_constraint_idents_pinned(model):
 def test_nef_constraints_are_surface_constraints_on_restrictions(model):
     """Each nef constraint at ``g`` is its surface constraint at ``r_E(-D)``."""
     rng = random.Random(3)
-    constraints = {c.ident: c for c in _nef_constraints(model)}
+    constraints = {c.ident: c for c in model.nef_systems[0].constraints}
     for _ in range(10):
         g = [
             q3(Fraction(rng.randint(0, 20), rng.randint(1, 5)), rng.randint(-2, 2))
@@ -244,3 +247,90 @@ def test_gamma_rejects_bad_inputs(model):
         gamma(model, model.zero_divisor())
     with pytest.raises(InputError):
         is_antinef(model, model.divisor([0, -2]))
+
+
+# -- the cached enumeration against the plain algorithm -------------------------
+
+
+def reference_gamma(model, D):
+    """The plain algorithm: fresh constraints, every ``t``-subset, every
+    candidate tested for feasibility.  Returns ``(gamma, active, region)``."""
+    t, d = len(model.primes), model.field_d
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    bounds = [
+        LinearConstraint(
+            f"coeff[{prime}]",
+            tuple(one if k == i else zero for k in range(t)),
+            -D.coeffs[i],
+        )
+        for i, prime in enumerate(model.primes)
+    ]
+    nef = [
+        c.pullback(f"nef[{prime}]:{c.ident}", [(-r).coords for r in row])
+        for prime, surface, row in zip(model.primes, model.surfaces, model.restrictions)
+        for c in surface.constraints("nef")
+    ]
+    constraints = bounds + nef
+    candidates = dict.fromkeys(
+        point
+        for subset in combinations(constraints, t)
+        for point in _solve_equality_system(subset, t, d)
+    )
+    feasible = [
+        p for p in candidates if all(c.value(p).sign() >= 0 for c in constraints)
+    ]
+
+    def le(x, y):
+        return all((a - b).sign() <= 0 for a, b in zip(x, y))
+
+    (minimum,) = [p for p in feasible if all(le(p, q) for q in feasible)]
+    active = frozenset(c.ident for c in constraints if c.value(minimum).sign() == 0)
+    raised = tuple(
+        i for i, (g, a) in enumerate(zip(minimum, D.coeffs)) if (g - a).sign() > 0
+    )
+    return minimum, active, _region_label(model, raised)
+
+
+def seeded_coefficient(rng):
+    """A nonnegative integer, rational or Q(sqrt(3)) coefficient."""
+    kind = rng.choice(("int", "rational", "quad"))
+    if kind == "int":
+        return q3(rng.randint(0, 30))
+    a = Fraction(rng.randint(0, 60), rng.randint(1, 9))
+    if kind == "rational":
+        return q3(a)
+    while True:
+        x = q3(a, Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        if x.sign() >= 0:
+            return x
+
+
+def test_gamma_matches_plain_algorithm(model):
+    """Cached nef vertices and skipped dominated candidates change nothing,
+    on the builtin model and on a copy with every surface basis changed."""
+    changed = model_from_dict(basis_changed_document())
+    rng = random.Random(11)
+    for m in (model, changed):
+        for _ in range(40):
+            D = m.divisor([seeded_coefficient(rng) for _ in m.primes])
+            if D.is_zero():
+                continue
+            env = gamma(m, D)
+            assert (env.gamma, env.active, env.region) == reference_gamma(m, D), D
+
+
+def test_warmed_and_fresh_models_agree():
+    """A model whose caches are filled equals a fresh one and computes the same."""
+    warmed, fresh = (model_from_dict(builtin_document()) for _ in range(2))
+    S, F = warmed.prime_divisor("Sbar"), warmed.prime_divisor("F")
+    regions(warmed, S, F)
+    assert "nef_systems" in vars(warmed) and "nef_systems" not in vars(fresh)
+    assert warmed == fresh and hash(warmed) == hash(fresh)
+    for coeffs in ((2, 1), (1, 1), (2, 3), (1, 3), (0, 1), (q3(5, 1), 7)):
+        a = gamma(warmed, warmed.divisor(coeffs))
+        b = gamma(fresh, fresh.divisor(coeffs))
+        assert (a.gamma, a.active, a.region) == (b.gamma, b.active, b.region)
+        assert str(a) == str(b)
+    fresh_F, fresh_S = fresh.prime_divisor("F"), fresh.prime_divisor("Sbar")
+    assert regions(warmed, F, S) == regions(fresh, fresh_F, fresh_S)
+    assert warmed == fresh and hash(warmed) == hash(fresh)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from divfilt.envelope import gamma
+from divfilt.envelope import gamma, regions
 from divfilt.errors import ComputationError, InputError
 from divfilt.model import builtin_model
 from divfilt.multiplicity import (
@@ -372,3 +372,43 @@ def test_minkowski_log_convexity_explicit(model):
     e = report.e_values
     for i in (1, 2):
         assert (e[i] ** 2 - e[i + 1] * e[i - 1]).sign() <= 0
+
+
+def piecewise_without_reuse(model, D1, D2):
+    """Three fresh envelopes per region of ``regions``, fitted and checked."""
+    breakpoints = regions(model, D1, D2)
+    pieces = []
+    for lo, hi in zip([q3(0)] + breakpoints, breakpoints + [None]):
+        if hi is None:
+            s1, s2, s3 = lo + 1, lo + 2, lo + 3
+        else:
+            s1, s2, s3 = (lo + (hi - lo) * Fraction(k, 4) for k in (1, 2, 3))
+        g1, g2, g3 = (gamma(model, D1 + D2 * s).gamma for s in (s1, s2, s3))
+        v = [(b - a) / (s2 - s1) for a, b in zip(g1, g2)]
+        u = [a - s1 * vi for a, vi in zip(g1, v)]
+        assert tuple(ui + s3 * vi for ui, vi in zip(u, v)) == g3
+        P, Q = model.divisor(u), model.divisor(v)
+        e = [model.triple(*[P] * i, *[Q] * (3 - i)) for i in range(4)]
+        cubic = CubicForm((e[3] / 6, e[2] / 2, e[1] / 2, e[0] / 6))
+        pieces.append(PiecewiseRegion(lo, hi, cubic))
+    return PiecewisePoly(tuple(pieces))
+
+
+@pytest.mark.parametrize(
+    "c1, c2, count",
+    [
+        ((1, 1), (2, 2), 1),
+        ((1, 2), (3, 4), 1),
+        ((1, 2), (0, 1), 2),
+        ((2, 1), (1, 2), 2),
+        ((1, 0), (0, 1), 3),
+        ((3, 1), (1, 3), 3),
+    ],
+)
+def test_piecewise_reuse_matches_fresh_envelopes(model, c1, c2, count):
+    D1, D2 = model.divisor(c1), model.divisor(c2)
+    pw = piecewise_limit(model, D1, D2)
+    assert len(pw.regions) == count
+    reference = piecewise_without_reuse(model, D1, D2)
+    assert pw == reference
+    assert pw.lines() == reference.lines()
