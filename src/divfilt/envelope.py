@@ -19,34 +19,34 @@ stay tractable because after eliminating the linear equations at most
 one quadratic survives in one free variable; anything richer is refused
 loudly rather than solved approximately.
 
-What does not depend on the divisor is done once per model
-(:attr:`ThreefoldModel.nef_systems`): the nef constraints are pulled
-back, and the subsets made only of nef constraints are solved, on first
-use.  Each call solves just the subsets holding at least one bound row,
-and tests feasibility only for candidates not already at or above a
-feasible one.
+What does not depend on the divisor is done once per model: the nef
+constraints are pulled back on first use (:attr:`ThreefoldModel.nef_systems`).
+They are homogeneous, so each call solves just the subsets holding a
+bound row (nef rows alone isolate at most the origin, which breaks a
+bound), and tests feasibility only for candidates not already at or
+above a feasible one.
 
 ``regions`` analyses the one-parameter family ``D1 + r*D2`` and returns
 the finitely many slopes ``r`` where the envelope's active constraint set
 changes; these are the breakpoints of the piecewise multiplicity
-formulas.  The envelopes it computes between candidate slopes are handed
-on to ``multiplicity.piecewise_limit``, which fits each region's affine
-envelope from them.
+formulas.  Within a region the envelope is affine in ``r``;
+``multiplicity.piecewise_limit`` reads that line off the active
+constraints of one envelope ``regions`` computed inside the region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import InputError, NoMinimalEnvelopeError
+from .errors import ComputationError, InputError, NoMinimalEnvelopeError
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber
-from .surfaces import Constraint, LinearConstraint, Point
+from .surfaces import Constraint, LinearConstraint, Point, _solve_linear_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaEnvelope:
     """The envelope of one divisor: minimal coordinates and certificates.
 
@@ -239,16 +239,9 @@ def _sampled_regions(
     if not candidates:
         return [], []
 
-    d = model.field_d
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
     slopes = sorted(candidates)
-    samples = []
-    previous = zero
-    for r in slopes:
-        samples.append((previous + r) / 2)
-        previous = r
-    samples.append(slopes[-1] + one)
-
+    lows = [QuadNumber.zero(model.field_d)] + slopes
+    samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [slopes[-1] + 1]
     envelopes = [gamma(model, D1 + D2 * s) for s in samples]
     breakpoints = [
         slopes[i]
@@ -263,10 +256,45 @@ def regions(
 ) -> list[QuadNumber]:
     """Slopes ``0 < r_1 < ... < r_k`` where ``gamma(D1 + r*D2)`` changes.
 
-    Candidate slopes come from solving every system of ``t + 1``
-    constraints-as-equalities in the variables ``(g, r)``; a candidate is
-    kept only if the envelope's active set genuinely differs between the
-    two adjacent slope intervals.  Dependent directions yield no
-    breakpoints (a single region).
+    Candidate slopes come from the systems of ``t + 1`` constraints-as-
+    equalities in ``(g, r)`` that hold two or more bound rows (with fewer,
+    an isolated solution has ``g = 0`` and slope ``-a_i/b_i <= 0``); a
+    candidate is kept only if the envelope's active set genuinely differs
+    between the two adjacent slope intervals.  Dependent directions yield
+    no breakpoints (a single region).
     """
     return _sampled_regions(model, D1, D2)[0]
+
+
+def _envelope_line(
+    model: ThreefoldModel,
+    D1: ExcDivisor,
+    D2: ExcDivisor,
+    samples: Sequence[tuple[QuadNumber, GammaEnvelope]],
+) -> tuple[ExcDivisor, ExcDivisor]:
+    """``(P, Q)`` with ``gamma(D1 + r*D2) = P + r*Q`` on one region.
+
+    At the first sample ``(s, g)`` the active constraints, taken in
+    ``(g, r)``, must fix ``Q`` uniquely by their linearisation ``grad_g . Q
+    = -grad_r``; then ``P = g - s*Q``.  The line is accepted only if every
+    active constraint vanishes identically along it and every other
+    sample lies on it.
+    """
+    (s, env), *rest = samples
+    t, d = len(model.primes), model.field_d
+    system = (*_bounds(model, D1, D2), *model.nef_systems[1].constraints)
+    active = [c for c in system if c.ident in env.active]
+    grads = [c.gradient((*env.gamma, s)) for c in active]
+    solved = _solve_linear_rows([(g[:t], -g[t]) for g in grads], t, d)
+    if solved is not None and not solved[1]:
+        v = tuple(solved[0])
+        u = tuple(g - s * vi for g, vi in zip(env.gamma, v))
+        line = ((*u, QuadNumber.zero(d)), (*v, QuadNumber.one(d)))
+        if all(x.sign() == 0 for c in active for x in c.along(*line)) and all(
+            tuple(ui + r * vi for ui, vi in zip(u, v)) == e.gamma for r, e in rest
+        ):
+            return ExcDivisor(model, u), ExcDivisor(model, v)
+    raise ComputationError(
+        "envelope is not affine within a region; the model is outside "
+        "this solver's supported family"
+    )

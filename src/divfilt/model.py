@@ -242,9 +242,8 @@ class ThreefoldModel:
         surface pulls back along the columns ``-r_E(E_i)``.  Entry ``pad``
         (0 or 1) appends that many zero columns: variables the nef
         conditions do not involve (the slope of a family ``D1 + r*D2``).
-        Neither the constraints nor their vertices depend on a divisor,
-        so each model computes them once; the cache takes no part in
-        ``==`` or ``hash``.
+        The constraints do not depend on a divisor, so each model builds
+        them once; the cache takes no part in ``==`` or ``hash``.
         """
         zero = QuadNumber.zero(self.field_d)
 
@@ -258,7 +257,7 @@ class ThreefoldModel:
                     for c in surface.constraints("nef")
                 )
             nvars = len(self.primes) + pad
-            return ConstraintSystem(tuple(constraints), nvars, self.field_d)
+            return ConstraintSystem(tuple(constraints), nvars, self.field_d, pad)
 
         return system(0), system(1)
 

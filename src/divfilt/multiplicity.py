@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .envelope import GammaEnvelope, _sampled_regions, gamma
+from .envelope import GammaEnvelope, _envelope_line, _sampled_regions, gamma
 from .errors import ComputationError, InputError, UndecidableError
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
@@ -44,7 +44,7 @@ MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3))
 MONOMIAL_NAMES = ("n^3", "n^2*j", "n*j^2", "j^3")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubicForm:
     """A homogeneous cubic in (n, j): coefficients for n^3, n^2 j, n j^2, j^3."""
 
@@ -106,7 +106,7 @@ class CubicForm:
         return self.render()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewiseRegion:
     lower_slope: QuadNumber
     upper_slope: Optional[QuadNumber]  # None = unbounded
@@ -119,7 +119,7 @@ class PiecewiseRegion:
         return f"[{self.lower_slope.canonical_string()}, {upper})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewisePoly:
     """A slope-piecewise homogeneous cubic on the effective quadrant.
 
@@ -196,7 +196,7 @@ class PiecewisePoly:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultReport:
     """Normalized limit and multiplicity of one divisor's filtration."""
 
@@ -252,24 +252,6 @@ def mixed(
     return model.triple(slots[0], slots[1], slots[2])
 
 
-def _envelope_family_affine(
-    model: ThreefoldModel, samples: Sequence[tuple[QuadNumber, GammaEnvelope]]
-) -> tuple[ExcDivisor, ExcDivisor]:
-    """Fit gamma(D1 + r*D2) = u + r*v on the first two samples; check the rest."""
-    (s1, env1), (s2, env2), *rest = samples
-    g1, g2 = env1.gamma, env2.gamma
-    inv = (s2 - s1).inverse()
-    v = tuple((b - a) * inv for a, b in zip(g1, g2))
-    u = tuple(a - s1 * vi for a, vi in zip(g1, v))
-    for s, env in rest:
-        if tuple(ui + s * vi for ui, vi in zip(u, v)) != env.gamma:
-            raise ComputationError(
-                "envelope is not affine within a region; the model is outside "
-                "this solver's supported family"
-            )
-    return model.divisor(u), model.divisor(v)
-
-
 def _mixed_values(
     model: ThreefoldModel, P: ExcDivisor, Q: ExcDivisor
 ) -> tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]:
@@ -296,31 +278,22 @@ def piecewise_limit(
     """The limit of ``n*D1 + j*D2`` filtrations as a piecewise cubic.
 
     Within each region delivered by :func:`envelope.regions` the envelope
-    is an affine function of the slope, so two exact samples determine it
-    and every further sample verifies it; the region's cubic is then
-    ``(n*P + j*Q)^3/6`` for the affine part ``(P, Q)``.  Each region
-    reuses every envelope that ``regions`` computed inside it and adds
-    fresh ones, at a quarter, half and three quarters of its width (at
-    ``lo + 1, 2, 3`` for the unbounded last region), until it has three
-    samples at distinct slopes.
+    is an affine function ``P + r*Q`` of the slope; the region's cubic is
+    ``(n*P + j*Q)^3/6``.  The line is read off the active constraints of
+    one envelope that ``regions`` computed inside the region, and checked
+    against the others there.  Only a family without candidate slopes
+    computes a fresh envelope, at slope 1.
     """
     breakpoints, sampled = _sampled_regions(model, D1, D2)
-    zero = QuadNumber.zero(model.field_d)
+    zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
+    if not sampled:
+        sampled = [(one, gamma(model, D1 + D2 * one))]
     pieces = []
     for lo, hi in zip([zero] + breakpoints, breakpoints + [None]):
         inside = [
             (s, env) for s, env in sampled if lo < s and (hi is None or s < hi)
         ]
-        if hi is None:
-            fresh = (lo + 1, lo + 2, lo + 3)
-        else:
-            width = hi - lo
-            fresh = (lo + width / 4, lo + width / 2, lo + width * Fraction(3, 4))
-        known = {s for s, _ in inside}
-        for s in fresh:
-            if len(inside) < 3 and s not in known:
-                inside.append((s, gamma(model, D1 + D2 * s)))
-        P, Q = _envelope_family_affine(model, inside)
+        P, Q = _envelope_line(model, D1, D2, inside)
         pieces.append(PiecewiseRegion(lo, hi, _region_form(model, P, Q)))
     return PiecewisePoly(tuple(pieces))
 
@@ -343,7 +316,7 @@ def product_limit(
 # Minkowski-style inequality checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityCheck:
     label: str
     holds: bool
@@ -365,7 +338,7 @@ class InequalityCheck:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinkowskiReport:
     e_values: tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]
     product_multiplicity: QuadNumber

@@ -16,8 +16,8 @@ inequalities: a list of :class:`LinearConstraint` and
 the ample class and the boundary crossings of a ray all evaluate that
 list, and the envelope solver pulls the same constraints back to the
 coefficients of exceptional divisors.  A :class:`ConstraintSystem` solves
-subsets of constraints taken as equalities, exactly, and keeps the
-solutions of its own fixed subsets.
+exactly the subsets of such constraints plus extra rows that can isolate
+a point with ``g != 0``.
 
 Both cones are CLOSED: boundary classes are members.  Downstream limit
 formulas are continuous across the boundaries, which makes the closed
@@ -28,7 +28,6 @@ sign tests alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -53,6 +52,9 @@ class LinearConstraint:
     def value(self, point: Vector) -> QuadNumber:
         return self.const + dot(self.coeffs, point)
 
+    def gradient(self, point: Vector) -> tuple[QuadNumber, ...]:
+        return self.coeffs
+
     def along(self, base: Vector, direction: Vector) -> Quadratic:
         """``value(base + s*direction)`` as ``alpha s^2 + beta s + chi``."""
         zero = QuadNumber.zero(self.const.d)
@@ -74,6 +76,9 @@ class QuadraticConstraint:
 
     def value(self, point: Vector) -> QuadNumber:
         return bilinear(self.matrix, point, point)
+
+    def gradient(self, point: Vector) -> tuple[QuadNumber, ...]:
+        return tuple(2 * dot(row, point) for row in self.matrix)
 
     def along(self, base: Vector, direction: Vector) -> Quadratic:
         """``value(base + s*direction)`` as ``alpha s^2 + beta s + chi``."""
@@ -199,39 +204,30 @@ def _solve_equality_system(
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Fixed constraints on ``nvars`` variables and the points they pin down.
+    """Homogeneous constraints on ``nvars`` variables and the points they pin.
 
-    A *vertex* is an isolated solution of ``nvars`` constraints taken as
-    equalities.  :attr:`vertices` solves the subsets of the fixed
-    constraints alone, once per system; :meth:`vertices_with` adds rows
-    and solves, on each call, only the subsets that hold one of them.
+    Each constraint is a linear row without constant or a quadratic form,
+    and its last ``pad`` columns are zero.  If at most ``pad`` affine extra
+    rows join a subset, a solution ``(g, y)`` with ``g != 0`` lies on a line
+    of solutions ``(lam*g, y(lam))``, so only points with ``g = 0`` can be
+    isolated; :meth:`vertices_with` skips those subsets.
     """
 
     constraints: tuple[Constraint, ...]
     nvars: int
     field_d: int
-
-    @cached_property
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(
-            point
-            for subset in combinations(self.constraints, self.nvars)
-            for point in _solve_equality_system(subset, self.nvars, self.field_d)
-        )
+    pad: int
 
     def vertices_with(self, extra: Sequence[Constraint]) -> Iterator[Point]:
-        """Vertices of every ``nvars``-subset of ``extra + constraints``.
-
-        They come in the order ``itertools.combinations`` lists the
-        subsets: first those holding an extra row, then :attr:`vertices`.
-        """
+        """Vertices of the ``nvars``-subsets of ``extra + constraints`` that
+        hold more than ``pad`` extra rows, in the order
+        ``itertools.combinations`` lists the subsets."""
         rows = (*extra, *self.constraints)
-        for i, first in enumerate(extra):
-            for rest in combinations(rows[i + 1 :], self.nvars - 1):
+        for subset in combinations(range(len(rows)), self.nvars):
+            if sum(i < len(extra) for i in subset) > self.pad:
                 yield from _solve_equality_system(
-                    (first, *rest), self.nvars, self.field_d
+                    [rows[i] for i in subset], self.nvars, self.field_d
                 )
-        yield from self.vertices
 
 
 @dataclass(frozen=True)

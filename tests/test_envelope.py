@@ -7,7 +7,15 @@ from itertools import combinations
 import pytest
 from test_model import basis_changed_document
 
-from divfilt.envelope import EPSILON, _region_label, gamma, is_antinef, regions
+from divfilt.envelope import (
+    EPSILON,
+    _bounds,
+    _sampled_regions,
+    _region_label,
+    gamma,
+    is_antinef,
+    regions,
+)
 from divfilt.errors import InputError
 from divfilt.model import builtin_document, builtin_model, model_from_dict
 from divfilt.qfield import QuadNumber
@@ -334,3 +342,66 @@ def test_warmed_and_fresh_models_agree():
     fresh_F, fresh_S = fresh.prime_divisor("F"), fresh.prime_divisor("Sbar")
     assert regions(warmed, F, S) == regions(fresh, fresh_F, fresh_S)
     assert warmed == fresh and hash(warmed) == hash(fresh)
+
+
+# -- the subsets vertices_with skips ------------------------------------------------
+
+
+def seeded_pair(m, rng):
+    """Two nonzero effective divisors; one pair in eight is proportional."""
+    while True:
+        D1, D2 = (m.divisor([seeded_coefficient(rng) for _ in m.primes]) for _ in "12")
+        if rng.randrange(8) == 0:
+            D2 = D1 * rng.randint(1, 5)
+        if not D1.is_zero() and not D2.is_zero():
+            return D1, D2
+
+
+def unpruned_vertices(system, bounds):
+    """``(bound rows held, isolated solutions)`` for every ``nvars``-subset."""
+    for subset in combinations([*bounds, *system.constraints], system.nvars):
+        held = sum(c.ident.startswith("coeff[") for c in subset)
+        yield held, _solve_equality_system(subset, system.nvars, system.field_d)
+
+
+def test_nef_systems_are_homogeneous_without_slope_column(model):
+    """The pruning in ``ConstraintSystem.vertices_with`` rests on this."""
+    for m in (model, model_from_dict(basis_changed_document())):
+        t = len(m.primes)
+        for pad, system in enumerate(m.nef_systems):
+            assert (system.nvars, system.pad) == (t + pad, pad)
+            for c in system.constraints:
+                if isinstance(c, LinearConstraint):
+                    assert c.const == 0 and len(c.coeffs) == t + pad
+                    assert all(x == 0 for x in c.coeffs[t:])
+                else:
+                    assert len(c.matrix) == t + pad
+                    assert all(x == 0 for row in c.matrix[t:] for x in row)
+                    assert all(x == 0 for row in c.matrix for x in row[t:])
+
+
+def test_pruned_enumeration_matches_full_enumeration(model):
+    """Every skipped subset isolates only points with ``g = 0`` (slope
+    ``<= 0`` in the family system), so ``regions`` samples between the
+    same positive candidate slopes as the enumeration of every subset."""
+    changed = model_from_dict(basis_changed_document())
+    rng = random.Random(23)
+    for m in (model, changed):
+        t = len(m.primes)
+        for _ in range(40):
+            D1, D2 = seeded_pair(m, rng)
+            systems = zip(m.nef_systems, (_bounds(m, D1), _bounds(m, D1, D2)))
+            for system, bounds in systems:
+                kept, dropped = [], []
+                for held, points in unpruned_vertices(system, bounds):
+                    (kept if held > system.pad else dropped).extend(points)
+                assert list(system.vertices_with(bounds)) == kept
+                for point in dropped:
+                    assert all(x == 0 for x in point[:t]), (D1, D2, point)
+                    assert all(x.sign() <= 0 for x in point[t:]), (D1, D2, point)
+            slopes = sorted({p[-1] for p in kept if p[-1].sign() > 0})
+            breakpoints, sampled = _sampled_regions(m, D1, D2)
+            assert set(breakpoints) <= set(slopes)
+            samples = [(lo + hi) / 2 for lo, hi in zip([q3(0)] + slopes, slopes)]
+            samples += [slopes[-1] + 1] if slopes else []
+            assert [s for s, _ in sampled] == samples

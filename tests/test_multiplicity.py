@@ -1,14 +1,19 @@
 """Limits, mixed multiplicities, piecewise formulas, inequality checks."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from test_envelope import seeded_pair
+from test_model import basis_changed_document
 
-from divfilt.envelope import gamma, regions
+import divfilt.envelope
+import divfilt.multiplicity
+from divfilt.envelope import _envelope_line, _sampled_regions, gamma, regions
 from divfilt.errors import ComputationError, InputError
-from divfilt.model import builtin_model
+from divfilt.model import builtin_model, model_from_dict
 from divfilt.multiplicity import (
     CubicForm,
     MultReport,
@@ -412,3 +417,67 @@ def test_piecewise_reuse_matches_fresh_envelopes(model, c1, c2, count):
     reference = piecewise_without_reuse(model, D1, D2)
     assert pw == reference
     assert pw.lines() == reference.lines()
+
+
+def test_piecewise_matches_three_sample_fit_on_seeded_pairs(model):
+    """One envelope per region gives the same cubics as three fresh ones,
+    on the builtin model and on a copy with every surface basis changed."""
+    changed = model_from_dict(basis_changed_document())
+    rng = random.Random(29)
+    counts = set()
+    for m in (model, changed):
+        for _ in range(40):
+            D1, D2 = seeded_pair(m, rng)
+            pw = piecewise_limit(m, D1, D2)
+            reference = piecewise_without_reuse(m, D1, D2)
+            assert pw == reference, (D1, D2)
+            assert pw.lines() == reference.lines()
+            counts.add(len(pw.regions))
+    assert counts == {1, 2, 3}
+
+
+@pytest.mark.parametrize("c1, c2", [((1, 2), (0, 1)), ((1, 0), (0, 1))])
+def test_envelope_line_rejects_a_moved_sample(model, c1, c2):
+    """Moving one coordinate of a region's only, first or last sample by
+    1/1000 breaks the fit."""
+    D1, D2 = model.divisor(c1), model.divisor(c2)
+    breakpoints, sampled = _sampled_regions(model, D1, D2)
+    last = [(s, env) for s, env in sampled if s > breakpoints[-1]]
+    assert len(last) >= 2
+    for region in (last[:1], last):
+        _envelope_line(model, D1, D2, region)
+        for position in {0, len(region) - 1}:
+            s, env = region[position]
+            for i in range(len(model.primes)):
+                moved = list(env.gamma)
+                moved[i] += Fraction(1, 1000)
+                samples = list(region)
+                samples[position] = (s, dataclasses.replace(env, gamma=tuple(moved)))
+                with pytest.raises(ComputationError, match="not affine"):
+                    _envelope_line(model, D1, D2, samples)
+
+
+@pytest.mark.parametrize(
+    "c1, c2",
+    [((1, 1), (2, 2)), ((1, 2), (3, 4)), ((1, 2), (0, 1)), ((1, 0), (0, 1))],
+)
+def test_piecewise_computes_envelopes_only_in_regions(model, monkeypatch, c1, c2):
+    """``piecewise_limit`` computes no envelope beyond the samples of
+    ``regions``, except one at slope 1 when there is no candidate slope."""
+    D1, D2 = model.divisor(c1), model.divisor(c2)
+    sampled = _sampled_regions(model, D1, D2)[1]
+    calls = {"envelope": 0, "multiplicity": 0}
+
+    def counted(module, name):
+        real = module.gamma
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, "gamma", wrapper)
+
+    counted(divfilt.envelope, "envelope")
+    counted(divfilt.multiplicity, "multiplicity")
+    piecewise_limit(model, D1, D2)
+    assert calls == {"envelope": len(sampled), "multiplicity": int(not sampled)}
