@@ -11,9 +11,9 @@ The computation is an exhaustive active-set enumeration.  The feasible
 set is cut out by the bound constraints ``g_i - a_i >= 0`` together with
 the nef constraints: each surface's own cone inequalities
 (:meth:`SurfaceLattice.constraints`) pulled back to ``g`` along
-``g -> -sum g_i r_E(E_i)``.  Every subset of constraints of size ``t``
-(the number of primes) is solved as an equality system over the field,
-and the coordinatewise minimum of the feasible solutions — whose
+``g -> -sum g_i r_E(E_i)``.  Subsets of constraints of size ``t`` (the
+number of primes) are solved as equality systems over the field, and
+the coordinatewise minimum of the feasible solutions — whose
 existence is certified, not assumed — is the envelope.  Equality systems
 stay tractable because after eliminating the linear equations at most
 one quadratic survives in one free variable; anything richer is refused
@@ -285,7 +285,7 @@ def _envelope_line(
     system = (*_bounds(model, D1, D2), *model.nef_systems[1].constraints)
     active = [c for c in system if c.ident in env.active]
     grads = [c.gradient((*env.gamma, s)) for c in active]
-    solved = _solve_linear_rows([(g[:t], -g[t]) for g in grads], t, d)
+    solved = _solve_linear_rows([(grad[:t], -grad[t]) for grad in grads], t, d)
     if solved is not None and not solved[1]:
         v = tuple(solved[0])
         u = tuple(g - s * vi for g, vi in zip(env.gamma, v))

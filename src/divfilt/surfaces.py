@@ -16,8 +16,8 @@ inequalities: a list of :class:`LinearConstraint` and
 the ample class and the boundary crossings of a ray all evaluate that
 list, and the envelope solver pulls the same constraints back to the
 coefficients of exceptional divisors.  A :class:`ConstraintSystem` solves
-exactly the subsets of such constraints plus extra rows that can isolate
-a point with ``g != 0``.
+subsets of such constraints and extra rows as equalities, exactly,
+skipping those that can isolate only points where its variables vanish.
 
 Both cones are CLOSED: boundary classes are members.  Downstream limit
 formulas are continuous across the boundaries, which makes the closed
