@@ -399,7 +399,9 @@ def test_pruned_enumeration_matches_full_enumeration(model):
                 for point in dropped:
                     assert all(x == 0 for x in point[:t]), (D1, D2, point)
                     assert all(x.sign() <= 0 for x in point[t:]), (D1, D2, point)
-            slopes = sorted({p[-1] for p in kept if p[-1].sign() > 0})
+            # the last system is the family's, in the variables (g, r)
+            every = kept + dropped
+            slopes = sorted({p[-1] for p in every if p[-1].sign() > 0})
             breakpoints, sampled = _sampled_regions(m, D1, D2)
             assert set(breakpoints) <= set(slopes)
             samples = [(lo + hi) / 2 for lo, hi in zip([q3(0)] + slopes, slopes)]
