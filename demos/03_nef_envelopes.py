@@ -36,6 +36,10 @@ lowered = list(env.gamma)
 lowered[0] = lowered[0] - Fraction(1, 1000)
 print("lower first coordinate by 1/1000 -> still anti-nef?",
       is_antinef(model, model.divisor(lowered)))
+# exactly: multipliers >= 0 on the active constraints whose gradients sum
+# to each unit vector prove that no coordinate can drop at all
+for line in env.certificate_lines():
+    print(line)
 
 # where the behaviour changes along the family n*Sbar + j*F
 slopes = regions(model, S, F)

@@ -133,7 +133,11 @@ def _intersect(model: ThreefoldModel, args, D: dict) -> _Outcome:
 
 def _gamma(model: ThreefoldModel, args, D: dict) -> _Outcome:
     env = gamma(model, D["-D"])
-    return [f"gamma = {env}"], env.to_json_dict(), 0
+    lines, doc = [f"gamma = {env}"], env.to_json_dict()
+    if args.explain:
+        lines += env.certificate_lines()
+        doc["certificate"] = env.certificate_json()
+    return lines, doc, 0
 
 
 def _antinef(model: ThreefoldModel, args, D: dict) -> _Outcome:
@@ -244,7 +248,19 @@ _COMMANDS = (
         ),
         (_arg("--exponents", help="exponents 'd1,d2' for D1^d1 . D2^d2"),),
     ),
-    _Command("gamma", "minimal nef envelope of a divisor", _gamma, _ONE),
+    _Command(
+        "gamma",
+        "minimal nef envelope of a divisor",
+        _gamma,
+        _ONE,
+        (
+            _arg(
+                "--explain",
+                action="store_true",
+                help="also print the multipliers that certify each coordinate",
+            ),
+        ),
+    ),
     _Command("antinef", "is the negated divisor nef?", _antinef, _ONE),
     _Command("limit", "normalized colength limit and multiplicity", _limit, _ONE),
     _Command(

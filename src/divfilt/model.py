@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import InputError, ModelValidationError, ParseError
 from .qfield import (
@@ -49,6 +49,9 @@ from .surfaces import (
     SurfaceClass,
     SurfaceLattice,
 )
+
+if TYPE_CHECKING:
+    from .envelope import GammaEnvelope
 
 BUILTIN_MODEL_NAME = "paper"
 
@@ -96,6 +99,20 @@ class ExcDivisor:
         return ExcDivisor(self.model, tuple(x * scalar for x in self.coeffs))
 
     __rmul__ = __mul__
+
+    @cached_property
+    def envelope(self) -> "GammaEnvelope":
+        """``envelope.gamma`` of this divisor, computed on first use.
+
+        The cache takes no part in ``==`` or ``hash``.  ``gamma`` is looked
+        up on its module at each fill, so a replaced ``gamma`` is the one
+        called.  It runs on an equal copy: the cached envelope's ``input``
+        does not point back here, so no reference cycle outlives the
+        divisor's last reference.
+        """
+        from . import envelope  # envelope imports this module
+
+        return envelope.gamma(self.model, ExcDivisor(self.model, self.coeffs))
 
     def __str__(self) -> str:
         return "(" + ", ".join(c.canonical_string() for c in self.coeffs) + ")"

@@ -34,7 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .envelope import GammaEnvelope, _envelope_line, _sampled_regions, gamma
+from .envelope import (
+    _NOT_AFFINE,
+    GammaEnvelope,
+    _envelope_line,
+    _sampled_regions,
+    gamma,
+)
 from .errors import ComputationError, InputError, UndecidableError
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
@@ -214,7 +220,10 @@ class MultReport:
 
 
 def _sigma(model: ThreefoldModel, D: ExcDivisor) -> tuple[GammaEnvelope, ExcDivisor]:
-    env = gamma(model, D)
+    """``D``'s envelope, computed once per divisor object (``D.envelope``)."""
+    if D.model != model:
+        raise InputError("divisor belongs to a different model")
+    env = D.envelope
     return env, env.envelope_divisor
 
 
@@ -279,22 +288,20 @@ def piecewise_limit(
 
     Within each region delivered by :func:`envelope.regions` the envelope
     is an affine function ``P + r*Q`` of the slope; the region's cubic is
-    ``(n*P + j*Q)^3/6``.  The line is read off the active constraints of
-    one envelope that ``regions`` computed inside the region, and checked
-    against the others there.  Only a family without candidate slopes
+    ``(n*P + j*Q)^3/6``.  The lines are the ones ``regions`` found on its
+    walk over the sample slopes, each read off the region's first sample
+    and confirmed at the others.  Only a family without candidate slopes
     computes a fresh envelope, at slope 1.
     """
-    breakpoints, sampled = _sampled_regions(model, D1, D2)
+    breakpoints, sampled, lines = _sampled_regions(model, D1, D2)
     zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
     if not sampled:
-        sampled = [(one, gamma(model, D1 + D2 * one))]
+        lines = [_envelope_line(model, D1, D2, [(one, gamma(model, D1 + D2 * one))])]
     pieces = []
-    for lo, hi in zip([zero] + breakpoints, breakpoints + [None]):
-        inside = [
-            (s, env) for s, env in sampled if lo < s and (hi is None or s < hi)
-        ]
-        P, Q = _envelope_line(model, D1, D2, inside)
-        pieces.append(PiecewiseRegion(lo, hi, _region_form(model, P, Q)))
+    for lo, hi, line in zip([zero] + breakpoints, breakpoints + [None], lines):
+        if line is None:
+            raise ComputationError(_NOT_AFFINE)
+        pieces.append(PiecewiseRegion(lo, hi, _region_form(model, *line)))
     return PiecewisePoly(tuple(pieces))
 
 

@@ -107,20 +107,12 @@ Point = tuple[QuadNumber, ...]
 # constraints taken as equalities
 
 
-def _solve_linear_rows(
-    rows: list[tuple[tuple[QuadNumber, ...], QuadNumber]], nvars: int, d: int
-) -> Optional[tuple[list[QuadNumber], list[list[QuadNumber]]]]:
-    """Gauss-Jordan over Q(sqrt(d)).
-
-    ``rows`` are equations ``coeffs . v = rhs``.  Returns None when
-    inconsistent, else a particular solution and a basis of the null
-    space (empty basis = unique solution).
-    """
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+def _row_reduce(aug: list[list[QuadNumber]], ncols: int) -> list[int]:
+    """Gauss-Jordan over Q(sqrt(d)) on the first ``ncols`` columns of
+    ``aug``, in place; returns the pivot columns, one per leading row."""
     pivot_cols: list[int] = []
     row = 0
-    for col in range(nvars):
+    for col in range(ncols):
         pivot = next(
             (r for r in range(row, len(aug)) if aug[r][col].sign() != 0), None
         )
@@ -137,7 +129,22 @@ def _solve_linear_rows(
         row += 1
         if row == len(aug):
             break
-    for r in range(row, len(aug)):
+    return pivot_cols
+
+
+def _solve_linear_rows(
+    rows: list[tuple[tuple[QuadNumber, ...], QuadNumber]], nvars: int, d: int
+) -> Optional[tuple[list[QuadNumber], list[list[QuadNumber]]]]:
+    """Solve linear equations over Q(sqrt(d)).
+
+    ``rows`` are equations ``coeffs . v = rhs``.  Returns None when
+    inconsistent, else a particular solution and a basis of the null
+    space (empty basis = unique solution).
+    """
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+    pivot_cols = _row_reduce(aug, nvars)
+    for r in range(len(pivot_cols), len(aug)):
         if aug[r][nvars].sign() != 0:
             return None
     particular = [zero] * nvars
@@ -151,6 +158,56 @@ def _solve_linear_rows(
             vec[col] = -aug[r][free_col]
         null_basis.append(vec)
     return particular, null_basis
+
+
+def _inverse(
+    matrix: Sequence[Sequence[QuadNumber]], d: int
+) -> Optional[list[list[QuadNumber]]]:
+    """The inverse of a square matrix over Q(sqrt(d)), or None if singular."""
+    n = len(matrix)
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    aug = [
+        [*row, *(one if k == r else zero for k in range(n))]
+        for r, row in enumerate(matrix)
+    ]
+    if len(_row_reduce(aug, n)) < n:
+        return None
+    return [row[n:] for row in aug]
+
+
+def _signature(matrix: Sequence[Sequence[QuadNumber]]) -> tuple[int, int]:
+    """``(positive, negative)`` inertia of a symmetric matrix, exactly.
+
+    Diagonalises by congruence, which keeps the inertia (Sylvester's law):
+    pivot on a nonzero diagonal entry, after making one from a nonzero
+    off-diagonal ``a_ij`` (adding row and column ``j`` to row and column
+    ``i`` puts ``2 a_ij`` on the diagonal) when every diagonal entry is 0.
+    """
+    a = [list(row) for row in matrix]
+    positive = negative = 0
+    while a:
+        n = len(a)
+        k = next((k for k in range(n) if a[k][k].sign() != 0), None)
+        if k is None:
+            pair = next(
+                ((i, j) for i in range(n) for j in range(n) if a[i][j].sign() != 0),
+                None,
+            )
+            if pair is None:
+                break  # what is left is null
+            k, j = pair
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        pivot = a[k][k]
+        positive += pivot.sign() > 0
+        negative += pivot.sign() < 0
+        a = [
+            [a[r][c] - a[r][k] * a[k][c] / pivot for c in range(n) if c != k]
+            for r in range(n)
+            if r != k
+        ]
+    return positive, negative
 
 
 def _solve_equality_system(
@@ -336,6 +393,14 @@ class SurfaceLattice:
                     raise InputError(
                         f"surface {self.name!r}: functional length != rank"
                     )
+        # Hodge index: a quadratic cone is convex only on a hyperbolic lattice
+        if QUADRATIC in (self.nef_cone.kind, self.eff_cone.kind):
+            signature = _signature(self.gram)
+            if signature != (1, rank - 1):
+                raise InputError(
+                    f"surface {self.name!r}: a quadratic cone needs a gram matrix "
+                    f"of signature (1, {rank - 1}), got {signature}"
+                )
 
     @property
     def rank(self) -> int:

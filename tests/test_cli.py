@@ -409,6 +409,71 @@ def test_gamma_json_active_pinned(capsys, divisor, active):
     assert json.loads(out)["active"] == active
 
 
+# the parent's bytes: --explain is the only way to add to gamma's output
+GAMMA_2_1_JSON = (
+    '{\n  "input": [\n    "2",\n    "1"\n  ],\n  "gamma": [\n    "2",\n    "2"\n  ],'
+    '\n  "active": [\n    "coeff[Sbar]",\n    "nef[F]:0"\n  ],\n  "region": "1"\n}\n'
+)
+
+
+def test_gamma_without_explain_unchanged(capsys):
+    assert run_cli(capsys, ["gamma", "-D", "2,1", "--output", "json"]) == (
+        0,
+        GAMMA_2_1_JSON,
+        "",
+    )
+    assert run_cli(capsys, ["gamma", "-D", "1/2+1/3*sqrt(3),1"]) == (
+        0,
+        "gamma = (1/2 + 1/3*sqrt(3), 1/2 + 1/3*sqrt(3)), region 1\n",
+        "",
+    )
+
+
+def test_gamma_explain_prints_certificate(capsys):
+    code, out, err = run_cli(capsys, ["gamma", "-D", "2,1", "--explain"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "gamma = (2, 2), region 1",
+        "certificate: e[Sbar] = 1*grad(coeff[Sbar])",
+        "certificate: e[F] = 1*grad(coeff[Sbar]) + 1*grad(nef[F]:0)",
+    ]
+    code, out, _ = run_cli(capsys, ["gamma", "-D", "0,1", "--explain"])
+    assert out.splitlines()[1:] == [
+        "certificate: e[Sbar] = (9/26 + 1/26*sqrt(3))*grad(coeff[F])"
+        " + (1/108*sqrt(3))*grad(nef[Sbar]:quad)",
+        "certificate: e[F] = 1*grad(coeff[F])",
+    ]
+    code, out, _ = run_cli(
+        capsys, ["gamma", "-D", "2,1", "--explain", "--output", "json"]
+    )
+    doc = json.loads(out)
+    assert doc.pop("certificate") == {
+        "Sbar": {"coeff[Sbar]": "1"},
+        "F": {"coeff[Sbar]": "1", "nef[F]:0": "1"},
+    }
+    assert doc == json.loads(GAMMA_2_1_JSON)
+
+
+def test_quadratic_surface_off_signature_exit_2(tmp_path):
+    """A quadratic cone on a gram matrix of signature (2, 1) is not convex;
+    the model is refused at load."""
+    doc = builtin_document()
+    doc["surfaces"][0]["gram"] = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["gamma", "-D", "1,1"], ["validate-model"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "divfilt.cli", *argv, "--model", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "parse error: model.surfaces[0]: surface 'Sbar': a quadratic cone "
+            "needs a gram matrix of signature (1, 2), got (2, 1)\n"
+        )
+
+
 def test_limit_json_mirror(capsys):
     code, out, _ = run_cli(capsys, ["limit", "-D", "1,1", "--output", "json"])
     doc = json.loads(out)

@@ -8,15 +8,16 @@ import pytest
 from test_model import basis_changed_document
 
 from divfilt.envelope import (
-    EPSILON,
     _bounds,
+    _certificate,
+    _certified,
     _sampled_regions,
     _region_label,
     gamma,
     is_antinef,
     regions,
 )
-from divfilt.errors import InputError
+from divfilt.errors import InputError, NoMinimalEnvelopeError
 from divfilt.model import builtin_document, builtin_model, model_from_dict
 from divfilt.qfield import QuadNumber
 from divfilt.surfaces import LinearConstraint, _solve_equality_system
@@ -157,6 +158,11 @@ def test_minimality_against_integer_majorants(model):
                 if is_antinef(model, model.divisor([a, b])):
                     assert (q3(a) - env.gamma[0]).sign() >= 0
                     assert (q3(b) - env.gamma[1]).sign() >= 0
+
+
+# an independent check of minimality: lowering a raised coordinate by
+# 1/1000 must leave the anti-nef divisors
+EPSILON = Fraction(1, 1000)
 
 
 def test_epsilon_certificate_for_raised_coordinates(model):
@@ -402,8 +408,137 @@ def test_pruned_enumeration_matches_full_enumeration(model):
             # the last system is the family's, in the variables (g, r)
             every = kept + dropped
             slopes = sorted({p[-1] for p in every if p[-1].sign() > 0})
-            breakpoints, sampled = _sampled_regions(m, D1, D2)
+            breakpoints, sampled, _ = _sampled_regions(m, D1, D2)
             assert set(breakpoints) <= set(slopes)
             samples = [(lo + hi) / 2 for lo, hi in zip([q3(0)] + slopes, slopes)]
             samples += [slopes[-1] + 1] if slopes else []
             assert [s for s, _ in sampled] == samples
+
+
+# -- the certificate of minimality ---------------------------------------------
+
+
+def constraint_gradients(m, D, g):
+    """Gradient at ``g`` of every constraint, by ident, from the surfaces.
+
+    The restriction of ``-sum g_i E_i`` to the surface over ``P`` is ``x =
+    sum g_i c_i`` with ``c_i = -r_P(E_i)``; a functional ``f`` has gradient
+    ``(f(c_i))_i``, ``x.x`` has ``(2 x.c_i)_i`` and ``x.ample`` has
+    ``(c_i.ample)_i``.
+    """
+    t = len(m.primes)
+    grads = {
+        f"coeff[{p}]": tuple(q3(int(k == i)) for k in range(t))
+        for i, p in enumerate(m.primes)
+    }
+    for prime in m.primes:
+        surface = m.surface(prime)
+        columns = [-m.restriction(prime, of) for of in m.primes]
+        x = columns[0] * g[0]
+        for gi, c in zip(g[1:], columns[1:]):
+            x = x + c * gi
+        cone = surface.nef_cone
+        if cone.kind == "quadratic":
+            grads[f"nef[{prime}]:quad"] = tuple(2 * x.pair(c) for c in columns)
+            ample = surface.ample_class
+            grads[f"nef[{prime}]:ample"] = tuple(c.pair(ample) for c in columns)
+        else:
+            for k, f in enumerate(cone.functionals):
+                grads[f"nef[{prime}]:{k}"] = tuple(
+                    sum((fi * ci for fi, ci in zip(f, c.coords)), q3(0))
+                    for c in columns
+                )
+    return grads
+
+
+def test_certificate_multipliers_recomputed():
+    """``sum lam_c grad c(gamma) = e_i`` with ``lam > 0`` on active
+    constraints, recomputed from the surfaces on seeded divisors of the
+    builtin model and of a basis-changed copy, in regions 1, 2 and 3."""
+    rng = random.Random(41)
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        labels = set()
+        for _ in range(40):
+            D = m.divisor([seeded_coefficient(rng) for _ in m.primes])
+            if D.is_zero():
+                continue
+            env = gamma(m, D)
+            labels.add(env.region)
+            grads = constraint_gradients(m, D, env.gamma)
+            assert len(env.certificate) == len(m.primes)
+            for i, multipliers in enumerate(env.certificate):
+                assert multipliers, (D, i)
+                total = [q3(0)] * len(m.primes)
+                for ident, lam in multipliers:
+                    assert ident in env.active and lam.sign() > 0, (D, ident)
+                    total = [s + lam * x for s, x in zip(total, grads[ident])]
+                assert total == [q3(int(k == i)) for k in range(len(m.primes))], D
+        assert labels == {"1", "2", "3"}
+
+
+def test_certificate_of_named_points(model):
+    env = gamma(model, model.divisor([2, 1]))
+    assert env.certificate == (
+        (("coeff[Sbar]", q3(1)),),
+        (("coeff[Sbar]", q3(1)), ("nef[F]:0", q3(1))),
+    )
+    env = gamma(model, model.divisor([0, 1]))
+    assert env.certificate == (
+        (("coeff[F]", RAISE_FACTOR), ("nef[Sbar]:quad", q3(0, Fraction(1, 108)))),
+        (("coeff[F]", q3(1)),),
+    )
+
+
+def test_point_with_negative_multiplier_is_refused(model):
+    """(2, 2) is feasible for D = (1, 2), but its first coordinate can drop
+    to 1: on its active rows ``coeff[F]`` (0, 1) and ``nef[F]:0`` (-1, 1),
+    ``e_Sbar = 1*(0, 1) - 1*(-1, 1)`` needs a negative multiplier."""
+    D, point = model.divisor([1, 2]), (q3(2), q3(2))
+    constraints = _bounds(model, D) + list(model.nef_systems[0].constraints)
+    active = [c for c in constraints if c.value(point).sign() == 0]
+    assert [c.ident for c in active] == ["coeff[F]", "nef[F]:0"]
+    found = _certificate(active, point)
+    assert found[0] is None and found[1] == (("coeff[F]", q3(1)),)
+    with pytest.raises(NoMinimalEnvelopeError, match="coordinate Sbar is minimal"):
+        _certified(model, D, constraints, point)
+    assert gamma(model, D).gamma == (q3(1), q3(2))
+
+
+# -- the region walk against one envelope per sample ------------------------------
+
+
+def sampled_regions_oracle(m, D1, D2):
+    """The walk without prediction: ``gamma`` at every sample slope."""
+    candidates = {
+        point[-1]
+        for point in m.nef_systems[1].vertices_with(_bounds(m, D1, D2))
+        if point[-1].sign() > 0
+    }
+    if not candidates:
+        return [], []
+    slopes = sorted(candidates)
+    lows = [q3(0)] + slopes
+    samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [slopes[-1] + 1]
+    envelopes = [gamma(m, D1 + D2 * s) for s in samples]
+    breakpoints = [
+        slopes[i]
+        for i in range(len(slopes))
+        if envelopes[i].active != envelopes[i + 1].active
+    ]
+    return breakpoints, list(zip(samples, envelopes))
+
+
+def test_walk_matches_one_envelope_per_sample():
+    """Predicted envelopes equal ``gamma``'s, and the breakpoints agree,
+    on seeded pairs of the builtin model and of a basis-changed copy."""
+    rng = random.Random(43)
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        counts = set()
+        for _ in range(40):
+            D1, D2 = seeded_pair(m, rng)
+            breakpoints, sampled, lines = _sampled_regions(m, D1, D2)
+            # GammaEnvelope equality covers gamma, active, region, certificate
+            assert (breakpoints, sampled) == sampled_regions_oracle(m, D1, D2)
+            assert len(lines) == (len(breakpoints) + 1 if sampled else 0)
+            counts.add(len(breakpoints) + 1)
+        assert counts == {1, 2, 3}

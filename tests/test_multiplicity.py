@@ -1,7 +1,9 @@
 """Limits, mixed multiplicities, piecewise formulas, inequality checks."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -441,7 +443,7 @@ def test_envelope_line_rejects_a_moved_sample(model, c1, c2):
     """Moving one coordinate of a region's only, first or last sample by
     1/1000 breaks the fit."""
     D1, D2 = model.divisor(c1), model.divisor(c2)
-    breakpoints, sampled = _sampled_regions(model, D1, D2)
+    breakpoints, sampled, _ = _sampled_regions(model, D1, D2)
     last = [(s, env) for s, env in sampled if s > breakpoints[-1]]
     assert len(last) >= 2
     for region in (last[:1], last):
@@ -462,22 +464,80 @@ def test_envelope_line_rejects_a_moved_sample(model, c1, c2):
     [((1, 1), (2, 2)), ((1, 2), (3, 4)), ((1, 2), (0, 1)), ((1, 0), (0, 1))],
 )
 def test_piecewise_computes_envelopes_only_in_regions(model, monkeypatch, c1, c2):
-    """``piecewise_limit`` computes no envelope beyond the samples of
-    ``regions``, except one at slope 1 when there is no candidate slope."""
+    """``piecewise_limit`` calls ``gamma`` once per region, at its first
+    sample (the region's line predicts the others), and fits no line
+    again; only a family without candidate slopes takes one envelope at
+    slope 1 and fits its line."""
     D1, D2 = model.divisor(c1), model.divisor(c2)
     sampled = _sampled_regions(model, D1, D2)[1]
-    calls = {"envelope": 0, "multiplicity": 0}
+    calls = {"envelope": 0, "multiplicity": 0, "line": 0}
 
-    def counted(module, name):
-        real = module.gamma
+    def counted(module, attr, name):
+        real = getattr(module, attr)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, "gamma", wrapper)
+        monkeypatch.setattr(module, attr, wrapper)
 
-    counted(divfilt.envelope, "envelope")
-    counted(divfilt.multiplicity, "multiplicity")
-    piecewise_limit(model, D1, D2)
-    assert calls == {"envelope": len(sampled), "multiplicity": int(not sampled)}
+    counted(divfilt.envelope, "gamma", "envelope")
+    counted(divfilt.multiplicity, "gamma", "multiplicity")
+    counted(divfilt.multiplicity, "_envelope_line", "line")
+    pw = piecewise_limit(model, D1, D2)
+    fresh = len(pw.regions) if sampled else 0
+    assert calls == {
+        "envelope": fresh,
+        "multiplicity": int(not sampled),
+        "line": int(not sampled),
+    }
+
+
+def test_product_then_minkowski_compute_each_envelope_once(model, monkeypatch):
+    calls = []
+    real = divfilt.envelope.gamma
+
+    def counted(m, D):
+        calls.append(D)
+        return real(m, D)
+
+    monkeypatch.setattr(divfilt.envelope, "gamma", counted)
+    D1, D2 = model.divisor([1, 0]), model.divisor([0, 1])
+    form = product_limit(model, D1, D2)
+    report = minkowski_check(model, D1, D2)
+    assert calls == [D1, D2]
+    # the same answers as divisors without a filled cache
+    fresh1, fresh2 = model.divisor([1, 0]), model.divisor([0, 1])
+    assert form == product_limit(model, fresh1, fresh2)
+    assert report == minkowski_check(model, fresh1, fresh2)
+
+
+def test_divisor_with_filled_envelope_equals_fresh_one(model):
+    warmed, fresh = model.divisor([1, 3]), model.divisor([1, 3])
+    env = limit_single(model, warmed).gamma_used
+    assert vars(warmed)["envelope"] is env and "envelope" not in vars(fresh)
+    assert warmed == fresh and hash(warmed) == hash(fresh)
+    assert {warmed: 1}[fresh] == 1
+    assert warmed.envelope == fresh.envelope == gamma(model, fresh)
+
+
+def test_divisor_with_filled_envelope_is_freed_without_the_cycle_collector(model):
+    D = model.divisor([1, 3])
+    assert D.envelope.input == D
+    ref = weakref.ref(D)
+    gc.disable()
+    try:
+        del D
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_envelope_of_divisor_from_other_model_is_refused(model):
+    other = model_from_dict(basis_changed_document())
+    D = other.divisor([1, 3])
+    with pytest.raises(InputError, match="different model"):
+        limit_single(model, D)
+    assert D.envelope.model == other  # fills the cache
+    with pytest.raises(InputError, match="different model"):
+        limit_single(model, D)

@@ -1,6 +1,7 @@
 """Surface lattices: pairing, cone membership, boundary crossings."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from divfilt.errors import InputError, RootOutsideFieldError
 from divfilt.model import builtin_model
 from divfilt.qfield import QuadNumber
-from divfilt.surfaces import ConeSpec, SurfaceLattice
+from divfilt.surfaces import ConeSpec, SurfaceLattice, _signature
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +296,51 @@ def test_duplicate_basis_rejected():
             eff_cone=ConeSpec("quadratic", ()),
             field_d=3,
         )
+
+
+@pytest.mark.parametrize(
+    "gram, signature",
+    [
+        ([[1, 0], [0, 1]], (2, 0)),
+        ([[-1, 0], [0, -1]], (0, 2)),
+        ([[1, 0], [0, 0]], (1, 0)),
+        ([[0, 0], [0, 0]], (0, 0)),
+    ],
+)
+def test_quadratic_cone_needs_hyperbolic_gram(gram, signature):
+    expected = f"signature (1, 1), got {signature}"
+    with pytest.raises(InputError, match=re.escape(expected)):
+        SurfaceLattice(
+            name="bad",
+            basis=("u", "v"),
+            gram=gram,
+            ample_ref=(1, 1),
+            nef_cone=ConeSpec("quadratic", ()),
+            eff_cone=ConeSpec("quadratic", ()),
+            field_d=3,
+        )
+
+
+@pytest.mark.parametrize(
+    "gram, signature",
+    [
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2)),
+        ([[0, 1], [1, 0]], (1, 1)),
+        ([[2, 1], [1, 2]], (2, 0)),
+        ([[0, 0, 1], [0, -1, 0], [1, 0, 0]], (1, 2)),
+        ([[1, 2, 0], [2, 1, 0], [0, 0, 0]], (1, 1)),
+    ],
+)
+def test_signature_by_congruence(gram, signature):
+    matrix = [[QuadNumber.in_field(x, 3) for x in row] for row in gram]
+    assert _signature(matrix) == signature
+
+
+def test_builtin_and_changed_quadratic_surfaces_are_hyperbolic():
+    from test_model import basis_changed_document
+
+    from divfilt.model import model_from_dict
+
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        sbar = m.surface("Sbar")
+        assert _signature(sbar.gram) == (1, 2)
