@@ -105,6 +105,8 @@ def _named(name: str, value: QuadNumber) -> _Outcome:
 
 
 def _intersect(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    if args.exponents is not None and (not D or "-D" in D):
+        raise ParseError("--exponents goes with -D1 and -D2")
     if "-D" in D:
         return _named("triple", model.triple(D["-D"], D["-D"], D["-D"]))
     if D:

@@ -35,12 +35,14 @@ above a feasible one.
 ``regions`` analyses the one-parameter family ``D1 + r*D2`` and returns
 the finitely many slopes ``r`` where the envelope's active constraint set
 changes; these are the breakpoints of the piecewise multiplicity
-formulas.  Within a region the envelope is affine in ``r``: its line is
-read off the active constraints of the region's first sample, and it
-predicts the envelope at the next sample, which is accepted when it is
-feasible and certified, so ``gamma`` runs about once per region.
-``multiplicity.piecewise_limit`` builds each region's cubic from that
-line.
+formulas.  Within a region the envelope is affine in ``r``, and the walk
+over the regions starts each one from a known *anchor*: ``sigma(D1)``
+(``D1.envelope``) at ``r = 0``, then the previous region's line at its
+upper slope.  The lines through the anchor that its active constraints
+fix predict the envelope at the region's sample, and the point that is
+feasible and certified is the envelope, so the walk calls ``gamma`` only
+for ``D1``, and again only where no line certifies.
+``multiplicity.piecewise_limit`` builds each region's cubic from its line.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import ComputationError, InputError, NoMinimalEnvelopeError
+from .errors import InputError, NoMinimalEnvelopeError
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber
 from .surfaces import (
@@ -314,10 +316,55 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
 
 Line = tuple[ExcDivisor, ExcDivisor]
 
-_NOT_AFFINE = (
-    "envelope is not affine within a region; the model is outside "
-    "this solver's supported family"
-)
+
+def _line_through(
+    model: ThreefoldModel, constraints: Sequence[Constraint], at: Point
+) -> Optional[Line]:
+    """``(P, Q)`` with ``P + r*Q`` the line through ``at = (g, r)`` along
+    which every one of ``constraints`` (in ``(g, r)``) vanishes identically.
+
+    Their linearisation ``grad_g . Q = -grad_r`` at ``at`` must fix ``Q``
+    uniquely; then ``P = g - r*Q``.  Returns None otherwise.
+    """
+    t, d = len(model.primes), model.field_d
+    *g, r = at
+    grads = [c.gradient(at) for c in constraints]
+    solved = _solve_linear_rows([(grad[:t], -grad[t]) for grad in grads], t, d)
+    if solved is None or solved[1]:
+        return None
+    v = tuple(solved[0])
+    u = tuple(gi - r * vi for gi, vi in zip(g, v))
+    line = ((*u, QuadNumber.zero(d)), (*v, QuadNumber.one(d)))
+    if any(x.sign() != 0 for c in constraints for x in c.along(*line)):
+        return None
+    return ExcDivisor(model, u), ExcDivisor(model, v)
+
+
+def _region_line(
+    model: ThreefoldModel,
+    family: Sequence[Constraint],
+    s: QuadNumber,
+    env: GammaEnvelope,
+) -> Optional[Line]:
+    """The envelope's line through ``(s, env)``, fixed by its active
+    constraints among ``family``, those of ``D1 + r*D2`` in ``(g, r)``."""
+    active = [c for c in family if c.ident in env.active]
+    return _line_through(model, active, (*env.gamma, s))
+
+
+def _on_line(
+    model: ThreefoldModel,
+    D: ExcDivisor,
+    constraints: Sequence[Constraint],
+    line: Line,
+    s: QuadNumber,
+) -> Optional[GammaEnvelope]:
+    """The point of ``line`` at slope ``s`` as ``D``'s envelope, if it is
+    feasible and certified (the minimum is unique), else None."""
+    try:
+        return _certified(model, D, constraints, (line[0] + line[1] * s).coeffs)
+    except NoMinimalEnvelopeError:
+        return None
 
 
 def _sampled_regions(
@@ -331,14 +378,19 @@ def _sampled_regions(
 
     The second list pairs each sample slope with ``gamma(D1 + s*D2)``;
     every sample lies strictly between two consecutive candidate slopes
-    (or above the last), so never on a returned slope.  Samples whose
-    envelopes share an active set form one region.  The third list holds
-    each region's line ``(P, Q)``, read off its first sample by
-    :func:`_region_line`, or None when that fails or a later sample of the
-    region is off the line.  Each sample first tries the point its region's
-    line predicts: if that point is feasible and certified it is the
-    envelope, since the coordinatewise minimum is unique, and ``gamma``
-    runs only otherwise — about once per region.
+    (or above the last; at 1 without candidates), so never on a returned
+    slope.  Samples whose envelopes share an active set form one region.
+    The third list holds each region's line ``(P, Q)``, or None when a
+    later sample of the region is off the line.
+
+    Each sample first tries the point its region's line predicts, then
+    the lines through the *anchor*, the envelope at the candidate slope
+    below it, that ``t`` of the constraints active there fix (in
+    ``combinations`` order): ``sigma(D1)`` at ``r = 0`` (``D1.envelope``,
+    filled here), then the previous region's line at each later candidate.
+    The line giving a region's first envelope is the region's line.  Only
+    if no line predicts the envelope does ``gamma`` run, and the line is
+    read off its active set (:func:`_region_line`).
     """
     for D in (D1, D2):
         _require_effective(model, D, nonzero=True)
@@ -347,30 +399,36 @@ def _sampled_regions(
         for point in model.nef_systems[1].vertices_with(_bounds(model, D1, D2))
         if point[-1].sign() > 0
     }
-    if not candidates:
-        return [], [], []
-
     slopes = sorted(candidates)
     lows = [QuadNumber.zero(model.field_d)] + slopes
-    samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [slopes[-1] + 1]
+    samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [lows[-1] + 1]
     nef = model.nef_systems[0].constraints
+    family = [*_bounds(model, D1, D2), *model.nef_systems[1].constraints]
+    anchor: Optional[Point] = (*D1.envelope.gamma, lows[0])
     envelopes: list[GammaEnvelope] = []
     lines: list[Optional[Line]] = []
-    for s in samples:
+    for lo, s in zip(lows, samples):
         D = D1 + D2 * s
-        env = None
-        if lines and lines[-1] is not None:
-            P, Q = lines[-1]
-            constraints = [*_bounds(model, D), *nef]
-            try:
-                env = _certified(model, D, constraints, (P + Q * s).coeffs)
-            except NoMinimalEnvelopeError:
-                pass
+        constraints = [*_bounds(model, D), *nef]
+        line, env = lines[-1] if lines else None, None
+        if line is not None:
+            anchor = (*(line[0] + line[1] * lo).coeffs, lo)
+            env = _on_line(model, D, constraints, line, s)
+        elif lines:
+            anchor = None  # a region left its line: nothing known to start from
         predicted = env is not None
-        if not predicted:
-            env = gamma(model, D)
+        if env is None and anchor is not None:
+            active = [c for c in family if c.value(anchor).sign() == 0]
+            for subset in combinations(active, len(model.primes)):
+                line = _line_through(model, subset, anchor)
+                if line is not None:
+                    env = _on_line(model, D, constraints, line, s)
+                    if env is not None:
+                        break
+        if env is None:
+            env, line = gamma(model, D), None
         if not envelopes or env.active != envelopes[-1].active:
-            lines.append(_region_line(model, D1, D2, s, env))
+            lines.append(line or _region_line(model, family, s, env))
         elif not predicted:
             lines[-1] = None  # the envelope left its region's line
         envelopes.append(env)
@@ -392,53 +450,8 @@ def regions(
     an isolated solution has ``g = 0`` and slope ``-a_i/b_i <= 0``); a
     candidate is kept only if the envelope's active set genuinely differs
     between the two adjacent slope intervals.  Dependent directions yield
-    no breakpoints (a single region).
+    no breakpoints (a single region).  The envelopes on the way come from
+    the anchored walk of :func:`_sampled_regions`, which fills
+    ``D1.envelope``; ``gamma`` runs only where that walk fails.
     """
     return _sampled_regions(model, D1, D2)[0]
-
-
-def _region_line(
-    model: ThreefoldModel,
-    D1: ExcDivisor,
-    D2: ExcDivisor,
-    s: QuadNumber,
-    env: GammaEnvelope,
-) -> Optional[Line]:
-    """``(P, Q)`` with ``P + r*Q`` the envelope's line through ``(s, env)``.
-
-    The active constraints, taken in ``(g, r)``, must fix ``Q`` uniquely
-    by their linearisation ``grad_g . Q = -grad_r``; then ``P = g - s*Q``,
-    and every active constraint must vanish identically along the line.
-    Returns None otherwise.
-    """
-    t, d = len(model.primes), model.field_d
-    system = (*_bounds(model, D1, D2), *model.nef_systems[1].constraints)
-    active = [c for c in system if c.ident in env.active]
-    grads = [c.gradient((*env.gamma, s)) for c in active]
-    solved = _solve_linear_rows([(grad[:t], -grad[t]) for grad in grads], t, d)
-    if solved is None or solved[1]:
-        return None
-    v = tuple(solved[0])
-    u = tuple(g - s * vi for g, vi in zip(env.gamma, v))
-    line = ((*u, QuadNumber.zero(d)), (*v, QuadNumber.one(d)))
-    if any(x.sign() != 0 for c in active for x in c.along(*line)):
-        return None
-    return ExcDivisor(model, u), ExcDivisor(model, v)
-
-
-def _envelope_line(
-    model: ThreefoldModel,
-    D1: ExcDivisor,
-    D2: ExcDivisor,
-    samples: Sequence[tuple[QuadNumber, GammaEnvelope]],
-) -> Line:
-    """``(P, Q)`` with ``gamma(D1 + r*D2) = P + r*Q`` on one region.
-
-    The line is read off the first sample by :func:`_region_line` and
-    accepted only if every other sample lies on it.
-    """
-    (s, env), *rest = samples
-    line = _region_line(model, D1, D2, s, env)
-    if line is None or any((line[0] + line[1] * r).coeffs != e.gamma for r, e in rest):
-        raise ComputationError(_NOT_AFFINE)
-    return line

@@ -34,13 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .envelope import (
-    _NOT_AFFINE,
-    GammaEnvelope,
-    _envelope_line,
-    _sampled_regions,
-    gamma,
-)
+# unused here, but bench/tracing.py wraps ``multiplicity.gamma`` too
+from .envelope import GammaEnvelope, _sampled_regions, gamma  # noqa: F401
 from .errors import ComputationError, InputError, UndecidableError
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
@@ -289,18 +284,20 @@ def piecewise_limit(
     Within each region delivered by :func:`envelope.regions` the envelope
     is an affine function ``P + r*Q`` of the slope; the region's cubic is
     ``(n*P + j*Q)^3/6``.  The lines are the ones ``regions`` found on its
-    walk over the sample slopes, each read off the region's first sample
-    and confirmed at the others.  Only a family without candidate slopes
-    computes a fresh envelope, at slope 1.
+    anchored walk over the sample slopes, each through the envelope at the
+    region's lower slope and confirmed at its samples; a family without
+    candidate slopes is one region, sampled at slope 1.  Beyond
+    ``D1.envelope``, ``gamma`` runs only where that walk fails.
     """
-    breakpoints, sampled, lines = _sampled_regions(model, D1, D2)
-    zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
-    if not sampled:
-        lines = [_envelope_line(model, D1, D2, [(one, gamma(model, D1 + D2 * one))])]
+    breakpoints, _, lines = _sampled_regions(model, D1, D2)
+    zero = QuadNumber.zero(model.field_d)
     pieces = []
     for lo, hi, line in zip([zero] + breakpoints, breakpoints + [None], lines):
         if line is None:
-            raise ComputationError(_NOT_AFFINE)
+            raise ComputationError(
+                "envelope is not affine within a region; the model is outside "
+                "this solver's supported family"
+            )
         pieces.append(PiecewiseRegion(lo, hi, _region_form(model, *line)))
     return PiecewisePoly(tuple(pieces))
 

@@ -51,7 +51,8 @@ MAX_DISCRIMINANT = 10**12
 
 
 def _require_squarefree(d: int) -> None:
-    if d in _SQUAREFREE_CACHE:
+    # the type first: 3.0 == 3 would otherwise pass as a cached 3
+    if isinstance(d, int) and d in _SQUAREFREE_CACHE:
         return
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"field discriminant must be an integer >= 2, got {d!r}")

@@ -93,6 +93,18 @@ def test_intersect_mixed_exponents(capsys):
     assert out == "triple = -162\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["intersect", "--exponents", "2,1"], ["intersect", "-D", "1,1", "--exponents", "2,1"]],
+    ids=["table", "single-divisor"],
+)
+def test_intersect_refuses_exponents_without_two_divisors(capsys, argv):
+    for output in ("text", "json"):
+        code, out, err = run_cli(capsys, [*argv, "--output", output])
+        assert (code, out) == (2, "")
+        assert err == "parse error: --exponents goes with -D1 and -D2\n"
+
+
 def test_antinef_output(capsys):
     code, out, _ = run_cli(capsys, ["antinef", "-D", "1,1"])
     assert code == 0 and out == "antinef = True\n"

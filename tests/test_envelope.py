@@ -7,10 +7,12 @@ from itertools import combinations
 import pytest
 from test_model import basis_changed_document
 
+import divfilt.envelope
 from divfilt.envelope import (
     _bounds,
     _certificate,
     _certified,
+    _region_line,
     _sampled_regions,
     _region_label,
     gamma,
@@ -411,7 +413,7 @@ def test_pruned_enumeration_matches_full_enumeration(model):
             breakpoints, sampled, _ = _sampled_regions(m, D1, D2)
             assert set(breakpoints) <= set(slopes)
             samples = [(lo + hi) / 2 for lo, hi in zip([q3(0)] + slopes, slopes)]
-            samples += [slopes[-1] + 1] if slopes else []
+            samples += [slopes[-1] + 1] if slopes else [q3(1)]
             assert [s for s, _ in sampled] == samples
 
 
@@ -514,11 +516,9 @@ def sampled_regions_oracle(m, D1, D2):
         for point in m.nef_systems[1].vertices_with(_bounds(m, D1, D2))
         if point[-1].sign() > 0
     }
-    if not candidates:
-        return [], []
     slopes = sorted(candidates)
     lows = [q3(0)] + slopes
-    samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [slopes[-1] + 1]
+    samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [lows[-1] + 1]
     envelopes = [gamma(m, D1 + D2 * s) for s in samples]
     breakpoints = [
         slopes[i]
@@ -539,6 +539,70 @@ def test_walk_matches_one_envelope_per_sample():
             breakpoints, sampled, lines = _sampled_regions(m, D1, D2)
             # GammaEnvelope equality covers gamma, active, region, certificate
             assert (breakpoints, sampled) == sampled_regions_oracle(m, D1, D2)
-            assert len(lines) == (len(breakpoints) + 1 if sampled else 0)
+            assert len(lines) == len(breakpoints) + 1
+            # each line is the one read off its region's first envelope
+            family = [*_bounds(m, D1, D2), *m.nef_systems[1].constraints]
+            firsts = [sampled[0]] + [
+                (s, env)
+                for (_, before), (s, env) in zip(sampled, sampled[1:])
+                if env.active != before.active
+            ]
+            assert lines == [_region_line(m, family, s, env) for s, env in firsts]
             counts.add(len(breakpoints) + 1)
         assert counts == {1, 2, 3}
+
+
+def proportional(D1, D2):
+    a, b = D1.coeffs, D2.coeffs
+    return all(x * w == y * z for x, y in zip(a, b) for z, w in zip(a, b))
+
+
+def counting_gamma(monkeypatch):
+    """Replace ``envelope.gamma`` by a wrapper; returns the list of its inputs."""
+    calls = []
+    real = divfilt.envelope.gamma
+
+    def counted(m, D):
+        calls.append(D)
+        return real(m, D)
+
+    monkeypatch.setattr(divfilt.envelope, "gamma", counted)
+    return calls
+
+
+def test_walk_calls_gamma_only_for_the_first_anchor(monkeypatch):
+    """Every region starts from an anchor, so the walk's only ``gamma`` call
+    is ``D1.envelope``, and none once that cache is filled, on seeded pairs
+    of both models with 1, 2 and 3 regions and proportional pairs."""
+    rng = random.Random(5)
+    calls = counting_gamma(monkeypatch)
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        counts, kinds = set(), set()
+        for _ in range(30):
+            D1, D2 = seeded_pair(m, rng)
+            calls.clear()
+            breakpoints = _sampled_regions(m, D1, D2)[0]
+            assert calls == [D1] and "envelope" in vars(D1), (D1, D2)
+            calls.clear()
+            assert _sampled_regions(m, D1, D2)[0] == breakpoints
+            assert calls == [], (D1, D2)
+            counts.add(len(breakpoints) + 1)
+            kinds.add(proportional(D1, D2))
+        assert counts == {1, 2, 3} and kinds == {True, False}
+
+
+def test_walk_without_lines_falls_back_to_gamma(monkeypatch):
+    """When ``_line_through`` finds no line, neither through an anchor nor
+    off an envelope, every sample takes ``gamma``, and the walk is still the
+    one-envelope-per-sample oracle."""
+    monkeypatch.setattr(divfilt.envelope, "_line_through", lambda *args: None)
+    calls = counting_gamma(monkeypatch)
+    rng = random.Random(47)
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        for _ in range(10):
+            D1, D2 = seeded_pair(m, rng)
+            calls.clear()
+            breakpoints, sampled, lines = _sampled_regions(m, D1, D2)
+            assert len(calls) == 1 + len(sampled) and set(lines) == {None}
+            # the oracle calls the real gamma, imported before the patch
+            assert (breakpoints, sampled) == sampled_regions_oracle(m, D1, D2)

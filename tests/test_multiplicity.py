@@ -8,13 +8,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from test_envelope import seeded_pair
+from test_envelope import counting_gamma, seeded_pair
 from test_model import basis_changed_document
 
 import divfilt.envelope
-import divfilt.multiplicity
-from divfilt.envelope import _envelope_line, _sampled_regions, gamma, regions
-from divfilt.errors import ComputationError, InputError
+from divfilt.envelope import _bounds, _region_line, _sampled_regions, gamma, regions
+from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
 from divfilt.model import builtin_model, model_from_dict
 from divfilt.multiplicity import (
     CubicForm,
@@ -439,24 +438,40 @@ def test_piecewise_matches_three_sample_fit_on_seeded_pairs(model):
 
 
 @pytest.mark.parametrize("c1, c2", [((1, 2), (0, 1)), ((1, 0), (0, 1))])
-def test_envelope_line_rejects_a_moved_sample(model, c1, c2):
-    """Moving one coordinate of a region's only, first or last sample by
-    1/1000 breaks the fit."""
+def test_envelope_line_rejects_a_moved_sample(model, monkeypatch, c1, c2):
+    """Moving one coordinate of the last region's first or last sample by
+    1/1000 breaks the fit: no line is read off the moved first envelope,
+    and a walk that meets the moved envelope refuses the region."""
     D1, D2 = model.divisor(c1), model.divisor(c2)
-    breakpoints, sampled, _ = _sampled_regions(model, D1, D2)
+    breakpoints, sampled, lines = _sampled_regions(model, D1, D2)
     last = [(s, env) for s, env in sampled if s > breakpoints[-1]]
     assert len(last) >= 2
-    for region in (last[:1], last):
-        _envelope_line(model, D1, D2, region)
-        for position in {0, len(region) - 1}:
-            s, env = region[position]
-            for i in range(len(model.primes)):
-                moved = list(env.gamma)
-                moved[i] += Fraction(1, 1000)
-                samples = list(region)
-                samples[position] = (s, dataclasses.replace(env, gamma=tuple(moved)))
+    family = [*_bounds(model, D1, D2), *model.nef_systems[1].constraints]
+    assert _region_line(model, family, *last[0]) == lines[-1]
+    real_certified, real_gamma = divfilt.envelope._certified, divfilt.envelope.gamma
+    for position in (0, len(last) - 1):
+        s, env = last[position]
+        target = (D1 + D2 * s).coeffs
+        for i in range(len(model.primes)):
+            moved = list(env.gamma)
+            moved[i] += Fraction(1, 1000)
+            moved_env = dataclasses.replace(env, gamma=tuple(moved))
+            if position == 0:
+                assert _region_line(model, family, s, moved_env) is None
+
+            def refused(m, D, constraints, point):
+                if D.coeffs == target:
+                    raise NoMinimalEnvelopeError("refused")
+                return real_certified(m, D, constraints, point)
+
+            def moved_gamma(m, D, moved_env=moved_env):
+                return moved_env if D.coeffs == target else real_gamma(m, D)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(divfilt.envelope, "_certified", refused)
+                patch.setattr(divfilt.envelope, "gamma", moved_gamma)
                 with pytest.raises(ComputationError, match="not affine"):
-                    _envelope_line(model, D1, D2, samples)
+                    piecewise_limit(model, model.divisor(c1), model.divisor(c2))
 
 
 @pytest.mark.parametrize(
@@ -464,33 +479,14 @@ def test_envelope_line_rejects_a_moved_sample(model, c1, c2):
     [((1, 1), (2, 2)), ((1, 2), (3, 4)), ((1, 2), (0, 1)), ((1, 0), (0, 1))],
 )
 def test_piecewise_computes_envelopes_only_in_regions(model, monkeypatch, c1, c2):
-    """``piecewise_limit`` calls ``gamma`` once per region, at its first
-    sample (the region's line predicts the others), and fits no line
-    again; only a family without candidate slopes takes one envelope at
-    slope 1 and fits its line."""
+    """``piecewise_limit`` calls ``gamma`` only for ``D1``'s envelope, the
+    walk's first anchor; every region's envelopes are predicted from lines
+    through anchors and certified, also for a family without candidate
+    slopes."""
     D1, D2 = model.divisor(c1), model.divisor(c2)
-    sampled = _sampled_regions(model, D1, D2)[1]
-    calls = {"envelope": 0, "multiplicity": 0, "line": 0}
-
-    def counted(module, attr, name):
-        real = getattr(module, attr)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, attr, wrapper)
-
-    counted(divfilt.envelope, "gamma", "envelope")
-    counted(divfilt.multiplicity, "gamma", "multiplicity")
-    counted(divfilt.multiplicity, "_envelope_line", "line")
-    pw = piecewise_limit(model, D1, D2)
-    fresh = len(pw.regions) if sampled else 0
-    assert calls == {
-        "envelope": fresh,
-        "multiplicity": int(not sampled),
-        "line": int(not sampled),
-    }
+    calls = counting_gamma(monkeypatch)
+    piecewise_limit(model, D1, D2)
+    assert calls == [D1]
 
 
 def test_product_then_minkowski_compute_each_envelope_once(model, monkeypatch):

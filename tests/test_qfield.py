@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import divfilt.qfield
 from divfilt import (
     DiscriminantMismatchError,
     ParseError,
@@ -101,6 +102,17 @@ def test_discriminant_must_be_squarefree():
         QuadNumber(Fraction(1), Fraction(1), 18)
     with pytest.raises(ValueError):
         QuadNumber(Fraction(1), Fraction(1), 1)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_float_discriminant_refused_in_both_cache_states(monkeypatch, cached):
+    """3.0 == 3, so the type is checked before the cache of squarefree ints."""
+    monkeypatch.setattr(divfilt.qfield, "_SQUAREFREE_CACHE", {3} if cached else set())
+    for d in (3.0, Fraction(3)):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            QuadNumber(1, 1, d)
+    assert str(QuadNumber(1, 1, 3)) == "1 + sqrt(3)"
+    assert divfilt.qfield._SQUAREFREE_CACHE == {3}
 
 
 def test_mixing_distinct_irrationalities_raises():
