@@ -10,8 +10,8 @@ Q(sqrt(d)):
   the associated divisorial filtrations (:mod:`divfilt.multiplicity`),
   including piecewise — possibly irrational — polynomial formulas;
 * the four Minkowski-style inequality families between two filtrations,
-  decided exactly where algebraic and by certified interval refinement
-  for the cube-root inequality (:func:`minkowski_check`);
+  all decided exactly, the cube-root one by the sign of one field element
+  (:func:`minkowski_check`);
 * closed-form filtration length oracles with irrational or
   non-polynomial growth (:mod:`divfilt.filt_examples`).
 
@@ -28,7 +28,6 @@ from .errors import (
     NoMinimalEnvelopeError,
     ParseError,
     RootOutsideFieldError,
-    UndecidableError,
     UnsupportedModelError,
 )
 from .filt_examples import (
@@ -104,7 +103,6 @@ __all__ = [
     "SurfaceClass",
     "SurfaceLattice",
     "ThreefoldModel",
-    "UndecidableError",
     "UnsupportedModelError",
     "ValidationReport",
     "VerifyReport",

@@ -105,6 +105,8 @@ def _named(name: str, value: QuadNumber) -> _Outcome:
 
 
 def _intersect(model: ThreefoldModel, args, D: dict) -> _Outcome:
+    if "-D" in D and len(D) > 1:
+        raise ParseError("-D goes without -D1 and -D2")
     if args.exponents is not None and (not D or "-D" in D):
         raise ParseError("--exponents goes with -D1 and -D2")
     if "-D" in D:

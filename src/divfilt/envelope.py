@@ -7,13 +7,13 @@ surface over every prime lies in that surface's nef cone.  The envelope
 coordinates are what the multiplicity formulas consume: they are exact
 elements of Q(sqrt(d)) and may well be irrational.
 
-The computation is an exhaustive active-set enumeration.  The feasible
-set is cut out by the bound constraints ``g_i - a_i >= 0`` together with
-the nef constraints: each surface's own cone inequalities
+The computation enumerates active sets.  The feasible set is cut out by
+the bound constraints ``g_i - a_i >= 0`` together with the nef
+constraints: each surface's own cone inequalities
 (:meth:`SurfaceLattice.constraints`) pulled back to ``g`` along
-``g -> -sum g_i r_E(E_i)``.  Subsets of constraints of size ``t`` (the
-number of primes) are solved as equality systems over the field, and
-the coordinatewise minimum of the feasible solutions is the envelope.
+``g -> -sum g_i r_E(E_i)``.  Subsets of ``t`` constraints (``t`` primes)
+are solved as equality systems over the field; a least feasible point is
+the only one of least coordinate sum, and that point is the envelope.
 Equality systems stay tractable because after eliminating the linear
 equations at most one quadratic survives in one free variable; anything
 richer is refused loudly rather than solved approximately.
@@ -29,8 +29,8 @@ What does not depend on the divisor is done once per model: the nef
 constraints are pulled back on first use (:attr:`ThreefoldModel.nef_systems`).
 They are homogeneous, so each call solves just the subsets holding a
 bound row (nef rows alone isolate at most the origin, which breaks a
-bound), and tests feasibility only for candidates not already at or
-above a feasible one.
+bound), and tests feasibility only for candidates whose coordinate sum
+is below that of every feasible one found so far.
 
 ``regions`` analyses the one-parameter family ``D1 + r*D2`` and returns
 the finitely many slopes ``r`` where the envelope's active constraint set
@@ -83,7 +83,6 @@ class GammaEnvelope:
     input: ExcDivisor
     gamma: tuple[QuadNumber, ...]
     active: frozenset[str]
-    region: str
     certificate: tuple[Multipliers, ...]
 
     @property
@@ -101,6 +100,10 @@ class GammaEnvelope:
             for i, (g, a) in enumerate(zip(self.gamma, self.input.coeffs))
             if (g - a).sign() > 0
         )
+
+    @property
+    def region(self) -> str:
+        return _region_label(self.model, self.raised_indices)
 
     def gamma_string(self) -> str:
         return "(" + ", ".join(g.canonical_string() for g in self.gamma) + ")"
@@ -184,10 +187,6 @@ def is_antinef(model: ThreefoldModel, D: ExcDivisor) -> bool:
     return all(c.value(D.coeffs).sign() >= 0 for c in nef)
 
 
-def _coordwise_le(x: Point, y: Point) -> bool:
-    return all((xi - yi).sign() <= 0 for xi, yi in zip(x, y))
-
-
 def _region_label(model: ThreefoldModel, raised: tuple[int, ...]) -> str:
     if len(model.primes) == 2:
         if not raised:
@@ -266,14 +265,10 @@ def _certified(
                 f"no minimal envelope: no certificate that coordinate {prime} "
                 "is minimal"
             )
-    raised = tuple(
-        i for i, (g, a) in enumerate(zip(point, D.coeffs)) if (g - a).sign() > 0
-    )
     return GammaEnvelope(
         input=D,
         gamma=point,
         active=frozenset(c.ident for c in active),
-        region=_region_label(model, raised),
         certificate=tuple(certificate),
     )
 
@@ -281,37 +276,28 @@ def _certified(
 def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     """Coordinatewise-minimal ``g >= coeffs(D)`` making ``-sum g_i E_i`` nef.
 
-    Enumerates active sets exactly; the returned point is (a) feasible,
-    (b) below every other feasible candidate, and (c) certified minimal
-    in every coordinate by multipliers on its active constraints
-    (:func:`_certified`), so a bogus "minimum" cannot escape silently.
+    Enumerates active sets exactly and keeps the first feasible point of
+    least coordinate sum: a least element of the feasible set is the only
+    feasible point with that sum.  The certificate (:func:`_certified`)
+    then proves the pick minimal in every coordinate, so a feasible set
+    without a least element is refused, naming a coordinate.
     """
     _require_effective(model, D, nonzero=True)
     nef = model.nef_systems[0]
     bounds = _bounds(model, D)
     constraints = bounds + list(nef.constraints)
-
-    def feasible(point: Point) -> bool:
-        return all(c.value(point).sign() >= 0 for c in constraints)
-
-    # The minimal elements of the feasible candidates seen so far.  A
-    # candidate at or above one of them cannot be minimal, so its
-    # feasibility is never tested; every feasible candidate stays above
-    # some element, so a single survivor lies below all of them.
-    minimal: list[Point] = []
-    for point in dict.fromkeys(nef.vertices_with(bounds)):
-        if any(_coordwise_le(m, point) for m in minimal) or not feasible(point):
+    best: Optional[Point] = None
+    for point in nef.vertices_with(bounds):
+        total = sum(point[1:], point[0])
+        if best is not None and (total - best_total).sign() >= 0:
             continue
-        minimal = [m for m in minimal if not _coordwise_le(point, m)] + [point]
-    if not minimal:
+        if all(c.value(point).sign() >= 0 for c in constraints):
+            best, best_total = point, total
+    if best is None:
         raise NoMinimalEnvelopeError(
             "no minimal envelope: no feasible active-set point"
         )
-    if len(minimal) > 1:
-        raise NoMinimalEnvelopeError(
-            "no minimal envelope: minimal feasible points are incomparable"
-        )
-    return _certified(model, D, constraints, minimal[0])
+    return _certified(model, D, constraints, best)
 
 
 Line = tuple[ExcDivisor, ExcDivisor]
@@ -394,16 +380,17 @@ def _sampled_regions(
     """
     for D in (D1, D2):
         _require_effective(model, D, nonzero=True)
+    family_bounds = _bounds(model, D1, D2)
     candidates = {
         point[-1]
-        for point in model.nef_systems[1].vertices_with(_bounds(model, D1, D2))
+        for point in model.nef_systems[1].vertices_with(family_bounds)
         if point[-1].sign() > 0
     }
     slopes = sorted(candidates)
     lows = [QuadNumber.zero(model.field_d)] + slopes
     samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [lows[-1] + 1]
     nef = model.nef_systems[0].constraints
-    family = [*_bounds(model, D1, D2), *model.nef_systems[1].constraints]
+    family = [*family_bounds, *model.nef_systems[1].constraints]
     anchor: Optional[Point] = (*D1.envelope.gamma, lows[0])
     envelopes: list[GammaEnvelope] = []
     lines: list[Optional[Line]] = []

@@ -5,8 +5,7 @@ codes): problems with *input* — unparseable scalars, malformed model
 documents, inconsistent intersection data — and problems that arise during
 a *computation* that was set up correctly but cannot be completed in exact
 arithmetic (a quadratic with no root in the ground field, an envelope
-system with no coordinatewise minimum, a comparison that stays undecided
-at the precision cap).
+system with no coordinatewise minimum).
 """
 
 from __future__ import annotations
@@ -54,7 +53,3 @@ class NoMinimalEnvelopeError(ComputationError):
 
 class UnsupportedModelError(ComputationError):
     """The model needs machinery beyond one quadratic per active subsystem."""
-
-
-class UndecidableError(ComputationError):
-    """Interval refinement hit the precision cap without reaching a verdict."""

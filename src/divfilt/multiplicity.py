@@ -22,10 +22,10 @@ The Minkowski report's ``((P + Q)^3)`` is ``e(3) + 3 e(2) + 3 e(1) + e(0)``
 by trilinearity and the symmetry that :meth:`ThreefoldModel.validate`
 certifies.
 
-The four Minkowski-style inequalities among these numbers are checked
-exactly inside the field where possible; the genuinely transcendental one
-(cube roots) is decided by certified interval refinement with an exact
-pre-test for the equality case.
+The four Minkowski-style inequalities among these numbers are decided
+exactly inside the field, the one with cube roots by the sign of
+``(L - a - b)^3 - 27abL``; certified interval refinement names the
+digits that separate its sides when they differ.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 # unused here, but bench/tracing.py wraps ``multiplicity.gamma`` too
 from .envelope import GammaEnvelope, _sampled_regions, gamma  # noqa: F401
-from .errors import ComputationError, InputError, UndecidableError
+from .errors import ComputationError, InputError
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber, ScalarLike
@@ -378,19 +378,18 @@ class MinkowskiReport:
 def _cube_root_sum_decision(
     L: QuadNumber, a: QuadNumber, b: QuadNumber
 ) -> tuple[bool, str]:
-    """Decide cbrt(L) <= cbrt(a) + cbrt(b) for nonnegative field elements."""
-    if L.sign() == 0:
-        return True, "exact"
-    if a.sign() == 0:
-        return (L - b).sign() <= 0, "exact"
-    if b.sign() == 0:
-        return (L - a).sign() <= 0, "exact"
+    """Decide cbrt(L) <= cbrt(a) + cbrt(b) for nonnegative field elements.
+
+    It holds iff ``f(L) = (L - a - b)^3 - 27abL <= 0``: ``(cbrt(a) +
+    cbrt(b))^3`` is the only root of ``f`` above ``a + b``, where ``f`` is
+    convex, and ``f(a + b) <= 0``.  Interval refinement, when it
+    separates the sides, names the digits that it took.
+    """
     excess = L - a - b
-    if excess.sign() <= 0:
-        # L <= a + b forces cbrt(L) <= cbrt(a+b) <= cbrt(a) + cbrt(b).
-        return True, "exact"
-    # Equality holds iff (L - a - b)^3 = 27 a b L (given the excess > 0).
-    if (excess**3 - 27 * a * b * L).sign() == 0:
+    f = excess**3 - 27 * a * b * L
+    if min(L.sign(), a.sign(), b.sign(), excess.sign()) <= 0:
+        return f.sign() <= 0, "exact"
+    if f.sign() == 0:
         return True, "exact-equality"
     for digits in (20, 40, 80, 128):
         def enclose_root(x: QuadNumber):
@@ -404,7 +403,7 @@ def _cube_root_sum_decision(
             return True, f"interval({digits} digits)"
         if L_lo > a_hi + b_hi:
             return False, f"interval({digits} digits)"
-    raise UndecidableError("undecidable at max precision (128 digits)")
+    return f.sign() <= 0, "exact"
 
 
 def minkowski_check(
@@ -415,8 +414,9 @@ def minkowski_check(
     Writing ``e(i)`` for the mixed multiplicity with ``i`` copies of D1
     and ``3 - i`` of D2, inequalities 1-3 are polynomial in the ``e(i)``
     and are decided by exact field comparisons; inequality 4 involves
-    cube roots and is decided rigorously by interval refinement (after an
-    exact test for its equality case).
+    cube roots and is decided by the sign of one field element
+    (:func:`_cube_root_sum_decision`), labelled with the interval
+    precision that separates its sides when one does.
     """
     _, sigma1 = _sigma(model, D1)
     _, sigma2 = _sigma(model, D2)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from divfilt import cli
+from divfilt import cli, verify
 from divfilt.errors import ComputationError
 from divfilt.model import builtin_document
 
@@ -103,6 +103,26 @@ def test_intersect_refuses_exponents_without_two_divisors(capsys, argv):
         code, out, err = run_cli(capsys, [*argv, "--output", output])
         assert (code, out) == (2, "")
         assert err == "parse error: --exponents goes with -D1 and -D2\n"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["-D1", "1,0", "-D2", "0,1"],
+        ["-D1", "1,0"],
+        ["-D2", "0,1"],
+        ["-D1", "1,0", "-D2", "0,1", "--exponents", "2,1"],
+        ["-D2", "0,1", "--exponents", "2,1"],
+    ],
+    ids=["both", "D1", "D2", "both-exponents", "D2-exponents"],
+)
+def test_intersect_refuses_single_divisor_with_pair(capsys, extra):
+    for output in ("text", "json"):
+        code, out, err = run_cli(
+            capsys, ["intersect", "-D", "1,1", *extra, "--output", output]
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: -D goes without -D1 and -D2\n"
 
 
 def test_antinef_output(capsys):
@@ -260,6 +280,27 @@ def test_verify_paper_on_mismatching_model_exits_4(capsys, tmp_path):
     lines = out.splitlines()
     (s3_row,) = [ln for ln in lines if ln.startswith("triple[Sbar^3]")]
     assert "1872" in s3_row and s3_row.rstrip().endswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("piecewise_limit", 6), ("product_limit", 1)]
+)
+def test_verify_paper_reports_a_failing_limit_in_its_rows(
+    capsys, monkeypatch, name, rows
+):
+    calls = []
+
+    def explode(*args):
+        calls.append(args)
+        raise ComputationError("synthetic failure")
+
+    monkeypatch.setattr(verify, name, explode)
+    code, out, err = run_cli(capsys, ["verify-paper"])
+    assert (code, err) == (4, "")
+    failed = [line for line in out.splitlines() if line.endswith("| FAIL")]
+    assert len(failed) == rows and len(calls) == 1
+    assert all("| error: ComputationError: synthetic failure" in f for f in failed)
+    assert out.splitlines()[-1] == f"{rows} of 34 claims FAIL"
 
 
 # -- exit codes and error prefixes --------------------------------------------------

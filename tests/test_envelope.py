@@ -22,7 +22,11 @@ from divfilt.envelope import (
 from divfilt.errors import InputError, NoMinimalEnvelopeError
 from divfilt.model import builtin_document, builtin_model, model_from_dict
 from divfilt.qfield import QuadNumber
-from divfilt.surfaces import LinearConstraint, _solve_equality_system
+from divfilt.surfaces import (
+    ConstraintSystem,
+    LinearConstraint,
+    _solve_equality_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +508,42 @@ def test_point_with_negative_multiplier_is_refused(model):
     with pytest.raises(NoMinimalEnvelopeError, match="coordinate Sbar is minimal"):
         _certified(model, D, constraints, point)
     assert gamma(model, D).gamma == (q3(1), q3(2))
+
+
+def test_feasible_points_without_a_least_one_are_refused(model, monkeypatch):
+    """(1, 2) and (3/2, 3/2) are both feasible for D = (1, 1) and neither is
+    below the other; with only these two as vertices, the least-sum pick
+    has no certificate, and the error names the coordinate."""
+    points = [(q3(1), q3(2)), (q3(Fraction(3, 2)), q3(Fraction(3, 2)))]
+    D = model.divisor([1, 1])
+    constraints = _bounds(model, D) + list(model.nef_systems[0].constraints)
+    assert all(c.value(p).sign() >= 0 for p in points for c in constraints)
+    monkeypatch.setattr(ConstraintSystem, "vertices_with", lambda self, extra: points)
+    with pytest.raises(
+        NoMinimalEnvelopeError, match="no certificate that coordinate (Sbar|F) is"
+    ):
+        gamma(model, D)
+
+
+def test_gamma_ignores_vertex_order_and_repeats(monkeypatch):
+    """The vertices reversed and each listed twice give the same envelope,
+    certificate included."""
+    rng = random.Random(29)
+    cases = []
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        for _ in range(15):
+            D = m.divisor([seeded_coefficient(rng) for _ in m.primes])
+            if not D.is_zero():
+                cases.append((m, D, gamma(m, D)))
+    real = ConstraintSystem.vertices_with
+
+    def reversed_twice(self, extra):
+        points = list(real(self, extra))[::-1]
+        return [p for p in points for _ in range(2)]
+
+    monkeypatch.setattr(ConstraintSystem, "vertices_with", reversed_twice)
+    for m, D, expected in cases:
+        assert gamma(m, D) == expected, D
 
 
 # -- the region walk against one envelope per sample ------------------------------

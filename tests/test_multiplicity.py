@@ -8,18 +8,21 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from test_envelope import counting_gamma, seeded_pair
+from test_envelope import counting_gamma, seeded_coefficient, seeded_pair
 from test_model import basis_changed_document
 
 import divfilt.envelope
+import divfilt.multiplicity
 from divfilt.envelope import _bounds, _region_line, _sampled_regions, gamma, regions
 from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
+from divfilt.intervals import cbrt_enclosure, quad_enclosure
 from divfilt.model import builtin_model, model_from_dict
 from divfilt.multiplicity import (
     CubicForm,
     MultReport,
     PiecewisePoly,
     PiecewiseRegion,
+    _cube_root_sum_decision,
     limit_single,
     minkowski_check,
     mixed,
@@ -360,6 +363,69 @@ def test_minkowski_cube_root_against_mpmath(model):
         margin = rhs - lhs
         assert margin > mpmath.mpf("1e-40")
     assert report.checks[-1].holds
+
+
+@pytest.mark.parametrize("L, holds", [(7, True), (9, False)])
+def test_cube_root_decision_past_the_precision_cap(monkeypatch, L, holds):
+    """cbrt(7) < 2 = cbrt(1) + cbrt(1) < cbrt(9): with enclosures that never
+    separate the sides, the sign of (L - 2)^3 - 27L decides."""
+    monkeypatch.setattr(
+        divfilt.multiplicity,
+        "cbrt_enclosure",
+        lambda value, digits: (Fraction(0), Fraction(10**9)),
+    )
+    assert _cube_root_sum_decision(q3(L), q3(1), q3(1)) == (holds, "exact")
+
+
+def interval_decision(L, a, b):
+    """The cube-root verdict from plain comparisons and rational enclosures
+    of the cube roots, with the labels ``_cube_root_sum_decision`` gives."""
+    if L.sign() == 0:
+        return True, "exact"
+    if a.sign() == 0 or b.sign() == 0:
+        return L <= a + b, "exact"
+    if L <= a + b:
+        return True, "exact"
+    for digits in (20, 40, 80, 128):
+        (L_lo, L_hi), (a_lo, a_hi), (b_lo, b_hi) = (
+            cbrt_enclosure((max(Fraction(0), lo), hi), digits)
+            for lo, hi in (quad_enclosure(x, digits) for x in (L, a, b))
+        )
+        if L_hi <= a_lo + b_lo:
+            return True, f"interval({digits} digits)"
+        if L_lo > a_hi + b_hi:
+            return False, f"interval({digits} digits)"
+    return True, "exact-equality"  # every test case this close is an equality
+
+
+def seeded_triple(rng):
+    """Nonnegative ``(L, a, b)`` in Q(sqrt(3)): unrelated, with a zero, with
+    ``L <= a + b``, with equal sides, or with sides 10^-30 apart."""
+    x, y, z = (seeded_coefficient(rng) for _ in range(3))
+    kind = rng.choice(("plain", "zero", "below", "cube", "near"))
+    if kind == "plain":
+        return x, y, z
+    if kind == "zero":
+        triple = [x, y, z]
+        triple[rng.randrange(3)] = q3(0)
+        return tuple(triple)
+    if kind == "below":
+        return (y + z) * Fraction(rng.randint(0, 9), 9), y, z
+    offset = q3(Fraction(rng.choice((-1, 1)), 10**30)) if kind == "near" else 0
+    return (x + y) ** 3 + offset, x**3, y**3
+
+
+def test_cube_root_decision_matches_interval_path():
+    rng = random.Random(3)
+    labels = set()
+    for _ in range(300):
+        L, a, b = seeded_triple(rng)
+        if L.sign() < 0:
+            continue
+        decision = _cube_root_sum_decision(L, a, b)
+        assert decision == interval_decision(L, a, b), (L, a, b)
+        labels.add(decision[1].split("(")[0])
+    assert labels == {"exact", "exact-equality", "interval"}
 
 
 def test_minkowski_report_lines(model):
