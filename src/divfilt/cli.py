@@ -246,9 +246,9 @@ _COMMANDS = (
         "triple intersection products",
         _intersect,
         (
-            _arg("-D", dest="divisor", help="divisor for D^3"),
-            _arg("-D1", dest="divisor1", help="first divisor (with --exponents)"),
-            _arg("-D2", dest="divisor2", help="second divisor (with --exponents)"),
+            _arg("-D", dest="divisor", help="divisor for D^3 (-D=-1,0 for a leading '-')"),
+            _arg("-D1", dest="divisor1", help="first divisor, with --exponents (-D1=-1,0)"),
+            _arg("-D2", dest="divisor2", help="second divisor, with --exponents (-D2=-1,0)"),
         ),
         (_arg("--exponents", help="exponents 'd1,d2' for D1^d1 . D2^d2"),),
     ),

@@ -33,16 +33,14 @@ bound), and tests feasibility only for candidates whose coordinate sum
 is below that of every feasible one found so far.
 
 ``regions`` analyses the one-parameter family ``D1 + r*D2`` and returns
-the finitely many slopes ``r`` where the envelope's active constraint set
-changes; these are the breakpoints of the piecewise multiplicity
-formulas.  Within a region the envelope is affine in ``r``, and the walk
-over the regions starts each one from a known *anchor*: ``sigma(D1)``
-(``D1.envelope``) at ``r = 0``, then the previous region's line at its
-upper slope.  The lines through the anchor that its active constraints
-fix predict the envelope at the region's sample, and the point that is
-feasible and certified is the envelope, so the walk calls ``gamma`` only
-for ``D1``, and again only where no line certifies.
-``multiplicity.piecewise_limit`` builds each region's cubic from its line.
+the slopes ``r`` where the envelope's active constraint set changes, the
+breakpoints of the piecewise multiplicity formulas.  Within a region the
+envelope is affine in ``r``.  The walk starts each region from a known
+*anchor* (``sigma(D1)`` at ``r = 0``, then the previous region's line at
+its end), follows the line its active constraints fix until another
+constraint meets it, and certifies the line at one point inside, so it
+calls ``gamma`` only for ``D1``.  ``multiplicity.piecewise_limit`` builds
+each region's cubic from its line.
 """
 
 from __future__ import annotations
@@ -51,9 +49,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import InputError, NoMinimalEnvelopeError
+from .errors import ComputationError, InputError, NoMinimalEnvelopeError
 from .model import ExcDivisor, ThreefoldModel
-from .qfield import QuadNumber
+from .qfield import QuadNumber, quadratic_roots
 from .surfaces import (
     Constraint,
     LinearConstraint,
@@ -326,18 +324,6 @@ def _line_through(
     return ExcDivisor(model, u), ExcDivisor(model, v)
 
 
-def _region_line(
-    model: ThreefoldModel,
-    family: Sequence[Constraint],
-    s: QuadNumber,
-    env: GammaEnvelope,
-) -> Optional[Line]:
-    """The envelope's line through ``(s, env)``, fixed by its active
-    constraints among ``family``, those of ``D1 + r*D2`` in ``(g, r)``."""
-    active = [c for c in family if c.ident in env.active]
-    return _line_through(model, active, (*env.gamma, s))
-
-
 def _on_line(
     model: ThreefoldModel,
     D: ExcDivisor,
@@ -353,78 +339,70 @@ def _on_line(
         return None
 
 
-def _sampled_regions(
+def _walk(
     model: ThreefoldModel, D1: ExcDivisor, D2: ExcDivisor
-) -> tuple[
-    list[QuadNumber],
-    list[tuple[QuadNumber, GammaEnvelope]],
-    list[Optional[Line]],
-]:
-    """:func:`regions`' slopes, the envelopes on the way, and each region's line.
+) -> tuple[list[QuadNumber], list[Line]]:
+    """:func:`regions`' slopes and each region's line ``(P, Q)``.
 
-    The second list pairs each sample slope with ``gamma(D1 + s*D2)``;
-    every sample lies strictly between two consecutive candidate slopes
-    (or above the last; at 1 without candidates), so never on a returned
-    slope.  Samples whose envelopes share an active set form one region.
-    The third list holds each region's line ``(P, Q)``, or None when a
-    later sample of the region is off the line.
+    Each step starts at an *anchor* ``(g, lo)`` on the envelope:
+    ``sigma(D1)`` (``D1.envelope``, filled here) at ``lo = 0``, then the
+    previous step's line at its end.  Each ``t``-subset of the family's
+    constraints active at the anchor, in ``combinations`` order, fixes a
+    line through it (:func:`_line_through`), which ends at ``hi``, the
+    least root above ``lo`` of a constraint that does not vanish all along
+    it.  The step's line is the first whose point at ``(lo + hi)/2`` (at
+    ``lo + 1`` if nothing ends it) is certified as the envelope there.  A
+    step with the previous step's active set continues its region;
+    otherwise ``lo`` is a breakpoint.
 
-    Each sample first tries the point its region's line predicts, then
-    the lines through the *anchor*, the envelope at the candidate slope
-    below it, that ``t`` of the constraints active there fix (in
-    ``combinations`` order): ``sigma(D1)`` at ``r = 0`` (``D1.envelope``,
-    filled here), then the previous region's line at each later candidate.
-    The line giving a region's first envelope is the region's line.  Only
-    if no line predicts the envelope does ``gamma`` run, and the line is
-    read off its active set (:func:`_region_line`).
+    No constraint changes sign strictly between ``lo`` and ``hi``, so one
+    feasible point covers the step, and one certificate does when the
+    multipliers keep their signs along the line.  That holds when the
+    active rows are linear, and for ``t = 2``: an affine line on which a
+    binary quadratic form vanishes passes through the origin, so the
+    form's gradient only rescales along it.  Raises
+    :class:`ComputationError` naming the slope where no line certifies.
     """
     for D in (D1, D2):
         _require_effective(model, D, nonzero=True)
-    family_bounds = _bounds(model, D1, D2)
-    candidates = {
-        point[-1]
-        for point in model.nef_systems[1].vertices_with(family_bounds)
-        if point[-1].sign() > 0
-    }
-    slopes = sorted(candidates)
-    lows = [QuadNumber.zero(model.field_d)] + slopes
-    samples = [(lo + hi) / 2 for lo, hi in zip(lows, slopes)] + [lows[-1] + 1]
+    zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
     nef = model.nef_systems[0].constraints
-    family = [*family_bounds, *model.nef_systems[1].constraints]
-    anchor: Optional[Point] = (*D1.envelope.gamma, lows[0])
-    envelopes: list[GammaEnvelope] = []
-    lines: list[Optional[Line]] = []
-    for lo, s in zip(lows, samples):
-        D = D1 + D2 * s
-        constraints = [*_bounds(model, D), *nef]
-        line, env = lines[-1] if lines else None, None
-        if line is not None:
-            anchor = (*(line[0] + line[1] * lo).coeffs, lo)
-            env = _on_line(model, D, constraints, line, s)
-        elif lines:
-            anchor = None  # a region left its line: nothing known to start from
-        predicted = env is not None
-        if env is None and anchor is not None:
-            active = [c for c in family if c.value(anchor).sign() == 0]
-            for subset in combinations(active, len(model.primes)):
-                line = _line_through(model, subset, anchor)
-                if line is not None:
-                    env = _on_line(model, D, constraints, line, s)
-                    if env is not None:
-                        break
-        if env is None:
-            env, line = gamma(model, D), None
-        if not envelopes or env.active != envelopes[-1].active:
-            lines.append(line or _region_line(model, family, s, env))
-        elif not predicted:
-            lines[-1] = None  # the envelope left its region's line
-        envelopes.append(env)
-    breakpoints = [
-        slopes[i]
-        for i in range(len(slopes))
-        if envelopes[i].active != envelopes[i + 1].active
-    ]
-    return breakpoints, list(zip(samples, envelopes)), lines
+    family = [*_bounds(model, D1, D2), *model.nef_systems[1]]
+    lo, anchor = zero, (*D1.envelope.gamma, zero)
+    starts: list[QuadNumber] = []
+    lines: list[Line] = []
+    active: Optional[frozenset[str]] = None
+    while True:
+        at_anchor = [c for c in family if c.value(anchor).sign() == 0]
+        for subset in combinations(at_anchor, len(model.primes)):
+            line = _line_through(model, subset, anchor)
+            if line is None:
+                continue
+            base, direction = (*line[0].coeffs, zero), (*line[1].coeffs, one)
+            ends = [
+                root
+                for c in family
+                for root in quadratic_roots(*c.along(base, direction)) or ()
+                if root > lo
+            ]
+            hi = min(ends, default=None)
+            s = lo + 1 if hi is None else (lo + hi) / 2
+            D = D1 + D2 * s
+            env = _on_line(model, D, [*_bounds(model, D), *nef], line, s)
+            if env is not None:
+                break
+        else:
+            raise ComputationError(
+                f"no certified envelope line above slope {lo.canonical_string()}; "
+                "the model is outside this solver's supported family"
+            )
+        if env.active != active:
+            starts.append(lo)
+            lines.append(line)
+            active = env.active
+        if hi is None:
+            return starts[1:], lines
+        lo, anchor = hi, (*(line[0] + line[1] * hi).coeffs, hi)
 
 
 def regions(
@@ -432,13 +410,9 @@ def regions(
 ) -> list[QuadNumber]:
     """Slopes ``0 < r_1 < ... < r_k`` where ``gamma(D1 + r*D2)`` changes.
 
-    Candidate slopes come from the systems of ``t + 1`` constraints-as-
-    equalities in ``(g, r)`` that hold two or more bound rows (with fewer,
-    an isolated solution has ``g = 0`` and slope ``-a_i/b_i <= 0``); a
-    candidate is kept only if the envelope's active set genuinely differs
-    between the two adjacent slope intervals.  Dependent directions yield
-    no breakpoints (a single region).  The envelopes on the way come from
-    the anchored walk of :func:`_sampled_regions`, which fills
-    ``D1.envelope``; ``gamma`` runs only where that walk fails.
+    Within a region the envelope is affine in ``r``; the walk
+    (:func:`_walk`) follows it region by region from ``sigma(D1)``, so its
+    work is proportional to the number of regions and ``gamma`` runs only
+    for ``D1.envelope``.  Dependent directions give a single region.
     """
-    return _sampled_regions(model, D1, D2)[0]
+    return _walk(model, D1, D2)[0]

@@ -45,6 +45,7 @@ from .surfaces import (
     POLYHEDRAL,
     QUADRATIC,
     ConeSpec,
+    Constraint,
     ConstraintSystem,
     SurfaceClass,
     SurfaceLattice,
@@ -251,32 +252,33 @@ class ThreefoldModel:
     # -- nef conditions on exceptional divisors ----------------------------
 
     @cached_property
-    def nef_systems(self) -> tuple[ConstraintSystem, ConstraintSystem]:
+    def nef_systems(self) -> tuple[ConstraintSystem, tuple[Constraint, ...]]:
         """Nef conditions on ``g`` for ``-sum g_i E_i``, built on first use.
 
         Restricting ``-sum g_i E_i`` to the surface over ``E`` gives the
         point ``sum g_i (-r_E(E_i))``, so each nef constraint of that
-        surface pulls back along the columns ``-r_E(E_i)``.  Entry ``pad``
-        (0 or 1) appends that many zero columns: variables the nef
-        conditions do not involve (the slope of a family ``D1 + r*D2``).
-        The constraints do not depend on a divisor, so each model builds
-        them once; the cache takes no part in ``==`` or ``hash``.
+        surface pulls back along the columns ``-r_E(E_i)``.  The second
+        entry holds the same constraints with a zero column appended for
+        the slope ``r`` of a family ``D1 + r*D2``, which they do not
+        involve.  The constraints do not depend on a divisor, so each
+        model builds them once; the cache takes no part in ``==`` or
+        ``hash``.
         """
         zero = QuadNumber.zero(self.field_d)
 
-        def system(pad: int) -> ConstraintSystem:
+        def pulled_back(extra: int) -> tuple[Constraint, ...]:
             constraints = []
             rows = zip(self.primes, self.surfaces, self.restrictions)
             for prime, surface, row in rows:
-                columns = [(-r).coords for r in row] + [(zero,) * surface.rank] * pad
+                columns = [(-r).coords for r in row] + [(zero,) * surface.rank] * extra
                 constraints.extend(
                     c.pullback(f"nef[{prime}]:{c.ident}", columns)
                     for c in surface.constraints("nef")
                 )
-            nvars = len(self.primes) + pad
-            return ConstraintSystem(tuple(constraints), nvars, self.field_d, pad)
+            return tuple(constraints)
 
-        return system(0), system(1)
+        system = ConstraintSystem(pulled_back(0), len(self.primes), self.field_d)
+        return system, pulled_back(1)
 
     # -- validation ---------------------------------------------------------
 

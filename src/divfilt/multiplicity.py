@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 # unused here, but bench/tracing.py wraps ``multiplicity.gamma`` too
-from .envelope import GammaEnvelope, _sampled_regions, gamma  # noqa: F401
+from .envelope import GammaEnvelope, _walk, gamma  # noqa: F401
 from .errors import ComputationError, InputError
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
@@ -283,22 +283,16 @@ def piecewise_limit(
 
     Within each region delivered by :func:`envelope.regions` the envelope
     is an affine function ``P + r*Q`` of the slope; the region's cubic is
-    ``(n*P + j*Q)^3/6``.  The lines are the ones ``regions`` found on its
-    anchored walk over the sample slopes, each through the envelope at the
-    region's lower slope and confirmed at its samples; a family without
-    candidate slopes is one region, sampled at slope 1.  Beyond
-    ``D1.envelope``, ``gamma`` runs only where that walk fails.
+    ``(n*P + j*Q)^3/6``.  The lines are the ones the walk of ``regions``
+    certified, each through the envelope at the region's lower slope, so
+    beyond ``D1.envelope`` no ``gamma`` call runs.
     """
-    breakpoints, _, lines = _sampled_regions(model, D1, D2)
+    breakpoints, lines = _walk(model, D1, D2)
     zero = QuadNumber.zero(model.field_d)
-    pieces = []
-    for lo, hi, line in zip([zero] + breakpoints, breakpoints + [None], lines):
-        if line is None:
-            raise ComputationError(
-                "envelope is not affine within a region; the model is outside "
-                "this solver's supported family"
-            )
-        pieces.append(PiecewiseRegion(lo, hi, _region_form(model, *line)))
+    pieces = [
+        PiecewiseRegion(lo, hi, _region_form(model, *line))
+        for lo, hi, line in zip([zero] + breakpoints, breakpoints + [None], lines)
+    ]
     return PiecewisePoly(tuple(pieces))
 
 

@@ -467,28 +467,29 @@ def scalar_to_json(x: QuadNumber) -> Union[str, dict]:
     return {"a": str(x.a), "b": str(x.b)}
 
 
+_JSON_FORMS = 'an integer, a "p/q" string, or {"a": ..., "b": ...} of those'
+
+
+def _json_rational(part: object, doc: object) -> Fraction:
+    """``part`` of the JSON scalar ``doc``: an int (not a bool) or ``"p/q"``."""
+    if isinstance(part, int) and not isinstance(part, bool):
+        return Fraction(part)
+    m = _RE_RATIONAL.match(part.strip()) if isinstance(part, str) else None
+    if m is None:
+        raise ParseError(f"not a scalar: {doc!r}; expected {_JSON_FORMS}")
+    return _rational(m.group(1))
+
+
 def scalar_from_json(doc: object, d: int) -> QuadNumber:
-    """Accept ``int``, ``"p/q"``, or ``{"a": "p/q", "b": "r/s"}``."""
-    if isinstance(doc, bool):
-        raise ParseError(f"not a scalar: {doc!r}")
-    if isinstance(doc, int):
-        return QuadNumber.rational(doc, d)
-    if isinstance(doc, str):
-        try:
-            return QuadNumber(Fraction(doc.strip()), Fraction(0), d)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {doc!r}: {exc}") from None
+    """Accept ``int``, ``"p/q"``, or ``{"a": ..., "b": ...}`` with parts of
+    those two forms; a float or a decimal string is refused."""
     if isinstance(doc, dict):
         extra = set(doc) - {"a", "b"}
         if extra:
             raise ParseError(f"unknown scalar fields {sorted(extra)}")
-        try:
-            a = Fraction(str(doc.get("a", "0")).strip())
-            b = Fraction(str(doc.get("b", "0")).strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad scalar object {doc!r}: {exc}") from None
+        a, b = (_json_rational(doc.get(key, 0), doc) for key in "ab")
         return QuadNumber(a, b, d)
-    raise ParseError(f"not a scalar: {doc!r}")
+    return QuadNumber(_json_rational(doc, doc), Fraction(0), d)
 
 
 # ---------------------------------------------------------------------------

@@ -264,24 +264,22 @@ class ConstraintSystem:
     """Homogeneous constraints on ``nvars`` variables and the points they pin.
 
     Each constraint is a linear row without constant or a quadratic form,
-    and its last ``pad`` columns are zero.  If at most ``pad`` affine extra
-    rows join a subset, a solution ``(g, y)`` with ``g != 0`` lies on a line
-    of solutions ``(lam*g, y(lam))``, so only points with ``g = 0`` can be
-    isolated; :meth:`vertices_with` skips those subsets.
+    so a solution ``g != 0`` of constraints alone lies on a ray of
+    solutions and only the origin can be isolated; :meth:`vertices_with`
+    skips the subsets without an extra row.
     """
 
     constraints: tuple[Constraint, ...]
     nvars: int
     field_d: int
-    pad: int
 
     def vertices_with(self, extra: Sequence[Constraint]) -> Iterator[Point]:
         """Vertices of the ``nvars``-subsets of ``extra + constraints`` that
-        hold more than ``pad`` extra rows, in the order
-        ``itertools.combinations`` lists the subsets."""
+        hold an extra row, in the order ``itertools.combinations`` lists
+        the subsets."""
         rows = (*extra, *self.constraints)
         for subset in combinations(range(len(rows)), self.nvars):
-            if sum(i < len(extra) for i in subset) > self.pad:
+            if subset[0] < len(extra):
                 yield from _solve_equality_system(
                     [rows[i] for i in subset], self.nvars, self.field_d
                 )

@@ -84,6 +84,20 @@ def test_intersect_single_divisor(capsys):
     assert out == "triple = 198\n"
 
 
+def test_intersect_negative_coefficient_after_equals(capsys):
+    """A divisor with a leading '-' is spelled ``-D=-1,0``; with a space,
+    argparse reads ``-1,0`` as an option and refuses (exit 2)."""
+    code, out, _ = run_cli(capsys, ["intersect", "-D=-1,0"])
+    assert (code, out) == (0, "triple = -468\n")
+    argv = ["intersect", "-D1=-1,0", "-D2=0,1", "--exponents", "2,1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (0, "triple = -162\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["intersect", "-D", "-1,0"])
+    assert exit_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_intersect_mixed_exponents(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -348,15 +362,27 @@ def test_missing_model_file_exit_2(capsys, tmp_path):
         lambda d: d["surfaces"][1].update(basis=[]),
         lambda d: d.update(surfaces="xx"),
         lambda d: d["field"].update(d=10**30 + 1),
+        lambda d: d["restrictions"]["F"]["F"].__setitem__(0, "1e10000000"),
+        lambda d: d["restrictions"]["F"]["F"].__setitem__(0, {"a": 0.5, "b": 1}),
     ],
-    ids=["list-name", "string-basis", "empty-basis", "string-surfaces", "huge-d"],
+    ids=[
+        "list-name",
+        "string-basis",
+        "empty-basis",
+        "string-surfaces",
+        "huge-d",
+        "exponent-scalar",
+        "float-scalar-part",
+    ],
 )
 def test_malformed_model_file_exit_2(capsys, tmp_path, mutate):
     doc = builtin_document()
     mutate(doc)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
+    start = time.perf_counter()
     code, _, err = run_cli(capsys, ["gamma", "--model", str(path), "-D", "1,1"])
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err.startswith("parse error:")
     assert "Traceback" not in err

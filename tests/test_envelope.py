@@ -8,19 +8,20 @@ import pytest
 from test_model import basis_changed_document
 
 import divfilt.envelope
+from divfilt import cli
 from divfilt.envelope import (
     _bounds,
     _certificate,
     _certified,
-    _region_line,
-    _sampled_regions,
     _region_label,
+    _walk,
     gamma,
     is_antinef,
     regions,
 )
-from divfilt.errors import InputError, NoMinimalEnvelopeError
+from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
 from divfilt.model import builtin_document, builtin_model, model_from_dict
+from divfilt.multiplicity import piecewise_limit
 from divfilt.qfield import QuadNumber
 from divfilt.surfaces import (
     ConstraintSystem,
@@ -369,56 +370,43 @@ def seeded_pair(m, rng):
             return D1, D2
 
 
-def unpruned_vertices(system, bounds):
+def unpruned_vertices(rows, nvars, d):
     """``(bound rows held, isolated solutions)`` for every ``nvars``-subset."""
-    for subset in combinations([*bounds, *system.constraints], system.nvars):
+    for subset in combinations(rows, nvars):
         held = sum(c.ident.startswith("coeff[") for c in subset)
-        yield held, _solve_equality_system(subset, system.nvars, system.field_d)
+        yield held, _solve_equality_system(subset, nvars, d)
 
 
 def test_nef_systems_are_homogeneous_without_slope_column(model):
     """The pruning in ``ConstraintSystem.vertices_with`` rests on this."""
     for m in (model, model_from_dict(basis_changed_document())):
-        t = len(m.primes)
-        for pad, system in enumerate(m.nef_systems):
-            assert (system.nvars, system.pad) == (t + pad, pad)
-            for c in system.constraints:
-                if isinstance(c, LinearConstraint):
-                    assert c.const == 0 and len(c.coeffs) == t + pad
-                    assert all(x == 0 for x in c.coeffs[t:])
-                else:
-                    assert len(c.matrix) == t + pad
-                    assert all(x == 0 for row in c.matrix[t:] for x in row)
-                    assert all(x == 0 for row in c.matrix for x in row[t:])
+        system = m.nef_systems[0]
+        assert system.nvars == len(m.primes)
+        for c in system.constraints:
+            if isinstance(c, LinearConstraint):
+                assert c.const == 0 and len(c.coeffs) == system.nvars
+            else:
+                assert len(c.matrix) == system.nvars
 
 
 def test_pruned_enumeration_matches_full_enumeration(model):
-    """Every skipped subset isolates only points with ``g = 0`` (slope
-    ``<= 0`` in the family system), so ``regions`` samples between the
-    same positive candidate slopes as the enumeration of every subset."""
+    """Every skipped subset, one without a bound row, isolates only
+    ``g = 0``, so ``gamma`` sees the vertices of every subset that can
+    pin an envelope, in the same order."""
     changed = model_from_dict(basis_changed_document())
     rng = random.Random(23)
     for m in (model, changed):
-        t = len(m.primes)
+        system = m.nef_systems[0]
         for _ in range(40):
-            D1, D2 = seeded_pair(m, rng)
-            systems = zip(m.nef_systems, (_bounds(m, D1), _bounds(m, D1, D2)))
-            for system, bounds in systems:
-                kept, dropped = [], []
-                for held, points in unpruned_vertices(system, bounds):
-                    (kept if held > system.pad else dropped).extend(points)
-                assert list(system.vertices_with(bounds)) == kept
-                for point in dropped:
-                    assert all(x == 0 for x in point[:t]), (D1, D2, point)
-                    assert all(x.sign() <= 0 for x in point[t:]), (D1, D2, point)
-            # the last system is the family's, in the variables (g, r)
-            every = kept + dropped
-            slopes = sorted({p[-1] for p in every if p[-1].sign() > 0})
-            breakpoints, sampled, _ = _sampled_regions(m, D1, D2)
-            assert set(breakpoints) <= set(slopes)
-            samples = [(lo + hi) / 2 for lo, hi in zip([q3(0)] + slopes, slopes)]
-            samples += [slopes[-1] + 1] if slopes else [q3(1)]
-            assert [s for s, _ in sampled] == samples
+            D = m.divisor([seeded_coefficient(rng) for _ in m.primes])
+            bounds = _bounds(m, D)
+            rows = [*bounds, *system.constraints]
+            kept, dropped = [], []
+            for held, points in unpruned_vertices(rows, system.nvars, m.field_d):
+                (kept if held else dropped).extend(points)
+            assert list(system.vertices_with(bounds)) == kept
+            for point in dropped:
+                assert all(x == 0 for x in point), (D, point)
 
 
 # -- the certificate of minimality ---------------------------------------------
@@ -550,10 +538,15 @@ def test_gamma_ignores_vertex_order_and_repeats(monkeypatch):
 
 
 def sampled_regions_oracle(m, D1, D2):
-    """The walk without prediction: ``gamma`` at every sample slope."""
+    """The regions from ``gamma`` at sample slopes between every pair of
+    candidate slopes, the positive slopes of the isolated solutions of all
+    ``t + 1``-subsets of the family's constraints in ``(g, r)``; returns
+    the breakpoints and the ``(sample, envelope)`` pairs."""
+    family = [*_bounds(m, D1, D2), *m.nef_systems[1]]
     candidates = {
         point[-1]
-        for point in m.nef_systems[1].vertices_with(_bounds(m, D1, D2))
+        for _, points in unpruned_vertices(family, len(m.primes) + 1, m.field_d)
+        for point in points
         if point[-1].sign() > 0
     }
     slopes = sorted(candidates)
@@ -569,27 +562,24 @@ def sampled_regions_oracle(m, D1, D2):
 
 
 def test_walk_matches_one_envelope_per_sample():
-    """Predicted envelopes equal ``gamma``'s, and the breakpoints agree,
-    on seeded pairs of the builtin model and of a basis-changed copy."""
+    """The walk's breakpoints are the oracle's, and at every oracle sample
+    its region's line gives ``gamma``'s envelope, on seeded pairs of the
+    builtin model and of a basis-changed copy."""
     rng = random.Random(43)
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
-        counts = set()
+        counts, kinds = set(), set()
         for _ in range(40):
             D1, D2 = seeded_pair(m, rng)
-            breakpoints, sampled, lines = _sampled_regions(m, D1, D2)
-            # GammaEnvelope equality covers gamma, active, region, certificate
-            assert (breakpoints, sampled) == sampled_regions_oracle(m, D1, D2)
+            breakpoints, lines = _walk(m, D1, D2)
+            expected, sampled = sampled_regions_oracle(m, D1, D2)
+            assert breakpoints == expected, (D1, D2)
             assert len(lines) == len(breakpoints) + 1
-            # each line is the one read off its region's first envelope
-            family = [*_bounds(m, D1, D2), *m.nef_systems[1].constraints]
-            firsts = [sampled[0]] + [
-                (s, env)
-                for (_, before), (s, env) in zip(sampled, sampled[1:])
-                if env.active != before.active
-            ]
-            assert lines == [_region_line(m, family, s, env) for s, env in firsts]
+            for s, env in sampled:
+                P, Q = lines[sum(s > b for b in breakpoints)]
+                assert (P + Q * s).coeffs == env.gamma, (D1, D2, s)
             counts.add(len(breakpoints) + 1)
-        assert counts == {1, 2, 3}
+            kinds.add(proportional(D1, D2))
+        assert counts == {1, 2, 3} and kinds == {True, False}
 
 
 def proportional(D1, D2):
@@ -621,28 +611,29 @@ def test_walk_calls_gamma_only_for_the_first_anchor(monkeypatch):
         for _ in range(30):
             D1, D2 = seeded_pair(m, rng)
             calls.clear()
-            breakpoints = _sampled_regions(m, D1, D2)[0]
+            breakpoints = _walk(m, D1, D2)[0]
             assert calls == [D1] and "envelope" in vars(D1), (D1, D2)
             calls.clear()
-            assert _sampled_regions(m, D1, D2)[0] == breakpoints
+            assert _walk(m, D1, D2)[0] == breakpoints
             assert calls == [], (D1, D2)
             counts.add(len(breakpoints) + 1)
             kinds.add(proportional(D1, D2))
         assert counts == {1, 2, 3} and kinds == {True, False}
 
 
-def test_walk_without_lines_falls_back_to_gamma(monkeypatch):
-    """When ``_line_through`` finds no line, neither through an anchor nor
-    off an envelope, every sample takes ``gamma``, and the walk is still the
-    one-envelope-per-sample oracle."""
+def test_walk_without_lines_is_refused(monkeypatch, capsys):
+    """When ``_line_through`` finds no line, ``regions`` and
+    ``piecewise_limit`` raise ``ComputationError`` naming slope 0, and
+    ``divfilt piecewise`` exits 3 without a traceback."""
     monkeypatch.setattr(divfilt.envelope, "_line_through", lambda *args: None)
-    calls = counting_gamma(monkeypatch)
     rng = random.Random(47)
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
-        for _ in range(10):
+        for _ in range(5):
             D1, D2 = seeded_pair(m, rng)
-            calls.clear()
-            breakpoints, sampled, lines = _sampled_regions(m, D1, D2)
-            assert len(calls) == 1 + len(sampled) and set(lines) == {None}
-            # the oracle calls the real gamma, imported before the patch
-            assert (breakpoints, sampled) == sampled_regions_oracle(m, D1, D2)
+            for compute in (regions, piecewise_limit):
+                with pytest.raises(ComputationError, match="above slope 0;"):
+                    compute(m, D1, D2)
+    assert cli.main(["piecewise", "-D1", "1,0", "-D2", "0,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "no certified envelope line above slope 0" in captured.err

@@ -267,6 +267,10 @@ def test_load_model_bad_json(tmp_path):
         load_model(path)
 
 
+def set_scalar(doc, value):
+    doc["restrictions"]["F"]["F"][0] = value
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -281,6 +285,14 @@ def test_load_model_bad_json(tmp_path):
         (lambda d: d["surfaces"][1].update(basis=[]), "basis: expected a nonempty"),
         (lambda d: d.update(surfaces="xx"), "surfaces: expected a list"),
         (lambda d: d["field"].update(d=10**30 + 1), "field.d: .* at most"),
+        # model scalars are ints or "p/q" strings, whole or as a/b parts
+        (lambda d: set_scalar(d, "1e10000000"), "expected an integer"),
+        (lambda d: set_scalar(d, "1.5"), "expected an integer"),
+        (lambda d: set_scalar(d, 0.1), "expected an integer"),
+        (lambda d: set_scalar(d, True), "expected an integer"),
+        (lambda d: set_scalar(d, {"a": 0.5, "b": 1}), "expected an integer"),
+        (lambda d: set_scalar(d, {"a": 0.1, "b": 1}), "expected an integer"),
+        (lambda d: set_scalar(d, {"a": "1e10000000"}), "expected an integer"),
     ],
 )
 def test_schema_violations(mutate, fragment):

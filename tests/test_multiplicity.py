@@ -1,8 +1,8 @@
 """Limits, mixed multiplicities, piecewise formulas, inequality checks."""
 
-import dataclasses
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -13,7 +13,8 @@ from test_model import basis_changed_document
 
 import divfilt.envelope
 import divfilt.multiplicity
-from divfilt.envelope import _bounds, _region_line, _sampled_regions, gamma, regions
+from divfilt import cli
+from divfilt.envelope import _walk, gamma, regions
 from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
 from divfilt.intervals import cbrt_enclosure, quad_enclosure
 from divfilt.model import builtin_model, model_from_dict
@@ -504,40 +505,41 @@ def test_piecewise_matches_three_sample_fit_on_seeded_pairs(model):
 
 
 @pytest.mark.parametrize("c1, c2", [((1, 2), (0, 1)), ((1, 0), (0, 1))])
-def test_envelope_line_rejects_a_moved_sample(model, monkeypatch, c1, c2):
-    """Moving one coordinate of the last region's first or last sample by
-    1/1000 breaks the fit: no line is read off the moved first envelope,
-    and a walk that meets the moved envelope refuses the region."""
+def test_envelope_line_rejects_a_moved_sample(model, monkeypatch, capsys, c1, c2):
+    """The last region's line is certified at one sample, one slope above
+    its start.  With that sample refused, or with each coordinate of the
+    line's point there moved by 1/1000, no line certifies the region, and
+    ``regions``, ``piecewise_limit`` and ``divfilt piecewise`` refuse the
+    family at the region's lower slope (exit 3, no traceback)."""
     D1, D2 = model.divisor(c1), model.divisor(c2)
-    breakpoints, sampled, lines = _sampled_regions(model, D1, D2)
-    last = [(s, env) for s, env in sampled if s > breakpoints[-1]]
-    assert len(last) >= 2
-    family = [*_bounds(model, D1, D2), *model.nef_systems[1].constraints]
-    assert _region_line(model, family, *last[0]) == lines[-1]
-    real_certified, real_gamma = divfilt.envelope._certified, divfilt.envelope.gamma
-    for position in (0, len(last) - 1):
-        s, env = last[position]
-        target = (D1 + D2 * s).coeffs
-        for i in range(len(model.primes)):
-            moved = list(env.gamma)
-            moved[i] += Fraction(1, 1000)
-            moved_env = dataclasses.replace(env, gamma=tuple(moved))
-            if position == 0:
-                assert _region_line(model, family, s, moved_env) is None
+    breakpoints, lines = _walk(model, D1, D2)
+    lo = breakpoints[-1]
+    s = lo + 1
+    P, Q = lines[-1]
+    assert (P + Q * s).coeffs == gamma(model, D1 + D2 * s).gamma
+    target = (D1 + D2 * s).coeffs
+    message = f"no certified envelope line above slope {lo.canonical_string()};"
+    pair = [",".join(map(str, c)) for c in (c1, c2)]
+    real_certified = divfilt.envelope._certified
+    for moved in (None, *range(len(model.primes))):
 
-            def refused(m, D, constraints, point):
-                if D.coeffs == target:
+        def refused(m, D, constraints, point, moved=moved):
+            if D.coeffs == target:
+                if moved is None:
                     raise NoMinimalEnvelopeError("refused")
-                return real_certified(m, D, constraints, point)
+                point = list(point)
+                point[moved] += Fraction(1, 1000)
+            return real_certified(m, D, constraints, tuple(point))
 
-            def moved_gamma(m, D, moved_env=moved_env):
-                return moved_env if D.coeffs == target else real_gamma(m, D)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(divfilt.envelope, "_certified", refused)
-                patch.setattr(divfilt.envelope, "gamma", moved_gamma)
-                with pytest.raises(ComputationError, match="not affine"):
-                    piecewise_limit(model, model.divisor(c1), model.divisor(c2))
+        with monkeypatch.context() as patch:
+            patch.setattr(divfilt.envelope, "_certified", refused)
+            for compute in (regions, piecewise_limit):
+                with pytest.raises(ComputationError, match=re.escape(message)):
+                    compute(model, model.divisor(c1), model.divisor(c2))
+            assert cli.main(["piecewise", "-D1", pair[0], "-D2", pair[1]]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -263,6 +263,11 @@ def test_scalar_from_json_accepts_ints_and_rejects_junk():
     assert scalar_from_json(7, 3) == 7
     assert scalar_from_json("7/2", 3) == Fraction(7, 2)
     assert scalar_from_json({"a": "1/2", "b": "-3"}, 3) == q3(Fraction(1, 2), -3)
+    assert scalar_from_json({"a": 1, "b": " -1/2 "}, 3) == q3(1, Fraction(-1, 2))
+    assert scalar_from_json({"b": 2}, 3) == q3(0, 2)
+    for junk in (0.5, "1.5", "1e3", "1_000", {"a": 0.1, "b": 1}, {"a": 1, "b": "2.0"}):
+        with pytest.raises(ParseError, match='expected an integer, a "p/q" string'):
+            scalar_from_json(junk, 3)
     with pytest.raises(ParseError):
         scalar_from_json(True, 3)
     with pytest.raises(ParseError):
