@@ -20,9 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .envelope import gamma, is_antinef
 from .errors import (
@@ -223,8 +222,7 @@ def _arg(*flags: str, **options) -> _Arg:
     return flags, options
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     name: str
     help: str
     compute: Callable[[Optional[ThreefoldModel], argparse.Namespace, dict], _Outcome]

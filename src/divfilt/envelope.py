@@ -45,17 +45,18 @@ each region's cubic from its line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError, NoMinimalEnvelopeError
 from .model import ExcDivisor, ThreefoldModel
-from .qfield import QuadNumber, quadratic_roots
+from .qfield import QuadNumber, dot, quadratic_roots
 from .surfaces import (
     Constraint,
     LinearConstraint,
     Point,
+    Quadratic,
+    QuadraticConstraint,
     _inverse,
     _solve_linear_rows,
 )
@@ -65,8 +66,7 @@ from .surfaces import (
 Multipliers = tuple[tuple[str, QuadNumber], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class GammaEnvelope:
+class GammaEnvelope(NamedTuple):
     """The envelope of one divisor: minimal coordinates and certificates.
 
     ``active`` lists the identifiers of all constraints that hold with
@@ -304,11 +304,12 @@ Line = tuple[ExcDivisor, ExcDivisor]
 def _line_through(
     model: ThreefoldModel, constraints: Sequence[Constraint], at: Point
 ) -> Optional[Line]:
-    """``(P, Q)`` with ``P + r*Q`` the line through ``at = (g, r)`` along
-    which every one of ``constraints`` (in ``(g, r)``) vanishes identically.
+    """``(P, Q)`` with ``P + r*Q`` the line through ``at = (g, r)`` that
+    the linearisation of ``constraints`` (in ``(g, r)``) fixes.
 
-    Their linearisation ``grad_g . Q = -grad_r`` at ``at`` must fix ``Q``
-    uniquely; then ``P = g - r*Q``.  Returns None otherwise.
+    ``grad_g . Q = -grad_r`` at ``at`` must fix ``Q`` uniquely; then ``P =
+    g - r*Q``.  Returns None otherwise.  Whether the constraints vanish
+    all along the line is left to the caller.
     """
     t, d = len(model.primes), model.field_d
     *g, r = at
@@ -318,10 +319,38 @@ def _line_through(
         return None
     v = tuple(solved[0])
     u = tuple(gi - r * vi for gi, vi in zip(g, v))
-    line = ((*u, QuadNumber.zero(d)), (*v, QuadNumber.one(d)))
-    if any(x.sign() != 0 for c in constraints for x in c.along(*line)):
-        return None
     return ExcDivisor(model, u), ExcDivisor(model, v)
+
+
+def _falls_past(along: Quadratic, lo: QuadNumber) -> bool:
+    """Whether ``alpha r^2 + beta r + chi``, zero at ``lo``, is negative
+    just above ``lo``: its derivative ``2 alpha lo + beta`` there is
+    negative, or zero with ``alpha < 0``."""
+    alpha, beta, _ = along
+    slope = (2 * alpha * lo + beta).sign()
+    return slope < 0 or (slope == 0 and alpha.sign() < 0)
+
+
+def _gradient_keeps_direction(
+    c: QuadraticConstraint, line: Line, lo: QuadNumber, hi: Optional[QuadNumber]
+) -> bool:
+    """Whether the gradient ``2M(u + r*v)`` of ``c`` along ``line = (u, v)``
+    stays a positive multiple of one vector for ``r`` in ``[lo, hi]``
+    (``[lo, inf)`` when ``hi`` is None): ``Mu`` and ``Mv`` are parallel,
+    and the factor keeps its sign.  A gradient that is zero all along
+    qualifies."""
+    p = [dot(row, line[0].coeffs) for row in c.matrix]
+    q = [dot(row, line[1].coeffs) for row in c.matrix]
+    pairs = combinations(range(len(p)), 2)
+    if any((p[i] * q[j] - p[j] * q[i]).sign() != 0 for i, j in pairs):
+        return False
+    # a coordinate where the common direction is nonzero carries the factor
+    k = next((k for k in range(len(p)) if p[k] or q[k]), None)
+    if k is None:
+        return True
+    start = (p[k] + q[k] * lo).sign()
+    end = (q[k].sign() or p[k].sign()) if hi is None else (p[k] + q[k] * hi).sign()
+    return start == end != 0
 
 
 def _on_line(
@@ -348,20 +377,26 @@ def _walk(
     ``sigma(D1)`` (``D1.envelope``, filled here) at ``lo = 0``, then the
     previous step's line at its end.  Each ``t``-subset of the family's
     constraints active at the anchor, in ``combinations`` order, fixes a
-    line through it (:func:`_line_through`), which ends at ``hi``, the
-    least root above ``lo`` of a constraint that does not vanish all along
-    it.  The step's line is the first whose point at ``(lo + hi)/2`` (at
-    ``lo + 1`` if nothing ends it) is certified as the envelope there.  A
-    step with the previous step's active set continues its region;
-    otherwise ``lo`` is a breakpoint.
+    line through it (:func:`_line_through`).  The line is kept if the
+    subset vanishes all along it and no constraint active at the anchor
+    turns negative at once above ``lo`` (:func:`_falls_past`; its point
+    in the step would be infeasible).  It ends at ``hi``, the least root
+    above ``lo`` of a constraint that does not vanish all along it.  Each
+    constraint's restriction to the line is computed once for these three
+    uses.  The step's line is the first whose point at ``(lo + hi)/2``
+    (at ``lo + 1`` if nothing ends it) is certified as the envelope
+    there.  A step with the previous step's active set continues its
+    region; otherwise ``lo`` is a breakpoint.
 
     No constraint changes sign strictly between ``lo`` and ``hi``, so one
     feasible point covers the step, and one certificate does when the
-    multipliers keep their signs along the line.  That holds when the
-    active rows are linear, and for ``t = 2``: an affine line on which a
-    binary quadratic form vanishes passes through the origin, so the
-    form's gradient only rescales along it.  Raises
-    :class:`ComputationError` naming the slope where no line certifies.
+    gradients of the active constraints keep their directions along the
+    line.  Linear rows have constant gradients; for an active quadratic
+    this is checked (:func:`_gradient_keeps_direction`).  It holds for
+    ``t = 2``: an affine line on which a binary quadratic form vanishes
+    passes through the origin, so the form's gradient only rescales
+    along it.  Raises :class:`ComputationError` naming the slope where no
+    line certifies or where an active gradient turns.
     """
     for D in (D1, D2):
         _require_effective(model, D, nonzero=True)
@@ -373,17 +408,19 @@ def _walk(
     lines: list[Line] = []
     active: Optional[frozenset[str]] = None
     while True:
-        at_anchor = [c for c in family if c.value(anchor).sign() == 0]
+        at_anchor = [k for k, c in enumerate(family) if c.value(anchor).sign() == 0]
         for subset in combinations(at_anchor, len(model.primes)):
-            line = _line_through(model, subset, anchor)
+            line = _line_through(model, [family[k] for k in subset], anchor)
             if line is None:
                 continue
             base, direction = (*line[0].coeffs, zero), (*line[1].coeffs, one)
+            along = [c.along(base, direction) for c in family]
+            if any(x.sign() != 0 for k in subset for x in along[k]) or any(
+                _falls_past(along[k], lo) for k in at_anchor
+            ):
+                continue
             ends = [
-                root
-                for c in family
-                for root in quadratic_roots(*c.along(base, direction)) or ()
-                if root > lo
+                root for q in along for root in quadratic_roots(*q) or () if root > lo
             ]
             hi = min(ends, default=None)
             s = lo + 1 if hi is None else (lo + hi) / 2
@@ -396,6 +433,16 @@ def _walk(
                 f"no certified envelope line above slope {lo.canonical_string()}; "
                 "the model is outside this solver's supported family"
             )
+        for c in nef:
+            if (
+                c.ident in env.active
+                and isinstance(c, QuadraticConstraint)
+                and not _gradient_keeps_direction(c, line, lo, hi)
+            ):
+                raise ComputationError(
+                    f"the gradient of {c.ident} turns along the envelope line above "
+                    f"slope {lo.canonical_string()}; one certificate does not cover it"
+                )
         if env.active != active:
             starts.append(lo)
             lines.append(line)

@@ -15,12 +15,12 @@ rounding defect is bounded by ``defect``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputError
+from .frozen import Frozen
 from .qfield import QuadNumber
 
 __all__ = [
@@ -55,8 +55,7 @@ def norm_length(n1: int, n2: int) -> int:
     return root if root * root == square else root + 1
 
 
-@dataclass(frozen=True)
-class LengthSequence:
+class LengthSequence(Frozen):
     """Colengths of a filtration, given by a closed-form evaluator.
 
     ``evaluator(n)`` must be a nondecreasing nonnegative integer sequence
@@ -67,17 +66,21 @@ class LengthSequence:
     inferred quantity).
     """
 
+    __slots__ = _fields = ("evaluator", "dimension", "defect")
     evaluator: Callable[[int], int]
     dimension: int
-    defect: int = 1
+    defect: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+    def __init__(
+        self, evaluator: Callable[[int], int], dimension: int, defect: int = 1
+    ) -> None:
+        if not isinstance(dimension, int) or dimension < 1:
             raise InputError("dimension must be a positive integer")
-        if not isinstance(self.defect, int) or self.defect < 1:
+        if not isinstance(defect, int) or defect < 1:
             raise InputError("defect bound must be a positive integer")
-        if self.evaluator(0) != 0:
+        if evaluator(0) != 0:
             raise InputError("length sequence must start at 0")
+        self._set_fields(evaluator, dimension, defect)
 
     def length(self, n: int) -> int:
         _check_index(n)
@@ -87,8 +90,7 @@ class LengthSequence:
         return value
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """A finite-index estimate of a normalized colength limit."""
 
     n_max: int

@@ -26,13 +26,13 @@ and a ruled surface with basis ``C0, f``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InputError, ModelValidationError, ParseError
+from .frozen import Frozen
 from .qfield import (
     QuadNumber,
     ScalarLike,
@@ -59,19 +59,24 @@ BUILTIN_MODEL_NAME = "paper"
 DIMENSION = 3
 
 
-@dataclass(frozen=True)
-class ExcDivisor:
-    """A divisor supported on the exceptional primes: D = sum g_i E_i."""
+class ExcDivisor(Frozen):
+    """A divisor supported on the exceptional primes: D = sum g_i E_i.
 
+    Instances keep a ``__dict__`` for the cached :attr:`envelope`.
+    """
+
+    _fields = ("model", "coeffs")
     model: "ThreefoldModel"
     coeffs: tuple[QuadNumber, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.model.primes):
+    def __init__(self, model: "ThreefoldModel", coeffs: tuple[QuadNumber, ...]) -> None:
+        if len(coeffs) != len(model.primes):
             raise InputError(
-                f"divisor needs {len(self.model.primes)} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"divisor needs {len(model.primes)} coefficients, "
+                f"got {len(coeffs)}"
             )
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _check_same_model(self, other: "ExcDivisor") -> None:
         if self.model != other.model:
@@ -119,8 +124,7 @@ class ExcDivisor:
         return "(" + ", ".join(c.canonical_string() for c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -130,8 +134,7 @@ class CheckResult:
         return f"{status:4s} {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -152,30 +155,36 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class ThreefoldModel:
-    """Exceptional primes, their surfaces, and the restriction table."""
+class ThreefoldModel(Frozen):
+    """Exceptional primes, their surfaces, and the restriction table.
 
+    ``pairings`` and the cached properties (kept in ``__dict__``) take no
+    part in ``==``, ``hash`` or the repr.
+    """
+
+    _fields = ("field_d", "primes", "surfaces", "restrictions")
     field_d: int
     primes: tuple[str, ...]
     surfaces: tuple[SurfaceLattice, ...]
     # restrictions[i][j]: class of O(E_j) restricted to the surface over E_i
     restrictions: tuple[tuple[SurfaceClass, ...], ...]
     # pairings[e][i][j]: restrictions[e][i] . restrictions[e][j]
-    pairings: tuple[tuple[tuple[QuadNumber, ...], ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    pairings: tuple[tuple[tuple[QuadNumber, ...], ...], ...]
 
-    def __post_init__(self) -> None:
-        t = len(self.primes)
-        if len(set(self.primes)) != t:
+    def __init__(
+        self,
+        field_d: int,
+        primes: tuple[str, ...],
+        surfaces: tuple[SurfaceLattice, ...],
+        restrictions: tuple[tuple[SurfaceClass, ...], ...],
+    ) -> None:
+        t = len(primes)
+        if len(set(primes)) != t:
             raise InputError("prime names are not unique")
-        if len(self.surfaces) != t or len(self.restrictions) != t:
+        if len(surfaces) != t or len(restrictions) != t:
             raise InputError("surfaces/restrictions do not match prime count")
-        for i, (prime, surface, row) in enumerate(
-            zip(self.primes, self.surfaces, self.restrictions)
-        ):
-            if surface.field_d != self.field_d:
+        for prime, surface, row in zip(primes, surfaces, restrictions):
+            if surface.field_d != field_d:
                 raise InputError(f"surface {surface.name!r} uses a different field")
             if len(row) != t:
                 raise InputError(f"restriction row for {prime!r} has wrong length")
@@ -184,9 +193,10 @@ class ThreefoldModel:
                     raise InputError(
                         f"restriction class for {prime!r} lies on the wrong surface"
                     )
+        self._set_fields(field_d, primes, surfaces, restrictions)
         pairings = tuple(
             tuple(tuple(ri.pair(rj) for rj in row) for ri in row)
-            for row in self.restrictions
+            for row in restrictions
         )
         object.__setattr__(self, "pairings", pairings)
 

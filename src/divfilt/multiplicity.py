@@ -30,13 +30,13 @@ digits that separate its sides when they differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # unused here, but bench/tracing.py wraps ``multiplicity.gamma`` too
 from .envelope import GammaEnvelope, _walk, gamma  # noqa: F401
 from .errors import ComputationError, InputError
+from .frozen import Frozen
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber, ScalarLike
@@ -45,11 +45,16 @@ MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3))
 MONOMIAL_NAMES = ("n^3", "n^2*j", "n*j^2", "j^3")
 
 
-@dataclass(frozen=True, slots=True)
-class CubicForm:
+class CubicForm(Frozen):
     """A homogeneous cubic in (n, j): coefficients for n^3, n^2 j, n j^2, j^3."""
 
+    __slots__ = _fields = ("coefficients",)
     coefficients: tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]
+
+    def __init__(
+        self, coefficients: tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]
+    ) -> None:
+        self._set_fields(coefficients)
 
     def coefficient(self, d1: int, d2: int) -> QuadNumber:
         try:
@@ -107,8 +112,7 @@ class CubicForm:
         return self.render()
 
 
-@dataclass(frozen=True, slots=True)
-class PiecewiseRegion:
+class PiecewiseRegion(NamedTuple):
     lower_slope: QuadNumber
     upper_slope: Optional[QuadNumber]  # None = unbounded
     poly: CubicForm
@@ -120,8 +124,7 @@ class PiecewiseRegion:
         return f"[{self.lower_slope.canonical_string()}, {upper})"
 
 
-@dataclass(frozen=True, slots=True)
-class PiecewisePoly:
+class PiecewisePoly(Frozen):
     """A slope-piecewise homogeneous cubic on the effective quadrant.
 
     Region k applies when ``lower_slope <= j/n < upper_slope`` (the last
@@ -130,24 +133,26 @@ class PiecewisePoly:
     of the bounds never changes a value.
     """
 
+    __slots__ = _fields = ("regions",)
     regions: tuple[PiecewiseRegion, ...]
 
-    def __post_init__(self) -> None:
-        if not self.regions:
+    def __init__(self, regions: tuple[PiecewiseRegion, ...]) -> None:
+        if not regions:
             raise InputError("piecewise polynomial needs at least one region")
-        if self.regions[0].lower_slope.sign() != 0:
+        if regions[0].lower_slope.sign() != 0:
             raise InputError("first region must start at slope 0")
-        for left, right in zip(self.regions, self.regions[1:]):
+        for left, right in zip(regions, regions[1:]):
             if left.upper_slope is None or left.upper_slope != right.lower_slope:
                 raise InputError("region slopes must be contiguous")
-        for region in self.regions:
+        for region in regions:
             if (
                 region.upper_slope is not None
                 and (region.upper_slope - region.lower_slope).sign() <= 0
             ):
                 raise InputError("region slopes must strictly increase")
-        if self.regions[-1].upper_slope is not None:
+        if regions[-1].upper_slope is not None:
             raise InputError("last region must be unbounded")
+        self._set_fields(regions)
 
     def region_for(self, n: ScalarLike, j: ScalarLike) -> PiecewiseRegion:
         d = self.regions[0].lower_slope.d
@@ -197,21 +202,24 @@ class PiecewisePoly:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class MultReport:
+class MultReport(Frozen):
     """Normalized limit and multiplicity of one divisor's filtration."""
 
+    __slots__ = _fields = ("limit", "multiplicity", "gamma_used")
     limit: QuadNumber
     multiplicity: QuadNumber
     gamma_used: GammaEnvelope
 
-    def __post_init__(self) -> None:
-        if self.multiplicity != self.limit * 6:
+    def __init__(
+        self, limit: QuadNumber, multiplicity: QuadNumber, gamma_used: GammaEnvelope
+    ) -> None:
+        if multiplicity != limit * 6:
             raise ComputationError("multiplicity must equal 3! times the limit")
-        if self.multiplicity.sign() < 0:
+        if multiplicity.sign() < 0:
             raise ComputationError(
                 "negative multiplicity: model violates nonnegativity"
             )
+        self._set_fields(limit, multiplicity, gamma_used)
 
 
 def _sigma(model: ThreefoldModel, D: ExcDivisor) -> tuple[GammaEnvelope, ExcDivisor]:
@@ -314,8 +322,7 @@ def product_limit(
 # Minkowski-style inequality checks
 
 
-@dataclass(frozen=True, slots=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     label: str
     holds: bool
     method: str
@@ -336,8 +343,7 @@ class InequalityCheck:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class MinkowskiReport:
+class MinkowskiReport(NamedTuple):
     e_values: tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]
     product_multiplicity: QuadNumber
     checks: tuple[InequalityCheck, ...]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, Union
@@ -39,6 +38,7 @@ from .errors import (
     ParseError,
     RootOutsideFieldError,
 )
+from .frozen import Frozen
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadNumber"]
@@ -70,8 +70,7 @@ def _require_squarefree(d: int) -> None:
     _SQUAREFREE_CACHE.add(d)
 
 
-@dataclass(frozen=True, slots=True)
-class QuadNumber:
+class QuadNumber(Frozen):
     """The element ``a + b*sqrt(d)`` of Q(sqrt(d)), stored in lowest terms.
 
     The representation is canonical: two elements of the same field are
@@ -80,16 +79,16 @@ class QuadNumber:
     against plain ``int``/``Fraction``.
     """
 
+    __slots__ = _fields = ("a", "b", "d")
     a: Fraction
     b: Fraction
     d: int
 
-    def __post_init__(self) -> None:
-        _require_squarefree(self.d)
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: RationalLike, b: RationalLike, d: int) -> None:
+        _require_squarefree(d)
+        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
+        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        object.__setattr__(self, "d", d)
 
     # -- construction helpers ------------------------------------------
 

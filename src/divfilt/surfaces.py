@@ -27,11 +27,11 @@ sign tests alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedModelError
+from .frozen import Frozen
 from .qfield import QuadNumber, ScalarLike, bilinear, dot, quadratic_roots
 
 POLYHEDRAL = "polyhedral"
@@ -41,8 +41,7 @@ Vector = Sequence[QuadNumber]
 Quadratic = tuple[QuadNumber, QuadNumber, QuadNumber]
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """The affine inequality ``coeffs . v + const >= 0``."""
 
     ident: str
@@ -67,8 +66,7 @@ class LinearConstraint:
         )
 
 
-@dataclass(frozen=True)
-class QuadraticConstraint:
+class QuadraticConstraint(NamedTuple):
     """The homogeneous inequality ``v^T matrix v >= 0`` (matrix symmetric)."""
 
     ident: str
@@ -259,8 +257,7 @@ def _solve_equality_system(
     )
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """Homogeneous constraints on ``nvars`` variables and the points they pin.
 
     Each constraint is a linear row without constant or a quadratic form,
@@ -285,8 +282,7 @@ class ConstraintSystem:
                 )
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(Frozen):
     """A cone in a surface lattice, either polyhedral or quadratic.
 
     For the polyhedral kind, ``functionals`` holds the rows of the
@@ -294,31 +290,37 @@ class ConeSpec:
     borrows the owning lattice's gram matrix and ample class.
     """
 
+    __slots__ = _fields = ("kind", "functionals")
     kind: str
-    functionals: tuple[tuple[QuadNumber, ...], ...] = ()
+    functionals: tuple[tuple[QuadNumber, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in (POLYHEDRAL, QUADRATIC):
-            raise InputError(f"unknown cone kind {self.kind!r}")
-        if self.kind == POLYHEDRAL and not self.functionals:
+    def __init__(
+        self, kind: str, functionals: tuple[tuple[QuadNumber, ...], ...] = ()
+    ) -> None:
+        if kind not in (POLYHEDRAL, QUADRATIC):
+            raise InputError(f"unknown cone kind {kind!r}")
+        if kind == POLYHEDRAL and not functionals:
             raise InputError("polyhedral cone needs at least one functional")
-        if self.kind == QUADRATIC and self.functionals:
+        if kind == QUADRATIC and functionals:
             raise InputError("quadratic cone takes no functionals")
+        self._set_fields(kind, functionals)
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(Frozen):
     """A divisor class on a surface: coordinates over the lattice basis."""
 
+    __slots__ = _fields = ("lattice", "coords")
     lattice: "SurfaceLattice"
     coords: tuple[QuadNumber, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != len(self.lattice.basis):
+    def __init__(self, lattice: "SurfaceLattice", coords: tuple[QuadNumber, ...]) -> None:
+        if len(coords) != len(lattice.basis):
             raise InputError(
-                f"class on {self.lattice.name!r} needs "
-                f"{len(self.lattice.basis)} coordinates, got {len(self.coords)}"
+                f"class on {lattice.name!r} needs "
+                f"{len(lattice.basis)} coordinates, got {len(coords)}"
             )
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coords", coords)
 
     def _check_same_lattice(self, other: "SurfaceClass") -> None:
         if self.lattice != other.lattice:
@@ -357,10 +359,16 @@ class SurfaceClass:
         return f"({inner})"
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
-    """A surface's divisor-class lattice with pairing and cone data."""
+class SurfaceLattice(Frozen):
+    """A surface's divisor-class lattice with pairing and cone data.
 
+    ``gram`` and ``ample_ref`` may hold any mix of ints, Fractions and
+    QuadNumbers; they are stored as elements of Q(sqrt(field_d)).
+    """
+
+    __slots__ = _fields = (
+        "name", "basis", "gram", "ample_ref", "nef_cone", "eff_cone", "field_d"
+    )
     name: str
     basis: tuple[str, ...]
     gram: tuple[tuple[QuadNumber, ...], ...]
@@ -369,7 +377,17 @@ class SurfaceLattice:
     eff_cone: ConeSpec
     field_d: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        basis: tuple[str, ...],
+        gram: Sequence[Sequence[ScalarLike]],
+        ample_ref: Sequence[ScalarLike],
+        nef_cone: ConeSpec,
+        eff_cone: ConeSpec,
+        field_d: int,
+    ) -> None:
+        self._set_fields(name, basis, gram, ample_ref, nef_cone, eff_cone, field_d)
         rank = len(self.basis)
         if rank == 0:
             raise InputError(f"surface {self.name!r}: basis is empty")

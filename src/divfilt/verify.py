@@ -9,9 +9,8 @@ around this function and exits nonzero on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .envelope import gamma, is_antinef, regions
 from .errors import InputError, ModelValidationError
@@ -33,8 +32,7 @@ from .multiplicity import (
 from .qfield import QuadNumber
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     name: str
     expected: str
     computed: str
@@ -52,8 +50,7 @@ class Claim:
         }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     claims: tuple[Claim, ...]
 
     @property

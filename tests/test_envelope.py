@@ -13,6 +13,7 @@ from divfilt.envelope import (
     _bounds,
     _certificate,
     _certified,
+    _gradient_keeps_direction,
     _region_label,
     _walk,
     gamma,
@@ -26,6 +27,7 @@ from divfilt.qfield import QuadNumber
 from divfilt.surfaces import (
     ConstraintSystem,
     LinearConstraint,
+    QuadraticConstraint,
     _solve_equality_system,
 )
 
@@ -637,3 +639,69 @@ def test_walk_without_lines_is_refused(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "no certified envelope line above slope 0" in captured.err
+
+
+# ``_on_line`` calls on test_walk_skips_lines_that_fall_at_once's pairs by
+# a walk that certified every line it found; 23 of them were refused
+UNSKIPPED_ON_LINE_CALLS = 97
+
+
+def test_walk_skips_lines_that_fall_at_once(monkeypatch):
+    """Lines on which a constraint active at the anchor turns negative at
+    once are skipped before certification, so ``_on_line`` runs less often,
+    and the breakpoints still equal the oracle's, on seeded pairs of the
+    builtin model and of a basis-changed copy."""
+    results = []
+    real = divfilt.envelope._on_line
+
+    def counted(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(divfilt.envelope, "_on_line", counted)
+    rng = random.Random(11)
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        for _ in range(20):
+            D1, D2 = seeded_pair(m, rng)
+            assert _walk(m, D1, D2)[0] == sampled_regions_oracle(m, D1, D2)[0], (D1, D2)
+    assert len(results) < UNSKIPPED_ON_LINE_CALLS
+    assert None not in results
+
+
+def test_gradient_keeps_direction(model):
+    """``Mu`` and ``Mv`` must be parallel and ``M(u + r*v)`` keep its sign
+    on ``[lo, hi]``, for ``M = diag(1, -1)``."""
+    c = QuadraticConstraint("quad", ((q3(1), q3(0)), (q3(0), q3(-1))))
+
+    def keeps(u, v, lo, hi):
+        line = (model.divisor(u), model.divisor(v))
+        return _gradient_keeps_direction(c, line, q3(lo), None if hi is None else q3(hi))
+
+    assert keeps([1, 0], [-1, 0], 0, Fraction(1, 2))
+    assert not keeps([1, 0], [-1, 0], 0, 2)  # the factor 1 - r turns at 1
+    assert not keeps([1, 0], [-1, 0], 0, 1)  # and vanishes at 1
+    assert not keeps([1, 0], [-1, 0], 0, None)
+    assert keeps([2, 1], [4, 2], 0, None)
+    assert not keeps([1, 0], [0, 1], 0, 1)  # not parallel
+    assert keeps([0, 0], [0, 0], 0, None)  # a gradient that is zero all along
+
+
+def test_walk_refuses_a_step_whose_active_gradient_turns(monkeypatch, capsys):
+    """With ``_on_line`` patched to report ``nef[Sbar]:quad`` active, the
+    step above slope 1 of ``(1,0) + r*(0,1)``, on which that quadratic's
+    gradient turns, is refused: ``regions`` raises ``ComputationError`` and
+    ``divfilt piecewise`` exits 3 without a traceback."""
+    real = divfilt.envelope._on_line
+
+    def claims_quad(*args):
+        env = real(*args)
+        return env and env._replace(active=env.active | {"nef[Sbar]:quad"})
+
+    monkeypatch.setattr(divfilt.envelope, "_on_line", claims_quad)
+    m = builtin_model()
+    with pytest.raises(ComputationError, match=r"nef\[Sbar\]:quad turns .* above slope 1;"):
+        regions(m, m.divisor([1, 0]), m.divisor([0, 1]))
+    assert cli.main(["piecewise", "-D1", "1,0", "-D2", "0,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("computation error: the gradient of nef[Sbar]:quad")
