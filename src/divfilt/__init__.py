@@ -28,7 +28,6 @@ from .errors import (
     NoMinimalEnvelopeError,
     ParseError,
     RootOutsideFieldError,
-    UnsupportedModelError,
 )
 from .filt_examples import (
     LengthSequence,
@@ -103,7 +102,6 @@ __all__ = [
     "SurfaceClass",
     "SurfaceLattice",
     "ThreefoldModel",
-    "UnsupportedModelError",
     "ValidationReport",
     "VerifyReport",
     "builtin_document",

@@ -7,46 +7,35 @@ surface over every prime lies in that surface's nef cone.  The envelope
 coordinates are what the multiplicity formulas consume: they are exact
 elements of Q(sqrt(d)) and may well be irrational.
 
-The computation enumerates active sets.  The feasible set is cut out by
-the bound constraints ``g_i - a_i >= 0`` together with the nef
-constraints: each surface's own cone inequalities
-(:meth:`SurfaceLattice.constraints`) pulled back to ``g`` along
-``g -> -sum g_i r_E(E_i)``.  Subsets of ``t`` constraints (``t`` primes)
-are solved as equality systems over the field; a least feasible point is
-the only one of least coordinate sum, and that point is the envelope.
-Equality systems stay tractable because after eliminating the linear
-equations at most one quadratic survives in one free variable; anything
-richer is refused loudly rather than solved approximately.
+The feasible set is cut out by the bound constraints ``g_i - a_i >= 0``
+together with the nef constraints: each surface's own cone inequalities
+(:meth:`SurfaceLattice.constraints`) pulled back to ``g`` along ``g ->
+-sum g_i r_E(E_i)``, once per model (:attr:`ThreefoldModel.nef_systems`).
 
-The minimum is certified, not assumed: for each coordinate ``i`` there
+Along a segment of divisors ``D1 + r*D2`` the envelope is piecewise
+affine in ``r``, and one walk (:func:`_walk`) follows it: from a known
+envelope, the constraints active there fix a line, the line ends where
+another constraint meets it, and a certified point inside proves it the
+envelope up to that end.  ``gamma(D)`` walks from the anchor ``A = sum
+E_i``, which is its own envelope when ``-A`` is nef, along ``A + r*(D -
+A)`` to ``r = 1``; ``regions`` walks ``D1 + r*D2`` from ``sigma(D1)`` and
+returns the slopes where the active set changes, the breakpoints of the
+piecewise multiplicity formulas, and ``multiplicity.piecewise_limit``
+builds each region's cubic from its line.
+
+Every answer is certified, not assumed: for each coordinate ``i`` there
 are multipliers ``lam >= 0`` on the active constraints with ``sum lam_c
 grad c = e_i``.  Because each quadratic nef cone is half of a light cone
 (its surface's gram matrix has signature ``(1, rho - 1)``, the Hodge
 index theorem), these first-order conditions prove minimality exactly,
-and the multipliers are kept on the result.
-
-What does not depend on the divisor is done once per model: the nef
-constraints are pulled back on first use (:attr:`ThreefoldModel.nef_systems`).
-They are homogeneous, so each call solves just the subsets holding a
-bound row (nef rows alone isolate at most the origin, which breaks a
-bound), and tests feasibility only for candidates whose coordinate sum
-is below that of every feasible one found so far.
-
-``regions`` analyses the one-parameter family ``D1 + r*D2`` and returns
-the slopes ``r`` where the envelope's active constraint set changes, the
-breakpoints of the piecewise multiplicity formulas.  Within a region the
-envelope is affine in ``r``.  The walk starts each region from a known
-*anchor* (``sigma(D1)`` at ``r = 0``, then the previous region's line at
-its end), follows the line its active constraints fix until another
-constraint meets it, and certifies the line at one point inside, so it
-calls ``gamma`` only for ``D1``.  ``multiplicity.piecewise_limit`` builds
-each region's cubic from its line.
+and the multipliers are kept on the result.  So a walk that strays can
+fail (a :class:`ComputationError`) but cannot return a wrong envelope.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import ComputationError, InputError, NoMinimalEnvelopeError
 from .model import ExcDivisor, ThreefoldModel
@@ -140,27 +129,17 @@ class GammaEnvelope(NamedTuple):
 # bound constraints
 
 
-def _bounds(
-    model: ThreefoldModel, D1: ExcDivisor, D2: Optional[ExcDivisor] = None
-) -> list[Constraint]:
-    """The bounds ``g_i >= coeff_i(D1 + r*D2)``, one per prime.
-
-    Without ``D2`` the variables are ``g``; with it the slope ``r`` is
-    appended as one more variable.
-    """
+def _bounds(model: ThreefoldModel, D: ExcDivisor) -> list[Constraint]:
+    """The bounds ``g_i >= coeff_i(D)``, one per prime."""
     d = model.field_d
     zero, one = QuadNumber.zero(d), QuadNumber.one(d)
     t = len(model.primes)
-    bounds: list[Constraint] = []
-    for i, prime in enumerate(model.primes):
-        coeffs = [zero] * t
-        coeffs[i] = one
-        if D2 is not None:
-            coeffs.append(-D2.coeffs[i])
-        bounds.append(
-            LinearConstraint(f"coeff[{prime}]", tuple(coeffs), -D1.coeffs[i])
+    return [
+        LinearConstraint(
+            f"coeff[{prime}]", tuple(one if k == i else zero for k in range(t)), -a
         )
-    return bounds
+        for i, (prime, a) in enumerate(zip(model.primes, D.coeffs))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +160,7 @@ def _require_effective(
 def is_antinef(model: ThreefoldModel, D: ExcDivisor) -> bool:
     """True iff ``-D`` restricts into the nef cone over every prime."""
     _require_effective(model, D, nonzero=False)
-    nef = model.nef_systems[0].constraints
-    return all(c.value(D.coeffs).sign() >= 0 for c in nef)
+    return all(c.value(D.coeffs).sign() >= 0 for c in model.nef_systems)
 
 
 def _region_label(model: ThreefoldModel, raised: tuple[int, ...]) -> str:
@@ -255,6 +233,8 @@ def _certified(
     signs = [c.value(point).sign() for c in constraints]
     if min(signs) < 0:
         raise NoMinimalEnvelopeError("no minimal envelope: candidate is infeasible")
+    # a coordinate at its bound is D's own coefficient, so results share it
+    point = tuple(a if sign == 0 else x for x, a, sign in zip(point, D.coeffs, signs))
     active = [c for c, sign in zip(constraints, signs) if sign == 0]
     certificate = _certificate(active, point)
     for prime, multipliers in zip(model.primes, certificate):
@@ -274,51 +254,50 @@ def _certified(
 def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     """Coordinatewise-minimal ``g >= coeffs(D)`` making ``-sum g_i E_i`` nef.
 
-    Enumerates active sets exactly and keeps the first feasible point of
-    least coordinate sum: a least element of the feasible set is the only
-    feasible point with that sum.  The certificate (:func:`_certified`)
-    then proves the pick minimal in every coordinate, so a feasible set
-    without a least element is refused, naming a coordinate.
+    Walks the segment ``A + r*(D - A)`` from the anchor ``A = sum E_i``
+    at ``r = 0`` to ``D`` at ``r = 1`` (:func:`_walk`), and returns the
+    point at ``r = 1`` that :func:`_certified` proves minimal in every
+    coordinate.  A model on which ``-A`` is not nef is refused.
     """
     _require_effective(model, D, nonzero=True)
-    nef = model.nef_systems[0]
-    bounds = _bounds(model, D)
-    constraints = bounds + list(nef.constraints)
-    best: Optional[Point] = None
-    for point in nef.vertices_with(bounds):
-        total = sum(point[1:], point[0])
-        if best is not None and (total - best_total).sign() >= 0:
-            continue
-        if all(c.value(point).sign() >= 0 for c in constraints):
-            best, best_total = point, total
-    if best is None:
-        raise NoMinimalEnvelopeError(
-            "no minimal envelope: no feasible active-set point"
-        )
-    return _certified(model, D, constraints, best)
+    A = ExcDivisor(model, (QuadNumber.one(model.field_d),) * len(model.primes))
+    return _walk(model, A, D - A, target=D)
 
 
 Line = tuple[ExcDivisor, ExcDivisor]
 
 
 def _line_through(
-    model: ThreefoldModel, constraints: Sequence[Constraint], at: Point
+    model: ThreefoldModel,
+    D2: ExcDivisor,
+    subset: Sequence[int],
+    g: Point,
+    lo: QuadNumber,
 ) -> Optional[Line]:
-    """``(P, Q)`` with ``P + r*Q`` the line through ``at = (g, r)`` that
-    the linearisation of ``constraints`` (in ``(g, r)``) fixes.
+    """``(P, Q)`` with ``P + r*Q`` the line through ``g`` at ``r = lo``
+    that the linearisations of the family constraints ``subset`` fix.
 
-    ``grad_g . Q = -grad_r`` at ``at`` must fix ``Q`` uniquely; then ``P =
-    g - r*Q``.  Returns None otherwise.  Whether the constraints vanish
-    all along the line is left to the caller.
+    Family constraint ``k < t`` is the bound ``g_k >= coeff_k(D1 +
+    r*D2)``, which asks ``Q_k = coeff_k(D2)``; constraint ``t + j`` is the
+    nef constraint ``c = model.nef_systems[j]``, which asks ``grad c(g) .
+    Q = 0``.  These must fix ``Q`` uniquely; then ``P = g - lo*Q``.
+    Returns None otherwise.  Whether the constraints vanish all along the
+    line is left to the caller.
     """
     t, d = len(model.primes), model.field_d
-    *g, r = at
-    grads = [c.gradient(at) for c in constraints]
-    solved = _solve_linear_rows([(grad[:t], -grad[t]) for grad in grads], t, d)
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    nef = model.nef_systems
+    rows = [
+        (tuple(one if i == k else zero for i in range(t)), D2.coeffs[k])
+        if k < t
+        else (nef[k - t].gradient(g), zero)
+        for k in subset
+    ]
+    solved = _solve_linear_rows(rows, t, d)
     if solved is None or solved[1]:
         return None
     v = tuple(solved[0])
-    u = tuple(gi - r * vi for gi, vi in zip(g, v))
+    u = tuple(gi - lo * vi for gi, vi in zip(g, v))
     return ExcDivisor(model, u), ExcDivisor(model, v)
 
 
@@ -354,14 +333,11 @@ def _gradient_keeps_direction(
 
 
 def _on_line(
-    model: ThreefoldModel,
-    D: ExcDivisor,
-    constraints: Sequence[Constraint],
-    line: Line,
-    s: QuadNumber,
+    model: ThreefoldModel, D: ExcDivisor, line: Line, s: QuadNumber
 ) -> Optional[GammaEnvelope]:
-    """The point of ``line`` at slope ``s`` as ``D``'s envelope, if it is
+    """The point of ``line`` at ``r = s`` as ``D``'s envelope, if it is
     feasible and certified (the minimum is unique), else None."""
+    constraints = [*_bounds(model, D), *model.nef_systems]
     try:
         return _certified(model, D, constraints, (line[0] + line[1] * s).coeffs)
     except NoMinimalEnvelopeError:
@@ -369,24 +345,36 @@ def _on_line(
 
 
 def _walk(
-    model: ThreefoldModel, D1: ExcDivisor, D2: ExcDivisor
-) -> tuple[list[QuadNumber], list[Line]]:
-    """:func:`regions`' slopes and each region's line ``(P, Q)``.
+    model: ThreefoldModel,
+    D1: ExcDivisor,
+    D2: ExcDivisor,
+    target: Optional[ExcDivisor] = None,
+) -> Union[tuple[list[QuadNumber], list[Line]], GammaEnvelope]:
+    """:func:`regions`' slopes and each region's line ``(P, Q)`` along
+    ``D1 + r*D2``, or with ``target = D1 + D2``, ``target``'s envelope.
 
-    Each step starts at an *anchor* ``(g, lo)`` on the envelope:
-    ``sigma(D1)`` (``D1.envelope``, filled here) at ``lo = 0``, then the
-    previous step's line at its end.  Each ``t``-subset of the family's
-    constraints active at the anchor, in ``combinations`` order, fixes a
-    line through it (:func:`_line_through`).  The line is kept if the
-    subset vanishes all along it and no constraint active at the anchor
-    turns negative at once above ``lo`` (:func:`_falls_past`; its point
-    in the step would be infeasible).  It ends at ``hi``, the least root
-    above ``lo`` of a constraint that does not vanish all along it.  Each
-    constraint's restriction to the line is computed once for these three
-    uses.  The step's line is the first whose point at ``(lo + hi)/2``
-    (at ``lo + 1`` if nothing ends it) is certified as the envelope
-    there.  A step with the previous step's active set continues its
-    region; otherwise ``lo`` is a breakpoint.
+    The family's constraints are the bounds ``g_k >= coeff_k(D1 + r*D2)``
+    and the nef constraints, which read ``g`` alone.  Each step starts at
+    an *anchor* ``(g, lo)`` on the envelope: at ``lo = 0``, ``sigma(D1)``
+    (``D1.envelope``, filled here), or with a ``target``, ``D1`` itself,
+    which is its own envelope when ``-D1`` is nef and is refused when it
+    is not; later, the previous step's line at its end.  Each ``t``-subset
+    of the constraints active at the anchor, in ``combinations`` order,
+    fixes a line through it (:func:`_line_through`).  The line is kept if
+    the subset vanishes all along it and no constraint active at the
+    anchor turns negative at once above ``lo`` (:func:`_falls_past`; its
+    point in the step would be infeasible).  With a ``target``, a kept
+    line whose point at ``r = 1`` is certified as ``target``'s envelope
+    ends the walk.  Otherwise the line ends at ``hi``, the least root
+    above ``lo`` of a constraint that does not vanish all along it (with
+    a ``target``, below 1).  The step's line is the first whose point at
+    ``(lo + hi)/2`` (at ``lo + 1`` if nothing ends it) is certified as the
+    envelope there.  A step with the previous step's active set continues
+    its region; otherwise ``lo`` is a breakpoint.  The next anchor's
+    active constraints are those with a root at ``hi``, then those that
+    vanish all along the line.  A constraint's restriction to a line is
+    computed once: for those active at the anchor before the line is
+    kept, for the rest after.
 
     No constraint changes sign strictly between ``lo`` and ``hi``, so one
     feasible point covers the step, and one certificate does when the
@@ -395,37 +383,66 @@ def _walk(
     this is checked (:func:`_gradient_keeps_direction`).  It holds for
     ``t = 2``: an affine line on which a binary quadratic form vanishes
     passes through the origin, so the form's gradient only rescales
-    along it.  Raises :class:`ComputationError` naming the slope where no
-    line certifies or where an active gradient turns.
+    along it.  The ``target``'s envelope is certified where it is
+    returned, whatever path led there.  Raises :class:`ComputationError`
+    naming the slope where no line certifies or where an active gradient
+    turns.
     """
-    for D in (D1, D2):
-        _require_effective(model, D, nonzero=True)
+    t = len(model.primes)
     zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
-    nef = model.nef_systems[0].constraints
-    family = [*_bounds(model, D1, D2), *model.nef_systems[1]]
-    lo, anchor = zero, (*D1.envelope.gamma, zero)
+    nef = model.nef_systems
+    if target is None:
+        for D in (D1, D2):
+            _require_effective(model, D, nonzero=True)
+        g = D1.envelope.gamma
+    else:
+        g = D1.coeffs
+    signs = [
+        *((x - a).sign() for x, a in zip(g, D1.coeffs)),
+        *(c.value(g).sign() for c in nef),
+    ]
+    if min(signs) < 0:  # sigma(D1) is feasible: only gamma's anchor can fail
+        raise ComputationError(
+            "gamma walks from the anchor sum E_i, but -sum E_i is not nef on "
+            f"this model: it fails {nef[signs.index(-1) - t].ident}"
+        )
+    at_anchor = [k for k, sign in enumerate(signs) if sign == 0]
+
+    def along(k: int, line: Line) -> Quadratic:
+        """Family constraint ``k`` at ``line`` as ``alpha r^2 + beta r + chi``."""
+        u, v = line[0].coeffs, line[1].coeffs
+        if k < t:
+            return zero, v[k] - D2.coeffs[k], u[k] - D1.coeffs[k]
+        return nef[k - t].along(u, v)
+
+    lo = zero
     starts: list[QuadNumber] = []
     lines: list[Line] = []
     active: Optional[frozenset[str]] = None
     while True:
-        at_anchor = [k for k, c in enumerate(family) if c.value(anchor).sign() == 0]
-        for subset in combinations(at_anchor, len(model.primes)):
-            line = _line_through(model, [family[k] for k in subset], anchor)
+        for subset in combinations(at_anchor, t):
+            line = _line_through(model, D2, subset, g, lo)
             if line is None:
                 continue
-            base, direction = (*line[0].coeffs, zero), (*line[1].coeffs, one)
-            along = [c.along(base, direction) for c in family]
-            if any(x.sign() != 0 for k in subset for x in along[k]) or any(
-                _falls_past(along[k], lo) for k in at_anchor
+            on = {k: along(k, line) for k in at_anchor}
+            if any(x.sign() != 0 for k in subset for x in on[k]) or any(
+                _falls_past(q, lo) for q in on.values()
             ):
                 continue
-            ends = [
-                root for q in along for root in quadratic_roots(*q) or () if root > lo
+            if target is not None:
+                env = _on_line(model, target, line, one)
+                if env is not None:
+                    return env
+            roots = [
+                quadratic_roots(*(on[k] if k in on else along(k, line)))
+                for k in range(t + len(nef))
             ]
+            ends = [root for rs in roots for root in rs or () if root > lo]
             hi = min(ends, default=None)
+            if target is not None and (hi is None or hi >= one):
+                continue
             s = lo + 1 if hi is None else (lo + hi) / 2
-            D = D1 + D2 * s
-            env = _on_line(model, D, [*_bounds(model, D), *nef], line, s)
+            env = _on_line(model, D1 + D2 * s, line, s)
             if env is not None:
                 break
         else:
@@ -449,7 +466,9 @@ def _walk(
             active = env.active
         if hi is None:
             return starts[1:], lines
-        lo, anchor = hi, (*(line[0] + line[1] * hi).coeffs, hi)
+        lo, g = hi, (line[0] + line[1] * hi).coeffs
+        at_anchor = [k for k, rs in enumerate(roots) if rs is not None and hi in rs]
+        at_anchor += [k for k, rs in enumerate(roots) if rs is None]
 
 
 def regions(

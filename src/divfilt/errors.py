@@ -49,7 +49,3 @@ class RootOutsideFieldError(ComputationError):
 
 class NoMinimalEnvelopeError(ComputationError):
     """The feasible set has no coordinatewise-minimal point."""
-
-
-class UnsupportedModelError(ComputationError):
-    """The model needs machinery beyond one quadratic per active subsystem."""

@@ -46,7 +46,6 @@ from .surfaces import (
     QUADRATIC,
     ConeSpec,
     Constraint,
-    ConstraintSystem,
     SurfaceClass,
     SurfaceLattice,
 )
@@ -262,33 +261,21 @@ class ThreefoldModel(Frozen):
     # -- nef conditions on exceptional divisors ----------------------------
 
     @cached_property
-    def nef_systems(self) -> tuple[ConstraintSystem, tuple[Constraint, ...]]:
+    def nef_systems(self) -> tuple[Constraint, ...]:
         """Nef conditions on ``g`` for ``-sum g_i E_i``, built on first use.
 
         Restricting ``-sum g_i E_i`` to the surface over ``E`` gives the
         point ``sum g_i (-r_E(E_i))``, so each nef constraint of that
-        surface pulls back along the columns ``-r_E(E_i)``.  The second
-        entry holds the same constraints with a zero column appended for
-        the slope ``r`` of a family ``D1 + r*D2``, which they do not
-        involve.  The constraints do not depend on a divisor, so each
-        model builds them once; the cache takes no part in ``==`` or
-        ``hash``.
+        surface pulls back along the columns ``-r_E(E_i)``.  The
+        constraints do not depend on a divisor, so each model builds them
+        once; the cache takes no part in ``==`` or ``hash``.
         """
-        zero = QuadNumber.zero(self.field_d)
-
-        def pulled_back(extra: int) -> tuple[Constraint, ...]:
-            constraints = []
-            rows = zip(self.primes, self.surfaces, self.restrictions)
-            for prime, surface, row in rows:
-                columns = [(-r).coords for r in row] + [(zero,) * surface.rank] * extra
-                constraints.extend(
-                    c.pullback(f"nef[{prime}]:{c.ident}", columns)
-                    for c in surface.constraints("nef")
-                )
-            return tuple(constraints)
-
-        system = ConstraintSystem(pulled_back(0), len(self.primes), self.field_d)
-        return system, pulled_back(1)
+        rows = zip(self.primes, self.surfaces, self.restrictions)
+        return tuple(
+            c.pullback(f"nef[{prime}]:{c.ident}", [(-r).coords for r in row])
+            for prime, surface, row in rows
+            for c in surface.constraints("nef")
+        )
 
     # -- validation ---------------------------------------------------------
 

@@ -343,14 +343,48 @@ class InequalityCheck(NamedTuple):
         }
 
 
+def _sides(
+    e: Sequence[QuadNumber],
+) -> list[tuple[str, QuadNumber, QuadNumber]]:
+    """``(label, lhs, rhs)`` of inequalities 1-3, each ``lhs <= rhs``."""
+    return [
+        *((f"1(i={i})", e[i] ** 2, e[i + 1] * e[i - 1]) for i in (1, 2)),
+        *((f"2(i={i})", e[i] * e[3 - i], e[3] * e[0]) for i in range(4)),
+        *((f"3(i={i})", e[3 - i] ** 3, e[3] ** (3 - i) * e[0] ** i) for i in range(4)),
+    ]
+
+
 class MinkowskiReport(NamedTuple):
+    """The four inequality families on ``e_values``: one verdict per check,
+    and how inequality 4 was decided.  The sides are rendered on demand
+    (:attr:`checks`)."""
+
     e_values: tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]
     product_multiplicity: QuadNumber
-    checks: tuple[InequalityCheck, ...]
+    verdicts: tuple[bool, ...]
+    cube_root_method: str
+
+    @property
+    def checks(self) -> tuple[InequalityCheck, ...]:
+        e, L = self.e_values, self.product_multiplicity
+        exact = [
+            (label, "exact", lhs.canonical_string(), rhs.canonical_string())
+            for label, lhs, rhs in _sides(e)
+        ]
+        fourth = (
+            "4",
+            self.cube_root_method,
+            f"cbrt({L.canonical_string()})",
+            f"cbrt({e[3].canonical_string()}) + cbrt({e[0].canonical_string()})",
+        )
+        return tuple(
+            InequalityCheck(label, holds, method, lhs, rhs)
+            for (label, method, lhs, rhs), holds in zip([*exact, fourth], self.verdicts)
+        )
 
     @property
     def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
+        return all(self.verdicts)
 
     def lines(self) -> list[str]:
         out = [
@@ -422,38 +456,11 @@ def minkowski_check(
     _, sigma2 = _sigma(model, D2)
     e = _mixed_values(model, sigma1, sigma2)
     L = e[3] + 3 * e[2] + 3 * e[1] + e[0]
-
-    checks: list[InequalityCheck] = []
-
-    def exact(label: str, lhs: QuadNumber, rhs: QuadNumber) -> None:
-        checks.append(
-            InequalityCheck(
-                label=label,
-                holds=(lhs - rhs).sign() <= 0,
-                method="exact",
-                lhs=lhs.canonical_string(),
-                rhs=rhs.canonical_string(),
-            )
-        )
-
-    for i in (1, 2):
-        exact(f"1(i={i})", e[i] ** 2, e[i + 1] * e[i - 1])
-    for i in range(4):
-        exact(f"2(i={i})", e[i] * e[3 - i], e[3] * e[0])
-    for i in range(4):
-        exact(f"3(i={i})", e[3 - i] ** 3, e[3] ** (3 - i) * e[0] ** i)
     holds, method = _cube_root_sum_decision(L, e[3], e[0])
-    checks.append(
-        InequalityCheck(
-            label="4",
-            holds=holds,
-            method=method,
-            lhs=f"cbrt({L.canonical_string()})",
-            rhs=f"cbrt({e[3].canonical_string()}) + cbrt({e[0].canonical_string()})",
-        )
-    )
+    verdicts = [(lhs - rhs).sign() <= 0 for _, lhs, rhs in _sides(e)]
     return MinkowskiReport(
         e_values=e,
         product_multiplicity=L,
-        checks=tuple(checks),
+        verdicts=(*verdicts, holds),
+        cube_root_method=method,
     )

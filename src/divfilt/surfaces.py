@@ -15,9 +15,7 @@ inequalities: a list of :class:`LinearConstraint` and
 :class:`QuadraticConstraint` objects.  Membership, strict interiority of
 the ample class and the boundary crossings of a ray all evaluate that
 list, and the envelope solver pulls the same constraints back to the
-coefficients of exceptional divisors.  A :class:`ConstraintSystem` solves
-subsets of such constraints and extra rows as equalities, exactly,
-skipping those that can isolate only points where its variables vanish.
+coefficients of exceptional divisors.
 
 Both cones are CLOSED: boundary classes are members.  Downstream limit
 formulas are continuous across the boundaries, which makes the closed
@@ -27,10 +25,9 @@ sign tests alone.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import InputError, UnsupportedModelError
+from .errors import InputError
 from .frozen import Frozen
 from .qfield import QuadNumber, ScalarLike, bilinear, dot, quadratic_roots
 
@@ -206,80 +203,6 @@ def _signature(matrix: Sequence[Sequence[QuadNumber]]) -> tuple[int, int]:
             if r != k
         ]
     return positive, negative
-
-
-def _solve_equality_system(
-    constraints: Sequence[Constraint], nvars: int, d: int
-) -> list[Point]:
-    """Isolated solutions of ``{constraint = 0 for each}`` over Q(sqrt(d)).
-
-    Underdetermined systems contribute no candidates (their solution sets
-    are positive-dimensional, so they cannot pin an optimum that another,
-    fully determined subset would not also pin).
-    """
-    linears = [c for c in constraints if isinstance(c, LinearConstraint)]
-    quads = [c for c in constraints if isinstance(c, QuadraticConstraint)]
-    solved = _solve_linear_rows(
-        [(c.coeffs, -c.const) for c in linears], nvars, d
-    )
-    if solved is None:
-        return []
-    particular, null_basis = solved
-    if not quads:
-        return [tuple(particular)] if not null_basis else []
-    if not null_basis:
-        point = tuple(particular)
-        if all(q.value(point).sign() == 0 for q in quads):
-            return [point]
-        return []
-    if len(null_basis) == 1:
-        direction = null_basis[0]
-        for chosen in quads:
-            roots = quadratic_roots(*chosen.along(particular, direction))
-            if roots is None:
-                continue  # this quadratic vanishes on the whole line
-            points = []
-            for s in roots:
-                candidate = tuple(
-                    p + s * n for p, n in zip(particular, direction)
-                )
-                if all(q.value(candidate).sign() == 0 for q in quads):
-                    points.append(candidate)
-            return points
-        return []  # every quadratic vanishes identically along the line
-    if all(x.sign() == 0 for x in particular):
-        # Fully homogeneous: solutions come in rays through the origin,
-        # never isolated points, so nothing here can pin an optimum.
-        return []
-    raise UnsupportedModelError(
-        "active subsystem requires simultaneous quadratics in two or more "
-        "free variables; this solver handles at most one"
-    )
-
-
-class ConstraintSystem(NamedTuple):
-    """Homogeneous constraints on ``nvars`` variables and the points they pin.
-
-    Each constraint is a linear row without constant or a quadratic form,
-    so a solution ``g != 0`` of constraints alone lies on a ray of
-    solutions and only the origin can be isolated; :meth:`vertices_with`
-    skips the subsets without an extra row.
-    """
-
-    constraints: tuple[Constraint, ...]
-    nvars: int
-    field_d: int
-
-    def vertices_with(self, extra: Sequence[Constraint]) -> Iterator[Point]:
-        """Vertices of the ``nvars``-subsets of ``extra + constraints`` that
-        hold an extra row, in the order ``itertools.combinations`` lists
-        the subsets."""
-        rows = (*extra, *self.constraints)
-        for subset in combinations(range(len(rows)), self.nvars):
-            if subset[0] < len(extra):
-                yield from _solve_equality_system(
-                    [rows[i] for i in subset], self.nvars, self.field_d
-                )
 
 
 class ConeSpec(Frozen):

@@ -316,10 +316,11 @@ def _once(compute: Callable[[], object]) -> Callable:
 
 def _minkowski_summary(model: ThreefoldModel, D1, D2) -> str:
     report = minkowski_check(model, D1, D2)
-    exact = sum(1 for c in report.checks if c.method.startswith("exact"))
-    interval = sum(1 for c in report.checks if c.method.startswith("interval"))
+    checks = report.checks
+    exact = sum(1 for c in checks if c.method.startswith("exact"))
+    interval = sum(1 for c in checks if c.method.startswith("interval"))
     if not report.all_hold:
-        failing = ", ".join(c.label for c in report.checks if not c.holds)
+        failing = ", ".join(c.label for c in checks if not c.holds)
         return f"FAILS: {failing}"
     return f"all {exact} exact + {interval} interval hold"
 

@@ -6,6 +6,7 @@ import sys
 import time
 
 import pytest
+from test_envelope import AMPLE_SELF_RESTRICTION, UNION_MODEL
 
 from divfilt import cli, verify
 from divfilt.errors import ComputationError
@@ -451,6 +452,25 @@ def test_computation_error_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["gamma", "-D", "1,1"])
     assert code == 3
     assert err.startswith("computation error:")
+
+
+def test_gamma_on_the_two_copy_union_model_file(capsys):
+    """A four-prime model file that is two copies of the builtin model."""
+    union = str(UNION_MODEL)
+    code, out, err = run_cli(capsys, ["gamma", "--model", union, "-D", "2,1,2,1"])
+    assert (code, err) == (0, "")
+    assert out == "gamma = (2, 2, 2, 2), region raised(F,F')\n"
+
+
+def test_model_where_sum_of_primes_is_not_antinef_exit_3(capsys):
+    """The model loads and validates, but ``gamma`` walks from ``sum E_i``,
+    which is not anti-nef on it."""
+    path = str(AMPLE_SELF_RESTRICTION)
+    assert run_cli(capsys, ["validate-model", "--model", path])[0] == 0
+    for argv in (["gamma", "-D", "1"], ["limit", "-D", "2"]):
+        code, out, err = run_cli(capsys, [*argv, "--model", path])
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert err.startswith("computation error:") and "-sum E_i is not nef" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,8 +1,10 @@
 """Minimal nef envelopes: closed-form agreement, minimality, regions."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from test_model import basis_changed_document
@@ -21,20 +23,27 @@ from divfilt.envelope import (
     regions,
 )
 from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
-from divfilt.model import builtin_document, builtin_model, model_from_dict
+from divfilt.model import builtin_document, builtin_model, load_model, model_from_dict
 from divfilt.multiplicity import piecewise_limit
-from divfilt.qfield import QuadNumber
-from divfilt.surfaces import (
-    ConstraintSystem,
-    LinearConstraint,
-    QuadraticConstraint,
-    _solve_equality_system,
-)
+from divfilt.qfield import QuadNumber, quadratic_roots
+from divfilt.surfaces import LinearConstraint, QuadraticConstraint, _solve_linear_rows
+
+
+DATA = Path(__file__).resolve().parent / "data"
+UNION_MODEL = DATA / "two_copy_union.json"
+AMPLE_SELF_RESTRICTION = DATA / "ample_self_restriction.json"
 
 
 @pytest.fixture(scope="module")
 def model():
     return builtin_model()
+
+
+@pytest.fixture(scope="module")
+def union():
+    """Two copies of the builtin model side by side: primes ``Sbar, F,
+    Sbar', F'`` and zero restrictions between the copies."""
+    return load_model(UNION_MODEL)
 
 
 def q3(a, b=0):
@@ -194,7 +203,7 @@ def test_active_constraints_reported(model):
 
 
 def test_nef_constraint_idents_pinned(model):
-    assert [c.ident for c in model.nef_systems[0].constraints] == [
+    assert [c.ident for c in model.nef_systems] == [
         "nef[Sbar]:quad",
         "nef[Sbar]:ample",
         "nef[F]:0",
@@ -205,7 +214,7 @@ def test_nef_constraint_idents_pinned(model):
 def test_nef_constraints_are_surface_constraints_on_restrictions(model):
     """Each nef constraint at ``g`` is its surface constraint at ``r_E(-D)``."""
     rng = random.Random(3)
-    constraints = {c.ident: c for c in model.nef_systems[0].constraints}
+    constraints = {c.ident: c for c in model.nef_systems}
     for _ in range(10):
         g = [
             q3(Fraction(rng.randint(0, 20), rng.randint(1, 5)), rng.randint(-2, 2))
@@ -272,7 +281,46 @@ def test_gamma_rejects_bad_inputs(model):
         is_antinef(model, model.divisor([0, -2]))
 
 
-# -- the cached enumeration against the plain algorithm -------------------------
+# -- the walk against the plain algorithm ---------------------------------------
+
+
+def _solve_equality_system(constraints, nvars, d):
+    """Isolated solutions of ``{constraint = 0 for each}`` over Q(sqrt(d)).
+
+    Underdetermined systems contribute no candidates (their solution sets
+    are positive-dimensional, so they cannot pin an optimum that another,
+    fully determined subset would not also pin).
+    """
+    linears = [c for c in constraints if isinstance(c, LinearConstraint)]
+    quads = [c for c in constraints if isinstance(c, QuadraticConstraint)]
+    solved = _solve_linear_rows([(c.coeffs, -c.const) for c in linears], nvars, d)
+    if solved is None:
+        return []
+    particular, null_basis = solved
+    if not quads:
+        return [tuple(particular)] if not null_basis else []
+    if not null_basis:
+        point = tuple(particular)
+        return [point] if all(q.value(point).sign() == 0 for q in quads) else []
+    if len(null_basis) == 1:
+        direction = null_basis[0]
+        for chosen in quads:
+            roots = quadratic_roots(*chosen.along(particular, direction))
+            if roots is None:
+                continue  # this quadratic vanishes on the whole line
+            candidates = (
+                tuple(p + s * n for p, n in zip(particular, direction)) for s in roots
+            )
+            return [
+                point
+                for point in candidates
+                if all(q.value(point).sign() == 0 for q in quads)
+            ]
+        return []  # every quadratic vanishes identically along the line
+    if all(x.sign() == 0 for x in particular):
+        # fully homogeneous: solutions come in rays through the origin
+        return []
+    raise NotImplementedError("two or more free variables under a quadratic")
 
 
 def reference_gamma(model, D):
@@ -329,8 +377,9 @@ def seeded_coefficient(rng):
 
 
 def test_gamma_matches_plain_algorithm(model):
-    """Cached nef vertices and skipped dominated candidates change nothing,
-    on the builtin model and on a copy with every surface basis changed."""
+    """The walk from ``sum E_i`` finds the envelope that every ``t``-subset
+    solved as equalities finds, on the builtin model and on a copy with
+    every surface basis changed."""
     changed = model_from_dict(basis_changed_document())
     rng = random.Random(11)
     for m in (model, changed):
@@ -359,7 +408,7 @@ def test_warmed_and_fresh_models_agree():
     assert warmed == fresh and hash(warmed) == hash(fresh)
 
 
-# -- the subsets vertices_with skips ------------------------------------------------
+# -- the nef constraints on g ------------------------------------------------------
 
 
 def seeded_pair(m, rng):
@@ -372,43 +421,17 @@ def seeded_pair(m, rng):
             return D1, D2
 
 
-def unpruned_vertices(rows, nvars, d):
-    """``(bound rows held, isolated solutions)`` for every ``nvars``-subset."""
-    for subset in combinations(rows, nvars):
-        held = sum(c.ident.startswith("coeff[") for c in subset)
-        yield held, _solve_equality_system(subset, nvars, d)
-
-
 def test_nef_systems_are_homogeneous_without_slope_column(model):
-    """The pruning in ``ConstraintSystem.vertices_with`` rests on this."""
+    """One tuple of constraints on ``g`` alone: linear rows without a
+    constant and ``t x t`` quadratic forms, no slope column."""
     for m in (model, model_from_dict(basis_changed_document())):
-        system = m.nef_systems[0]
-        assert system.nvars == len(m.primes)
-        for c in system.constraints:
+        t = len(m.primes)
+        assert isinstance(m.nef_systems, tuple) and m.nef_systems
+        for c in m.nef_systems:
             if isinstance(c, LinearConstraint):
-                assert c.const == 0 and len(c.coeffs) == system.nvars
+                assert c.const == 0 and len(c.coeffs) == t
             else:
-                assert len(c.matrix) == system.nvars
-
-
-def test_pruned_enumeration_matches_full_enumeration(model):
-    """Every skipped subset, one without a bound row, isolates only
-    ``g = 0``, so ``gamma`` sees the vertices of every subset that can
-    pin an envelope, in the same order."""
-    changed = model_from_dict(basis_changed_document())
-    rng = random.Random(23)
-    for m in (model, changed):
-        system = m.nef_systems[0]
-        for _ in range(40):
-            D = m.divisor([seeded_coefficient(rng) for _ in m.primes])
-            bounds = _bounds(m, D)
-            rows = [*bounds, *system.constraints]
-            kept, dropped = [], []
-            for held, points in unpruned_vertices(rows, system.nvars, m.field_d):
-                (kept if held else dropped).extend(points)
-            assert list(system.vertices_with(bounds)) == kept
-            for point in dropped:
-                assert all(x == 0 for x in point), (D, point)
+                assert len(c.matrix) == t and all(len(row) == t for row in c.matrix)
 
 
 # -- the certificate of minimality ---------------------------------------------
@@ -490,7 +513,7 @@ def test_point_with_negative_multiplier_is_refused(model):
     to 1: on its active rows ``coeff[F]`` (0, 1) and ``nef[F]:0`` (-1, 1),
     ``e_Sbar = 1*(0, 1) - 1*(-1, 1)`` needs a negative multiplier."""
     D, point = model.divisor([1, 2]), (q3(2), q3(2))
-    constraints = _bounds(model, D) + list(model.nef_systems[0].constraints)
+    constraints = _bounds(model, D) + list(model.nef_systems)
     active = [c for c in constraints if c.value(point).sign() == 0]
     assert [c.ident for c in active] == ["coeff[F]", "nef[F]:0"]
     found = _certificate(active, point)
@@ -500,43 +523,50 @@ def test_point_with_negative_multiplier_is_refused(model):
     assert gamma(model, D).gamma == (q3(1), q3(2))
 
 
-def test_feasible_points_without_a_least_one_are_refused(model, monkeypatch):
+def test_feasible_points_without_a_least_one_are_refused(model):
     """(1, 2) and (3/2, 3/2) are both feasible for D = (1, 1) and neither is
-    below the other; with only these two as vertices, the least-sum pick
-    has no certificate, and the error names the coordinate."""
-    points = [(q3(1), q3(2)), (q3(Fraction(3, 2)), q3(Fraction(3, 2)))]
+    below the other, so neither is certified, and the error names the
+    first coordinate without a certificate."""
     D = model.divisor([1, 1])
-    constraints = _bounds(model, D) + list(model.nef_systems[0].constraints)
-    assert all(c.value(p).sign() >= 0 for p in points for c in constraints)
-    monkeypatch.setattr(ConstraintSystem, "vertices_with", lambda self, extra: points)
-    with pytest.raises(
-        NoMinimalEnvelopeError, match="no certificate that coordinate (Sbar|F) is"
-    ):
-        gamma(model, D)
-
-
-def test_gamma_ignores_vertex_order_and_repeats(monkeypatch):
-    """The vertices reversed and each listed twice give the same envelope,
-    certificate included."""
-    rng = random.Random(29)
-    cases = []
-    for m in (builtin_model(), model_from_dict(basis_changed_document())):
-        for _ in range(15):
-            D = m.divisor([seeded_coefficient(rng) for _ in m.primes])
-            if not D.is_zero():
-                cases.append((m, D, gamma(m, D)))
-    real = ConstraintSystem.vertices_with
-
-    def reversed_twice(self, extra):
-        points = list(real(self, extra))[::-1]
-        return [p for p in points for _ in range(2)]
-
-    monkeypatch.setattr(ConstraintSystem, "vertices_with", reversed_twice)
-    for m, D, expected in cases:
-        assert gamma(m, D) == expected, D
+    constraints = _bounds(model, D) + list(model.nef_systems)
+    for point in ((q3(1), q3(2)), (q3(Fraction(3, 2)), q3(Fraction(3, 2)))):
+        assert all(c.value(point).sign() >= 0 for c in constraints)
+        with pytest.raises(
+            NoMinimalEnvelopeError, match="no certificate that coordinate Sbar is"
+        ):
+            _certified(model, D, constraints, point)
 
 
 # -- the region walk against one envelope per sample ------------------------------
+
+
+def with_slope_column(c):
+    """The constraint ``c`` on ``g`` as one on ``(g, r)`` that ignores ``r``."""
+    zero = q3(0)
+    if isinstance(c, LinearConstraint):
+        return c._replace(coeffs=(*c.coeffs, zero))
+    padded = tuple((*row, zero) for row in c.matrix)
+    return c._replace(matrix=(*padded, (zero,) * (len(c.matrix) + 1)))
+
+
+def family_constraints(m, D1, D2):
+    """The bounds and nef constraints of ``D1 + r*D2`` in ``(g, r)``."""
+    t = len(m.primes)
+    bounds = [
+        LinearConstraint(
+            f"coeff[{prime}]",
+            (*(q3(int(k == i)) for k in range(t)), -D2.coeffs[i]),
+            -D1.coeffs[i],
+        )
+        for i, prime in enumerate(m.primes)
+    ]
+    return bounds + [with_slope_column(c) for c in m.nef_systems]
+
+
+def unpruned_vertices(rows, nvars, d):
+    """The isolated solutions of every ``nvars``-subset of ``rows``."""
+    for subset in combinations(rows, nvars):
+        yield from _solve_equality_system(subset, nvars, d)
 
 
 def sampled_regions_oracle(m, D1, D2):
@@ -544,11 +574,10 @@ def sampled_regions_oracle(m, D1, D2):
     candidate slopes, the positive slopes of the isolated solutions of all
     ``t + 1``-subsets of the family's constraints in ``(g, r)``; returns
     the breakpoints and the ``(sample, envelope)`` pairs."""
-    family = [*_bounds(m, D1, D2), *m.nef_systems[1]]
+    family = family_constraints(m, D1, D2)
     candidates = {
         point[-1]
-        for _, points in unpruned_vertices(family, len(m.primes) + 1, m.field_d)
-        for point in points
+        for point in unpruned_vertices(family, len(m.primes) + 1, m.field_d)
         if point[-1].sign() > 0
     }
     slopes = sorted(candidates)
@@ -624,17 +653,24 @@ def test_walk_calls_gamma_only_for_the_first_anchor(monkeypatch):
 
 
 def test_walk_without_lines_is_refused(monkeypatch, capsys):
-    """When ``_line_through`` finds no line, ``regions`` and
-    ``piecewise_limit`` raise ``ComputationError`` naming slope 0, and
-    ``divfilt piecewise`` exits 3 without a traceback."""
-    monkeypatch.setattr(divfilt.envelope, "_line_through", lambda *args: None)
+    """When ``_line_through`` finds no line, ``gamma``, and ``regions`` and
+    ``piecewise_limit`` from a known ``D1.envelope``, raise
+    ``ComputationError`` naming slope 0, and ``divfilt piecewise`` exits 3
+    without a traceback."""
     rng = random.Random(47)
+    pairs = []
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
         for _ in range(5):
             D1, D2 = seeded_pair(m, rng)
-            for compute in (regions, piecewise_limit):
-                with pytest.raises(ComputationError, match="above slope 0;"):
-                    compute(m, D1, D2)
+            D1.envelope
+            pairs.append((m, D1, D2))
+    monkeypatch.setattr(divfilt.envelope, "_line_through", lambda *args: None)
+    for m, D1, D2 in pairs:
+        with pytest.raises(ComputationError, match="above slope 0;"):
+            gamma(m, D2)
+        for compute in (regions, piecewise_limit):
+            with pytest.raises(ComputationError, match="above slope 0;"):
+                compute(m, D1, D2)
     assert cli.main(["piecewise", "-D1", "1,0", "-D2", "0,1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -650,7 +686,15 @@ def test_walk_skips_lines_that_fall_at_once(monkeypatch):
     """Lines on which a constraint active at the anchor turns negative at
     once are skipped before certification, so ``_on_line`` runs less often,
     and the breakpoints still equal the oracle's, on seeded pairs of the
-    builtin model and of a basis-changed copy."""
+    builtin model and of a basis-changed copy.  ``D1.envelope`` is filled
+    before counting, so the count is the region walk's alone."""
+    rng = random.Random(11)
+    cases = []
+    for m in (builtin_model(), model_from_dict(basis_changed_document())):
+        for _ in range(20):
+            D1, D2 = seeded_pair(m, rng)
+            D1.envelope
+            cases.append((m, D1, D2, sampled_regions_oracle(m, D1, D2)[0]))
     results = []
     real = divfilt.envelope._on_line
 
@@ -659,11 +703,8 @@ def test_walk_skips_lines_that_fall_at_once(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(divfilt.envelope, "_on_line", counted)
-    rng = random.Random(11)
-    for m in (builtin_model(), model_from_dict(basis_changed_document())):
-        for _ in range(20):
-            D1, D2 = seeded_pair(m, rng)
-            assert _walk(m, D1, D2)[0] == sampled_regions_oracle(m, D1, D2)[0], (D1, D2)
+    for m, D1, D2, expected in cases:
+        assert _walk(m, D1, D2)[0] == expected, (D1, D2)
     assert len(results) < UNSKIPPED_ON_LINE_CALLS
     assert None not in results
 
@@ -705,3 +746,60 @@ def test_walk_refuses_a_step_whose_active_gradient_turns(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("computation error: the gradient of nef[Sbar]:quad")
+
+
+# -- models beyond the builtin one --------------------------------------------------
+
+
+def primed(ident):
+    """The ident of the second copy's constraint: ``coeff[F]`` -> ``coeff[F']``."""
+    return re.sub(r"\[(\w+)\]", r"[\1']", ident)
+
+
+def assert_side_by_side(model, union, coeffs):
+    """``gamma`` on the union is the two builtin envelopes side by side,
+    with the same active constraints and certificates, the second copy's
+    primed."""
+    env = gamma(union, union.divisor(coeffs))
+    first = gamma(model, model.divisor(coeffs[:2]))
+    second = gamma(model, model.divisor(coeffs[2:]))
+    assert env.gamma == first.gamma + second.gamma, coeffs
+    assert env.active == first.active | {primed(c) for c in second.active}, coeffs
+    renamed = tuple(
+        tuple((primed(ident), lam) for ident, lam in multipliers)
+        for multipliers in second.certificate
+    )
+    assert env.certificate == first.certificate + renamed, coeffs
+
+
+@pytest.mark.parametrize("coeffs", [(2, 1, 2, 1), (2, 3, 1, 3), (1, 0, 0, 1), (1, 3, 2, 1)])
+def test_union_envelope_is_the_two_envelopes_side_by_side(model, union, coeffs):
+    assert_side_by_side(model, union, [q3(c) for c in coeffs])
+
+
+def test_union_envelopes_of_seeded_divisors(model, union):
+    rng = random.Random(60)
+    for _ in range(20):
+        coeffs = [seeded_coefficient(rng) for _ in union.primes]
+        if any(c.sign() for c in coeffs[:2]) and any(c.sign() for c in coeffs[2:]):
+            assert_side_by_side(model, union, coeffs)
+
+
+def test_union_regions_are_both_copies_breakpoints(model, union):
+    """A family on the union changes its active set wherever either copy's
+    family does."""
+    rng = random.Random(61)
+    for _ in range(4):
+        (A1, A2), (B1, B2) = seeded_pair(model, rng), seeded_pair(model, rng)
+        D1 = union.divisor(A1.coeffs + B1.coeffs)
+        D2 = union.divisor(A2.coeffs + B2.coeffs)
+        expected = sorted(set(regions(model, A1, A2)) | set(regions(model, B1, B2)))
+        assert regions(union, D1, D2) == expected
+
+
+def test_model_where_sum_of_primes_is_not_antinef_is_refused():
+    """One prime whose self-restriction is the ample class: the model
+    loads, but ``-sum E_i`` is not nef, so ``gamma`` has no anchor."""
+    m = load_model(AMPLE_SELF_RESTRICTION)
+    with pytest.raises(ComputationError, match=r"-sum E_i is not nef .* nef\[E\]:0"):
+        gamma(m, m.divisor([1]))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from test_envelope import counting_gamma, seeded_coefficient, seeded_pair
+from test_envelope import UNION_MODEL, counting_gamma, seeded_coefficient, seeded_pair
 from test_model import basis_changed_document
 
 import divfilt.envelope
@@ -17,7 +17,7 @@ from divfilt import cli
 from divfilt.envelope import _walk, gamma, regions
 from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
 from divfilt.intervals import cbrt_enclosure, quad_enclosure
-from divfilt.model import builtin_model, model_from_dict
+from divfilt.model import builtin_model, load_model, model_from_dict
 from divfilt.multiplicity import (
     CubicForm,
     MultReport,
@@ -72,6 +72,17 @@ def test_limit_of_sum(model):
     S, F = model.prime_divisor("Sbar"), model.prime_divisor("F")
     report = limit_single(model, S + F)
     assert report.limit == 33 and report.multiplicity == 198
+
+
+@pytest.mark.parametrize("coeffs", [(2, 1, 2, 1), (2, 3, 1, 3), (1, 0, 0, 1), (1, 3, 2, 1)])
+def test_union_limit_is_the_sum_of_both_copies(model, coeffs):
+    """On two copies side by side with no cross restrictions, the limit of
+    ``(D, D')`` is the limit of ``D`` plus the limit of ``D'``."""
+    union = load_model(UNION_MODEL)
+    report = limit_single(union, union.divisor(coeffs))
+    first = limit_single(model, model.divisor(coeffs[:2]))
+    second = limit_single(model, model.divisor(coeffs[2:]))
+    assert report.limit == first.limit + second.limit
 
 
 def test_mult_report_enforces_scaling():

@@ -42,7 +42,6 @@ from divfilt.multiplicity import (
 from divfilt.qfield import QuadNumber
 from divfilt.surfaces import (
     ConeSpec,
-    ConstraintSystem,
     LinearConstraint,
     QuadraticConstraint,
     SurfaceClass,
@@ -112,11 +111,6 @@ CASES = [
         lambda: QuadraticConstraint("quad", ((q3(1),),)),
         ("ident", "matrix"),
     ),
-    (
-        ConstraintSystem,
-        lambda: fresh_model().nef_systems[0],
-        ("constraints", "nvars", "field_d"),
-    ),
     (ExcDivisor, lambda: fresh_model().divisor([1, 2]), ("model", "coeffs")),
     (
         CheckResult,
@@ -158,7 +152,7 @@ CASES = [
     (
         MinkowskiReport,
         lambda: minkowski_check(fresh_model(), *pair(fresh_model())),
-        ("e_values", "product_multiplicity", "checks"),
+        ("e_values", "product_multiplicity", "verdicts", "cube_root_method"),
     ),
     (LengthSequence, sqrt2_sequence, ("evaluator", "dimension", "defect")),
     (
