@@ -21,7 +21,8 @@ E_i``, which is its own envelope when ``-A`` is nef, along ``A + r*(D -
 A)`` to ``r = 1``; ``regions`` walks ``D1 + r*D2`` from ``sigma(D1)`` and
 returns the slopes where the active set changes, the breakpoints of the
 piecewise multiplicity formulas, and ``multiplicity.piecewise_limit``
-builds each region's cubic from its line.
+builds each region's cubic from its line.  The last region's direction
+is ``sigma(D2)``; certified, it becomes ``D2``'s cached envelope.
 
 Every answer is certified, not assumed: for each coordinate ``i`` there
 are multipliers ``lam >= 0`` on the active constraints with ``sum lam_c
@@ -332,16 +333,23 @@ def _gradient_keeps_direction(
     return start == end != 0
 
 
+def _envelope_at(
+    model: ThreefoldModel, D: ExcDivisor, point: Point
+) -> Optional[GammaEnvelope]:
+    """``point`` as ``D``'s envelope, if it is feasible and certified (the
+    minimum is unique), else None."""
+    constraints = [*_bounds(model, D), *model.nef_systems]
+    try:
+        return _certified(model, D, constraints, point)
+    except NoMinimalEnvelopeError:
+        return None
+
+
 def _on_line(
     model: ThreefoldModel, D: ExcDivisor, line: Line, s: QuadNumber
 ) -> Optional[GammaEnvelope]:
-    """The point of ``line`` at ``r = s`` as ``D``'s envelope, if it is
-    feasible and certified (the minimum is unique), else None."""
-    constraints = [*_bounds(model, D), *model.nef_systems]
-    try:
-        return _certified(model, D, constraints, (line[0] + line[1] * s).coeffs)
-    except NoMinimalEnvelopeError:
-        return None
+    """The point of ``line`` at ``r = s`` as ``D``'s envelope, if certified."""
+    return _envelope_at(model, D, (line[0] + line[1] * s).coeffs)
 
 
 def _walk(
@@ -384,9 +392,19 @@ def _walk(
     ``t = 2``: an affine line on which a binary quadratic form vanishes
     passes through the origin, so the form's gradient only rescales
     along it.  The ``target``'s envelope is certified where it is
-    returned, whatever path led there.  Raises :class:`ComputationError`
-    naming the slope where no line certifies or where an active gradient
-    turns.
+    returned, whatever path led there.
+
+    Without a ``target``, the last region's line ``(P, Q)`` gives
+    ``sigma(D1/r + D2) = P/r + Q`` for every large ``r``, so ``Q`` is
+    ``sigma(D2)`` in the limit; the certificate, not the limit, proves it.
+    When ``D2.envelope`` is empty and :func:`_envelope_at` certifies ``Q``
+    for an equal copy of ``D2`` (so that the envelope does not point back
+    at ``D2``), it is stored there, and a later ``D2.envelope`` runs no
+    ``gamma``; refused, nothing is stored.
+
+    Raises :class:`ComputationError` naming the slope where an active
+    gradient turns, and where no line certifies: the slope, or with a
+    ``target``, the ``target``.
     """
     t = len(model.primes)
     zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
@@ -446,8 +464,13 @@ def _walk(
             if env is not None:
                 break
         else:
+            where = (
+                f"above slope {lo.canonical_string()}"
+                if target is None
+                else f"from sum E_i to {target}"
+            )
             raise ComputationError(
-                f"no certified envelope line above slope {lo.canonical_string()}; "
+                f"no certified envelope line {where}; "
                 "the model is outside this solver's supported family"
             )
         for c in nef:
@@ -465,6 +488,11 @@ def _walk(
             lines.append(line)
             active = env.active
         if hi is None:
+            if "envelope" not in vars(D2):
+                copy = ExcDivisor(model, D2.coeffs)
+                env = _envelope_at(model, copy, line[1].coeffs)
+                if env is not None:
+                    vars(D2)["envelope"] = env
             return starts[1:], lines
         lo, g = hi, (line[0] + line[1] * hi).coeffs
         at_anchor = [k for k, rs in enumerate(roots) if rs is not None and hi in rs]
@@ -479,6 +507,8 @@ def regions(
     Within a region the envelope is affine in ``r``; the walk
     (:func:`_walk`) follows it region by region from ``sigma(D1)``, so its
     work is proportional to the number of regions and ``gamma`` runs only
-    for ``D1.envelope``.  Dependent directions give a single region.
+    for ``D1.envelope``.  The last region's direction, certified, fills
+    ``D2.envelope`` when it is empty.  Dependent directions give a single
+    region.
     """
     return _walk(model, D1, D2)[0]

@@ -113,7 +113,9 @@ class ExcDivisor(Frozen):
         up on its module at each fill, so a replaced ``gamma`` is the one
         called.  It runs on an equal copy: the cached envelope's ``input``
         does not point back here, so no reference cycle outlives the
-        divisor's last reference.
+        divisor's last reference.  A region walk along ``D1 + r*D2`` may
+        fill the cache of ``D2`` first, with the same envelope certified
+        from its last region, also computed on an equal copy.
         """
         from . import envelope  # envelope imports this module
 
@@ -243,20 +245,32 @@ class ThreefoldModel(Frozen):
             acc = acc + cls * coeff
         return acc
 
+    def contraction(self, D: ExcDivisor) -> tuple[tuple[QuadNumber, ...], ...]:
+        """The matrix ``M_D = sum_k coeff_k(D) * pairings[k]``.
+
+        ``(D1 . D2 . D) = D1^T M_D D2``: the form with its last argument
+        fixed, so one contraction serves every product that ends in ``D``.
+        """
+        if D.model != self:
+            raise InputError("divisor belongs to a different model")
+        t = len(self.primes)
+        return tuple(
+            tuple(dot(D.coeffs, [T[i][j] for T in self.pairings]) for j in range(t))
+            for i in range(t)
+        )
+
     def triple(self, D1: ExcDivisor, D2: ExcDivisor, D3: ExcDivisor) -> QuadNumber:
         """Trilinear intersection number (D1 . D2 . D3).
 
-        Expands the third argument over primes and pairs the other two
-        through each prime's table in ``pairings``; :meth:`validate`
-        certifies that the choice of expanded argument does not matter.
+        Expands the third argument over primes into :meth:`contraction`
+        and pairs the other two through it; :meth:`validate` certifies
+        that the choice of expanded argument does not matter, so the
+        result is symmetric in its arguments.
         """
-        for D in (D1, D2, D3):
+        for D in (D1, D2):
             if D.model != self:
                 raise InputError("divisor belongs to a different model")
-        return dot(
-            D3.coeffs,
-            [bilinear(table, D1.coeffs, D2.coeffs) for table in self.pairings],
-        )
+        return bilinear(self.contraction(D3), D1.coeffs, D2.coeffs)
 
     # -- nef conditions on exceptional divisors ----------------------------
 

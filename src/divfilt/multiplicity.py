@@ -17,7 +17,8 @@ the divisor built from the envelope coordinates of ``D``:
 
 ``product_limit`` and ``minkowski_check`` read one vector of four mixed
 values ``e(i) = (P^i . Q^(3-i))`` of the two envelope divisors ``P, Q``
-(``_mixed_values``), as does each region's cubic in ``piecewise_limit``.
+(``_mixed_values``, from two contractions of the trilinear form), as does
+each region's cubic in ``piecewise_limit``.
 The Minkowski report's ``((P + Q)^3)`` is ``e(3) + 3 e(2) + 3 e(1) + e(0)``
 by trilinearity and the symmetry that :meth:`ThreefoldModel.validate`
 certifies.
@@ -39,7 +40,7 @@ from .errors import ComputationError, InputError
 from .frozen import Frozen
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
-from .qfield import QuadNumber, ScalarLike
+from .qfield import QuadNumber, ScalarLike, dot
 
 MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3))
 MONOMIAL_NAMES = ("n^3", "n^2*j", "n*j^2", "j^3")
@@ -267,13 +268,17 @@ def mixed(
 def _mixed_values(
     model: ThreefoldModel, P: ExcDivisor, Q: ExcDivisor
 ) -> tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]:
-    """``(e(0), e(1), e(2), e(3))`` with ``e(i) = (P^i . Q^(3-i))``."""
-    return (
-        model.triple(Q, Q, Q),
-        model.triple(P, Q, Q),
-        model.triple(P, P, Q),
-        model.triple(P, P, P),
-    )
+    """``(e(0), e(1), e(2), e(3))`` with ``e(i) = (P^i . Q^(3-i))``.
+
+    Two contractions (:meth:`ThreefoldModel.contraction`) give all four:
+    ``e(0), e(1)`` are ``Q, P`` against ``M_Q Q``, and ``e(2), e(3)`` are
+    ``Q, P`` against ``M_P P``, which reads ``(Q . P . P)`` as ``(P . P .
+    Q)`` by the symmetry that :meth:`ThreefoldModel.validate` certifies.
+    """
+    p, q = P.coeffs, Q.coeffs
+    Mq = [dot(row, q) for row in model.contraction(Q)]
+    Mp = [dot(row, p) for row in model.contraction(P)]
+    return dot(q, Mq), dot(p, Mq), dot(q, Mp), dot(p, Mp)
 
 
 def _region_form(
@@ -293,7 +298,10 @@ def piecewise_limit(
     is an affine function ``P + r*Q`` of the slope; the region's cubic is
     ``(n*P + j*Q)^3/6``.  The lines are the ones the walk of ``regions``
     certified, each through the envelope at the region's lower slope, so
-    beyond ``D1.envelope`` no ``gamma`` call runs.
+    beyond ``D1.envelope`` no ``gamma`` call runs.  The walk also fills
+    ``D2.envelope`` from the last region's certified direction, so a
+    following :func:`product_limit` or :func:`minkowski_check` on the same
+    divisors runs no ``gamma`` at all.
     """
     breakpoints, lines = _walk(model, D1, D2)
     zero = QuadNumber.zero(model.field_d)
@@ -311,7 +319,8 @@ def product_limit(
 
     The coefficient of ``n^d1 j^d2`` is the mixed multiplicity with those
     exponents divided by ``d1! d2!``; unlike :func:`piecewise_limit` this
-    is a single polynomial valid on the whole quadrant.
+    is a single polynomial valid on the whole quadrant.  It reads the
+    cached ``D.envelope`` of each, both known after :func:`piecewise_limit`.
     """
     _, sigma1 = _sigma(model, D1)
     _, sigma2 = _sigma(model, D2)

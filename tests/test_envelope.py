@@ -652,11 +652,61 @@ def test_walk_calls_gamma_only_for_the_first_anchor(monkeypatch):
         assert counts == {1, 2, 3} and kinds == {True, False}
 
 
+def three_model_pairs(seed, count):
+    """``count`` fresh seeded pairs ``(m, D1, D2)`` on each of the builtin
+    model, a basis-changed copy and the two-copy union, in that order."""
+    rng = random.Random(seed)
+    models = (builtin_model(), model_from_dict(basis_changed_document()), load_model(UNION_MODEL))
+    return [(m, *seeded_pair(m, rng)) for m in models for _ in range(count)]
+
+
+def reference_envelope(m, D):
+    """``reference_gamma``'s ``(gamma, active)``; on a model of four primes
+    (the two-copy union) it is the builtin model's on each half, the
+    second half's idents primed."""
+    if len(m.primes) == 2:
+        return reference_gamma(m, D)[:2]
+    builtin = builtin_model()
+    (g1, a1, _), (g2, a2, _) = (
+        reference_gamma(builtin, builtin.divisor(D.coeffs[k : k + 2])) for k in (0, 2)
+    )
+    return g1 + g2, a1 | {primed(ident) for ident in a2}
+
+
+def test_walk_fills_sigma_of_D2_from_the_last_region():
+    """The walk stores its last region's direction as ``D2.envelope``, on an
+    equal copy of ``D2``; it equals ``reference_gamma`` and a fresh
+    ``gamma(D2)`` in ``gamma``, ``active`` and ``certificate``, on seeded
+    pairs of three models with 1, 2 and 3 regions and proportional pairs."""
+    seen = {}
+    for m, D1, D2 in three_model_pairs(70, 12):
+        breakpoints, lines = _walk(m, D1, D2)
+        filled = vars(D2)["envelope"]
+        assert filled.gamma == lines[-1][1].coeffs, (D1, D2)
+        assert filled.input == D2 and filled.input is not D2
+        assert filled == gamma(m, m.divisor(D2.coeffs)), (D1, D2)
+        assert (filled.gamma, filled.active) == reference_envelope(m, D2), (D1, D2)
+        seen.setdefault(id(m), set()).add((len(breakpoints) + 1, proportional(D1, D2)))
+    assert len(seen) == 3
+    for kinds in seen.values():
+        assert {1, 2, 3} <= {n for n, _ in kinds}
+        assert {p for _, p in kinds} == {True, False}
+
+
+def test_walk_keeps_a_filled_envelope_of_D2(model):
+    """A ``D2.envelope`` already in the cache is kept as it is."""
+    D1, D2 = model.divisor([1, 2]), model.divisor([0, 1])
+    env = D2.envelope
+    _walk(model, D1, D2)
+    assert vars(D2)["envelope"] is env
+
+
 def test_walk_without_lines_is_refused(monkeypatch, capsys):
-    """When ``_line_through`` finds no line, ``gamma``, and ``regions`` and
-    ``piecewise_limit`` from a known ``D1.envelope``, raise
-    ``ComputationError`` naming slope 0, and ``divfilt piecewise`` exits 3
-    without a traceback."""
+    """When ``_line_through`` finds no line, ``gamma`` raises
+    ``ComputationError`` naming the divisor, ``regions`` and
+    ``piecewise_limit`` from a known ``D1.envelope`` raise it naming slope
+    0, and ``divfilt piecewise``, whose ``gamma`` for ``D1`` is refused
+    first, exits 3 without a traceback."""
     rng = random.Random(47)
     pairs = []
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
@@ -666,7 +716,7 @@ def test_walk_without_lines_is_refused(monkeypatch, capsys):
             pairs.append((m, D1, D2))
     monkeypatch.setattr(divfilt.envelope, "_line_through", lambda *args: None)
     for m, D1, D2 in pairs:
-        with pytest.raises(ComputationError, match="above slope 0;"):
+        with pytest.raises(ComputationError, match=re.escape(f"from sum E_i to {D2};")):
             gamma(m, D2)
         for compute in (regions, piecewise_limit):
             with pytest.raises(ComputationError, match="above slope 0;"):
@@ -674,7 +724,7 @@ def test_walk_without_lines_is_refused(monkeypatch, capsys):
     assert cli.main(["piecewise", "-D1", "1,0", "-D2", "0,1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert "no certified envelope line above slope 0" in captured.err
+    assert "no certified envelope line from sum E_i to (1, 0);" in captured.err
 
 
 # ``_on_line`` calls on test_walk_skips_lines_that_fall_at_once's pairs by

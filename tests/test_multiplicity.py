@@ -1,14 +1,22 @@
 """Limits, mixed multiplicities, piecewise formulas, inequality checks."""
 
 import gc
+import hashlib
 import random
 import re
 import weakref
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath
 import pytest
-from test_envelope import UNION_MODEL, counting_gamma, seeded_coefficient, seeded_pair
+from test_envelope import (
+    UNION_MODEL,
+    counting_gamma,
+    seeded_coefficient,
+    seeded_pair,
+    three_model_pairs,
+)
 from test_model import basis_changed_document
 
 import divfilt.envelope
@@ -24,13 +32,14 @@ from divfilt.multiplicity import (
     PiecewisePoly,
     PiecewiseRegion,
     _cube_root_sum_decision,
+    _mixed_values,
     limit_single,
     minkowski_check,
     mixed,
     piecewise_limit,
     product_limit,
 )
-from divfilt.qfield import QuadNumber
+from divfilt.qfield import QuadNumber, bilinear, dot
 
 
 @pytest.fixture(scope="module")
@@ -585,6 +594,102 @@ def test_product_then_minkowski_compute_each_envelope_once(model, monkeypatch):
     fresh1, fresh2 = model.divisor([1, 0]), model.divisor([0, 1])
     assert form == product_limit(model, fresh1, fresh2)
     assert report == minkowski_check(model, fresh1, fresh2)
+
+
+def canonical(pw, form, report):
+    return "\n".join([*pw.lines(), form.render(), *report.lines()])
+
+
+def family_sweep(m, D1, D2):
+    """The canonical text of ``piecewise_limit``, ``product_limit`` and
+    ``minkowski_check`` on ``(D1, D2)``, computed in that order."""
+    pw = piecewise_limit(m, D1, D2)
+    return canonical(pw, product_limit(m, D1, D2), minkowski_check(m, D1, D2))
+
+
+def test_family_sweep_computes_each_envelope_once(monkeypatch):
+    """On fresh divisors the three calls make one ``gamma`` call, for
+    ``D1``: ``D2``'s envelope comes from the walk's last region.  The
+    answers equal those of divisors whose envelopes ``gamma`` computed."""
+    calls = counting_gamma(monkeypatch)
+    for m, D1, D2 in three_model_pairs(70, 6):
+        calls.clear()
+        text = family_sweep(m, D1, D2)
+        assert calls == [D1], (D1, D2)
+        E1, E2 = m.divisor(D1.coeffs), m.divisor(D2.coeffs)
+        E1.envelope, E2.envelope
+        assert family_sweep(m, E1, E2) == text, (D1, D2)
+
+
+def test_refused_sigma_of_D2_leaves_the_cache_to_gamma(monkeypatch):
+    """With ``_certified`` refusing ``D2`` during the walk, nothing is
+    stored, ``product_limit`` computes ``D2``'s envelope with ``gamma``,
+    and every answer is unchanged."""
+    calls = counting_gamma(monkeypatch)
+    real = divfilt.envelope._certified
+    for m, D1, D2 in three_model_pairs(70, 6):
+        expected = family_sweep(m, m.divisor(D1.coeffs), m.divisor(D2.coeffs))
+        D1.envelope
+        refused = []
+
+        def refusing(mm, D, constraints, point, target=D2.coeffs):
+            if D.coeffs == target:
+                refused.append(point)
+                raise NoMinimalEnvelopeError("refused")
+            return real(mm, D, constraints, point)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(divfilt.envelope, "_certified", refusing)
+            pw = piecewise_limit(m, D1, D2)
+        assert len(refused) == 1 and "envelope" not in vars(D2), (D1, D2)
+        calls.clear()
+        form, report = product_limit(m, D1, D2), minkowski_check(m, D1, D2)
+        assert calls == [D2], (D1, D2)
+        assert canonical(pw, form, report) == expected, (D1, D2)
+
+
+def test_filled_sigma_of_D2_is_freed_without_the_cycle_collector():
+    pairs = three_model_pairs(70, 1)
+    while pairs:
+        m, D1, D2 = pairs.pop()
+        piecewise_limit(m, D1, D2)
+        assert vars(D2)["envelope"].input == D2
+        ref = weakref.ref(D2)
+        gc.disable()
+        try:
+            del D2
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def test_mixed_values_are_the_four_triples():
+    """``_mixed_values`` (two contractions) equals the four ``triple``
+    values, and ``triple`` equals the expansion of its third argument over
+    the pairing tables in every order of its arguments, on seeded
+    divisors of three models."""
+    rng = random.Random(73)
+    for m, P, Q in three_model_pairs(70, 12):
+        triples = (m.triple(Q, Q, Q), m.triple(P, Q, Q), m.triple(P, P, Q), m.triple(P, P, P))
+        assert _mixed_values(m, P, Q) == triples, (P, Q)
+        R = m.divisor([seeded_coefficient(rng) for _ in m.primes])
+        expanded = dot(R.coeffs, [bilinear(T, P.coeffs, Q.coeffs) for T in m.pairings])
+        assert {m.triple(*order) for order in permutations((P, Q, R))} == {expanded}
+
+
+# SHA-256 of the product_limit coefficients and minkowski_check e-values on
+# three_model_pairs(70, 12), pinned when each value was a sum of per-prime
+# triple expansions
+PRODUCT_AND_E_DIGEST = "255fc1554972300ef4aa7605ba9ea59babfb61ab2fe844d8b2d9e48593d1817e"
+
+
+def test_product_and_e_values_keep_their_strings():
+    lines = []
+    for m, D1, D2 in three_model_pairs(70, 12):
+        form, report = product_limit(m, D1, D2), minkowski_check(m, D1, D2)
+        lines += [*form.to_json_dict().values(), *(e.canonical_string() for e in report.e_values)]
+    assert len(lines) == 288
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PRODUCT_AND_E_DIGEST
 
 
 def test_divisor_with_filled_envelope_equals_fresh_one(model):
