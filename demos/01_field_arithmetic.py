@@ -7,6 +7,7 @@ fixed squarefree d.  Nothing is ever rounded: comparisons, ceilings and
 square roots are decided by integer arithmetic alone.
 """
 
+import math
 from fractions import Fraction
 
 from divfilt import QuadNumber, field_sqrt, parse_scalar, sqrt_in_field
@@ -31,7 +32,7 @@ print("their exact product :", steep * shallow)  # exactly 1: reciprocals
 # exact ceilings of irrational numbers (the engine behind length oracles)
 root2 = QuadNumber.sqrt_d(2)
 for n in (1, 5, 10, 99):
-    print(f"ceil({n}*sqrt(2)) =", (root2 * n).__ceil__())
+    print(f"ceil({n}*sqrt(2)) =", math.ceil(root2 * n))
 
 # square roots that stay inside the field are found exactly
 print("sqrt(12) in Q(sqrt(3)):", sqrt_in_field(12, 3))

@@ -47,6 +47,7 @@ from .surfaces import (
     Point,
     Quadratic,
     QuadraticConstraint,
+    _falls_past,
     _inverse,
     _solve_linear_rows,
 )
@@ -300,15 +301,6 @@ def _line_through(
     v = tuple(solved[0])
     u = tuple(gi - lo * vi for gi, vi in zip(g, v))
     return ExcDivisor(model, u), ExcDivisor(model, v)
-
-
-def _falls_past(along: Quadratic, lo: QuadNumber) -> bool:
-    """Whether ``alpha r^2 + beta r + chi``, zero at ``lo``, is negative
-    just above ``lo``: its derivative ``2 alpha lo + beta`` there is
-    negative, or zero with ``alpha < 0``."""
-    alpha, beta, _ = along
-    slope = (2 * alpha * lo + beta).sign()
-    return slope < 0 or (slope == 0 and alpha.sign() < 0)
 
 
 def _gradient_keeps_direction(

@@ -16,7 +16,7 @@ rounding defect is bounded by ``defect``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from typing import Callable, NamedTuple
 
 from .errors import InputError
@@ -43,7 +43,7 @@ def _check_index(n: int, name: str = "n") -> int:
 def sqrt2_length(n: int) -> int:
     """ceil(n * sqrt(2)), computed exactly in Q(sqrt(2))."""
     _check_index(n)
-    return QuadNumber(Fraction(0), Fraction(n), 2).__ceil__()
+    return ceil(QuadNumber(Fraction(0), Fraction(n), 2))
 
 
 def norm_length(n1: int, n2: int) -> int:

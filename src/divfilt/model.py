@@ -551,15 +551,19 @@ def load_model(source: Union[str, Path, Mapping]) -> ThreefoldModel:
         return model_from_dict(source)
     path = Path(source)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"model file {path} is not UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model file {path} is not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(f"model file {path}: number too long to read: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"model file {path} nests too deeply to read") from None
     return model_from_dict(doc)
 
 

@@ -7,9 +7,11 @@ squarefree integer ``d >= 2``.  All operations are exact.  In particular:
 * signs (and hence every comparison) are decided by rational case analysis
   — ``a + b*sqrt(d)`` with ``a`` and ``b`` of opposite sign reduces to
   comparing ``a**2`` against ``d*b**2``;
-* ``ceil``/``floor`` start from a high-precision rational approximation of
-  ``sqrt(d)`` and then *verify* the candidate integer with exact sign
-  checks, so the approximation can never leak into the result;
+* ``floor`` is exact integer arithmetic: over a common denominator
+  ``q > 0``, ``floor((n + r*sqrt(d))/q) = floor((n + floor(r*sqrt(d)))/q)``,
+  and ``floor(r*sqrt(d))`` is ``isqrt(r**2*d)`` for ``r >= 0`` and
+  ``-isqrt(r**2*d) - 1`` for ``r < 0`` (``r*sqrt(d)`` is never an integer
+  then); ``ceil(x)`` is ``-floor(-x)``;
 * square roots are found symbolically when they exist in the field
   (``sqrt(q)`` is either rational or a rational multiple of ``sqrt(d)``)
   and reported as absent otherwise.
@@ -233,12 +235,9 @@ class QuadNumber(Frozen):
             return 1
         if a < 0 and b < 0:
             return -1
-        # Opposite signs: |a| vs |b|*sqrt(d), i.e. a**2 vs d*b**2.
-        lhs, rhs = a * a, self.d * b * b
-        if lhs == rhs:
-            # Impossible for squarefree d >= 2: sqrt(d) is irrational.
-            return 0
-        bigger_rational_part = lhs > rhs
+        # Opposite signs: |a| vs |b|*sqrt(d), i.e. a**2 vs d*b**2, which
+        # never tie because sqrt(d) is irrational.
+        bigger_rational_part = a * a > self.d * b * b
         return 1 if (a > 0) == bigger_rational_part else -1
 
     @property
@@ -288,21 +287,16 @@ class QuadNumber(Frozen):
     def __abs__(self) -> "QuadNumber":
         return -self if self.sign() < 0 else self
 
-    def __ceil__(self) -> int:
-        if self.b == 0:
-            return math.ceil(self.a)
-        # Rational approximation with error below 1, then exact adjustment.
-        bits = abs(self.b.numerator).bit_length() + 66
-        root = Fraction(isqrt(self.d << (2 * bits)), 1 << bits)
-        k = math.ceil(self.a + self.b * root)
-        while (self - k).sign() > 0:
-            k += 1
-        while (self - (k - 1)).sign() <= 0:
-            k -= 1
-        return k
-
     def __floor__(self) -> int:
-        return -math.ceil(-self)
+        # self = (n + r*sqrt(d))/q with q > 0, and floor(r*sqrt(d)) is exact
+        q = math.lcm(self.a.denominator, self.b.denominator)
+        n = self.a.numerator * (q // self.a.denominator)
+        r = self.b.numerator * (q // self.b.denominator)
+        root = isqrt(r * r * self.d)
+        return (n + (root if r >= 0 else -root - 1)) // q
+
+    def __ceil__(self) -> int:
+        return -math.floor(-self)
 
     def ceil(self) -> int:
         """Least integer ``k`` with ``k >= self`` (exact)."""

@@ -98,6 +98,15 @@ Constraint = Union[LinearConstraint, QuadraticConstraint]
 Point = tuple[QuadNumber, ...]
 
 
+def _falls_past(along: Quadratic, lo: QuadNumber) -> bool:
+    """Whether ``alpha r^2 + beta r + chi``, zero at ``lo``, is negative
+    just above ``lo``: its derivative ``2 alpha lo + beta`` there is
+    negative, or zero with ``alpha < 0``."""
+    alpha, beta, _ = along
+    slope = (2 * alpha * lo + beta).sign()
+    return slope < 0 or (slope == 0 and alpha.sign() < 0)
+
+
 # ---------------------------------------------------------------------------
 # constraints taken as equalities
 
@@ -401,44 +410,31 @@ class SurfaceLattice(Frozen):
 
     # -- ray / boundary analysis -----------------------------------------
 
-    def _ray_breakpoints(
-        self, cone: str, base: SurfaceClass, direction: SurfaceClass
-    ) -> list[QuadNumber]:
-        """All t >= 0 where some defining form of the cone vanishes on the ray."""
-        candidates = {
-            t
-            for c in self.constraints(cone)
-            for t in quadratic_roots(*c.along(base.coords, direction.coords)) or ()
-            if t.sign() >= 0
-        }
-        return sorted(candidates)
-
     def boundary_slopes(
         self, cone: str, base: SurfaceClass, direction: SurfaceClass
     ) -> list[QuadNumber]:
         """Parameters t >= 0 where ``base + t*direction`` leaves the cone.
 
-        ``base`` must be a member.  Because the cone is convex the ray
-        crosses the boundary at most once, so the result is ``[]`` (never
-        leaves) or a single exact value.  Candidate parameters are the
-        vanishing points of the defining forms; membership is sampled
-        exactly between consecutive candidates to find the true crossing.
+        ``base`` must be a member.  The cone is convex, so the ray's
+        members are ``0 <= t <= t*`` or every ``t >= 0``, and the result
+        is ``[t*]`` or ``[]``.  At ``t*`` some defining form vanishes and
+        is negative just past it (:func:`_falls_past`); below ``t*`` every
+        form is nonnegative on the ray, so none does that there.  Hence
+        ``t*`` is the least root ``t >= 0`` of a defining form that falls
+        just past ``t``, found exactly.  Raises
+        :class:`RootOutsideFieldError` when a form vanishes on the ray's
+        line outside the field.
         """
         if direction.is_zero():
             raise InputError("direction must be nonzero")
         if not self.cone_contains(cone, base):
             raise InputError("base class is not in the cone")
-
-        def member_at(t: QuadNumber) -> bool:
-            return self.cone_contains(cone, base + direction * t)
-
-        breakpoints = self._ray_breakpoints(cone, base, direction)
-        one = QuadNumber.one(self.field_d)
-        for i, left in enumerate(breakpoints):
-            if i + 1 < len(breakpoints):
-                sample = (left + breakpoints[i + 1]) / 2
-            else:
-                sample = left + one
-            if not member_at(sample):
-                return [left]
-        return []
+        exits = []
+        for c in self.constraints(cone):
+            along = c.along(base.coords, direction.coords)
+            exits += [
+                t
+                for t in quadratic_roots(*along) or ()
+                if t.sign() >= 0 and _falls_past(along, t)
+            ]
+        return [min(exits)] if exits else []

@@ -435,6 +435,37 @@ def test_oversized_integer_in_model_file_exit_2(capsys, tmp_path):
         assert err.startswith("parse error:")
 
 
+def run_model_file(path):
+    return subprocess.run(
+        [sys.executable, "-m", "divfilt.cli", "gamma", "-D", "1,1", "--model", str(path)],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_non_utf8_model_file_exit_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(builtin_document()).encode().replace(b'"F"', b'"\xc9"', 1))
+    result = run_model_file(path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("parse error:") and "not UTF-8" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"a": ' * 3000 + "1" + "}" * 3000],
+    ids=["lists", "objects"],
+)
+def test_deeply_nested_model_file_exit_2(tmp_path, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    result = run_model_file(path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("parse error:") and "nests too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_examples_n_max_bounded(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["examples", "--n-max", "1000000000"])

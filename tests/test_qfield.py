@@ -204,6 +204,36 @@ def test_ceil_bracket(x):
     assert x.floor() <= x < x.floor() + 1
 
 
+# ~60-digit numerators and denominators, far past float precision
+big_rationals = st.builds(
+    Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**60)
+)
+
+
+@given(
+    a=big_rationals,
+    b=big_rationals,
+    b_sign=st.sampled_from([-1, 0, 1]),
+    d=st.sampled_from([2, 3, 5, 999999999989]),
+)
+def test_floor_ceil_bracket_beyond_float_precision(a, b, b_sign, d):
+    x = QuadNumber(a, b_sign * abs(b), d)
+    k = math.floor(x)
+    assert k <= x < k + 1
+    assert math.ceil(x) == (k if x == k else k + 1)
+
+
+def test_floor_ceil_of_pell_gaps():
+    # p^2 - 2q^2 = 1, so p - q*sqrt(2) = 1/(p + q*sqrt(2)) is below 10**-60
+    p, q = 3, 2
+    while p < 10**60:
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+    gap = QuadNumber(p, -q, 2)
+    assert (math.floor(gap), math.ceil(gap)) == (0, 1)
+    assert (math.floor(-gap), math.ceil(-gap)) == (-1, 0)
+    assert (math.floor(gap + p), math.ceil(gap - p)) == (p, 1 - p)
+
+
 @given(quads)
 def test_canonical_string_round_trips(x):
     assert parse_scalar(x.canonical_string(), 3) == x

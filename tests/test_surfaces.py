@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from divfilt.errors import InputError, RootOutsideFieldError
 from divfilt.model import builtin_model
-from divfilt.qfield import QuadNumber
+from divfilt.qfield import QuadNumber, quadratic_roots
 from divfilt.surfaces import ConeSpec, SurfaceLattice, _signature
 
 
@@ -236,6 +236,47 @@ def test_root_outside_field_is_hard_error():
         lattice.boundary_slopes("nef", base, direction)
 
 
+@pytest.mark.parametrize(
+    "base, direction, expected",
+    [
+        pytest.param([1, 0, 0], [0, 1, -1], [0], id="tangent-at-generator"),
+        pytest.param([1, 0, 0], [1, 0, 0], [], id="along-generator"),
+        # x.x = 4t + 2t^2 vanishes at t = 0 but rises: the ray enters
+        pytest.param([1, 0, 0], [0, 1, 1], [], id="inward-from-generator"),
+        pytest.param([1, 1, 1], [-1, -1, -1], [1], id="through-apex"),
+    ],
+)
+def test_exit_rule_on_light_cone(abelian, base, direction, expected):
+    base, direction = abelian.cls(base), abelian.cls(direction)
+    assert abelian.boundary_slopes("eff", base, direction) == expected
+
+
+def test_exit_through_apex_is_decided_by_ample_side(abelian):
+    # x.x = 6(1 - t)^2 only touches zero at t = 1; the ample side falls
+    base, direction = abelian.cls([1, 1, 1]), -abelian.cls([1, 1, 1])
+    past = base + direction * Fraction(5, 4)
+    assert past.pair(past).sign() > 0
+    assert past.pair(abelian.ample_class).sign() < 0
+
+
+def sampled_exit(lattice, cone, base, direction):
+    """The exit found by sampling membership between consecutive roots of
+    the defining forms on the ray (and one past the last root)."""
+    roots = sorted(
+        {
+            t
+            for c in lattice.constraints(cone)
+            for t in quadratic_roots(*c.along(base.coords, direction.coords)) or ()
+            if t.sign() >= 0
+        }
+    )
+    for left, right in zip(roots, [*roots[1:], None]):
+        sample = left + 1 if right is None else (left + right) / 2
+        if not lattice.cone_contains(cone, base + direction * sample):
+            return [left]
+    return []
+
+
 @given(x=coords3)
 @settings(max_examples=40)
 def test_boundary_points_are_members(abelian, x):
@@ -247,6 +288,7 @@ def test_boundary_points_are_members(abelian, x):
         slopes = abelian.boundary_slopes("eff", base, direction)
     except RootOutsideFieldError:
         return  # crossing exists but is not representable in Q(sqrt(3))
+    assert slopes == sampled_exit(abelian, "eff", base, direction)
     for t in slopes:
         assert t.sign() >= 0
         point = base + direction * t
@@ -254,6 +296,9 @@ def test_boundary_points_are_members(abelian, x):
         self_int = point.pair(point)
         ample_side = point.pair(abelian.ample_class)
         assert self_int.sign() == 0 or ample_side.sign() == 0
+        # the ray's members form an interval, so any step past t leaves
+        just_past = base + direction * (t + Fraction(1, 10**9))
+        assert not abelian.cone_contains("eff", just_past)
 
 
 # -- construction validation --------------------------------------------------
