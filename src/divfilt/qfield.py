@@ -18,7 +18,11 @@ squarefree integer ``d >= 2``.  All operations are exact.  In particular:
 
 The vector kernels every higher layer shares — ``dot``, ``bilinear`` and
 the roots of a quadratic (``quadratic_roots``) — live here too, so each
-is written once.
+is written once.  Most rows they meet are unit vectors or sparse (bound
+rows, identity matrices, pairing tables of unrelated primes), so ``dot``
+skips every product with an exact-zero factor and takes the other factor
+of an exact one instead of multiplying.  Every zero part of an element is
+one shared ``Fraction``, so a rational element keeps none of its own.
 
 No floating point participates in any of these paths; ``float(x)`` exists
 only as a convenience for display.
@@ -27,7 +31,6 @@ only as a convenience for display.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from math import isqrt
@@ -46,6 +49,10 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadNumber"]
 
 _SQUAREFREE_CACHE: set[int] = set()
+
+# The zero part of every QuadNumber, so a rational element keeps no
+# Fraction of its own for b.
+_ZERO = Fraction(0)
 
 # Squarefreeness is decided by trial division up to sqrt(d); this bound
 # keeps that under half a million steps.
@@ -88,8 +95,11 @@ class QuadNumber(Frozen):
 
     def __init__(self, a: RationalLike, b: RationalLike, d: int) -> None:
         _require_squarefree(d)
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        # tested after the conversion, so a malformed part still raises
+        object.__setattr__(self, "a", a if a else _ZERO)
+        object.__setattr__(self, "b", b if b else _ZERO)
         object.__setattr__(self, "d", d)
 
     # -- construction helpers ------------------------------------------
@@ -347,12 +357,19 @@ class QuadNumber(Frozen):
 
 
 def dot(u: Sequence[QuadNumber], v: Sequence[QuadNumber]) -> QuadNumber:
-    """``sum u_i * v_i`` over two nonempty vectors of equal length."""
-    terms = map(operator.mul, u, v)
-    total = next(terms)
-    for term in terms:
-        total = total + term
-    return total
+    """``sum u_i * v_i`` over two nonempty vectors of equal length.
+
+    A product with an exact-zero factor is skipped and one with an
+    exact-one factor is the other factor, so nothing is multiplied by 0
+    or 1; with no nonzero product the sum is the zero of ``u[0]``'s field.
+    """
+    total = None
+    for x, y in zip(u, v):
+        if not (x and y):
+            continue
+        term = y if x == 1 else x if y == 1 else x * y
+        total = term if total is None else total + term
+    return QuadNumber.zero(u[0].d) if total is None else total
 
 
 def bilinear(

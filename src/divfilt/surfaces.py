@@ -17,6 +17,12 @@ the ample class and the boundary crossings of a ray all evaluate that
 list, and the envelope solver pulls the same constraints back to the
 coefficients of exceptional divisors.
 
+Constraints taken as equalities are solved by one exact Gauss-Jordan
+elimination (``_row_reduce``, behind ``_solve_linear_rows`` and
+``_inverse``).  Its rows are mostly unit vectors, so it scales no row by
+a pivot that is exactly 1, scales no zero entry, and subtracts no
+multiple of a row from an entry where that row is zero.
+
 Both cones are CLOSED: boundary classes are members.  Downstream limit
 formulas are continuous across the boundaries, which makes the closed
 convention the consistent one, and it keeps membership decidable by exact
@@ -123,12 +129,13 @@ def _row_reduce(aug: list[list[QuadNumber]], ncols: int) -> list[int]:
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [x * inv for x in aug[row]]
+        if aug[row][col] != 1:
+            inv = aug[row][col].inverse()
+            aug[row] = [x * inv if x else x for x in aug[row]]
         for r in range(len(aug)):
             if r != row and aug[r][col].sign() != 0:
                 factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+                aug[r] = [x - factor * y if y else x for x, y in zip(aug[r], aug[row])]
         pivot_cols.append(col)
         row += 1
         if row == len(aug):

@@ -1,6 +1,10 @@
 """Exact quadratic-field arithmetic: frozen values and algebraic laws."""
 
+import copy
 import math
+import operator
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +24,7 @@ from divfilt import (
     scalar_to_json,
     sqrt_in_field,
 )
-from divfilt.qfield import quadratic_roots
+from divfilt.qfield import bilinear, dot, quadratic_roots
 
 
 def q3(a, b=0):
@@ -318,3 +322,110 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(54756, 28561)) == Fraction(234, 169)
     assert rational_sqrt(2) is None
     assert rational_sqrt(-4) is None
+
+
+# --- the shared zero part ----------------------------------------------------
+
+
+def test_zero_parts_share_one_fraction():
+    zero = QuadNumber.rational(5, 3).b
+    assert zero == 0 and QuadNumber.rational(7, 3).b is zero
+    assert q3(0).a is zero and q3(0, 2).a is zero and (-q3(4)).b is zero
+    assert (q3(1, 1) - q3(1, 1)).a is zero
+    assert QuadNumber("0", Fraction(0, 5), 2).b is zero
+
+
+@pytest.mark.parametrize("junk", ["", "nan", "inf", "1.5.2", float("nan"), float("inf")])
+def test_malformed_parts_still_raise(junk):
+    with pytest.raises(Exception) as fraction_error:
+        Fraction(junk)
+    for parts in ((junk, 0), (0, junk)):
+        with pytest.raises(fraction_error.type) as error:
+            QuadNumber(*parts, 3)
+        assert str(error.value) == str(fraction_error.value)
+
+
+@pytest.mark.parametrize(
+    "x, text, same_hash",
+    [
+        (q3(0), "QuadNumber('0', d=3)", 0),
+        (q3(Fraction(-5, 3)), "QuadNumber('-5/3', d=3)", Fraction(-5, 3)),
+        (q3(2, Fraction(-9, 338)), "QuadNumber('2 - 9/338*sqrt(3)', d=3)", None),
+        (q3(0, 1), "QuadNumber('sqrt(3)', d=3)", None),
+    ],
+)
+def test_zero_rational_and_irrational_values_copy_and_compare(x, text, same_hash):
+    assert repr(x) == text
+    if same_hash is not None:
+        assert x == same_hash and hash(x) == hash(same_hash)
+    else:
+        assert hash(x) == hash((x.a, x.b, 3))
+    shared = QuadNumber.zero(3).a
+    for copied in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert copied == x and hash(copied) == hash(x) and repr(copied) == text
+        assert (copied.a, copied.b, copied.d) == (x.a, x.b, x.d)
+        # copies rebuild through __init__, so their zero parts are shared too
+        for part in (copied.a, copied.b):
+            assert part is shared or part != 0
+
+
+# --- the vector kernels against the unskipped loop ------------------------------
+
+
+def reference_dot(u, v):
+    """``dot`` before it skipped exact zeros and ones: every product."""
+    terms = map(operator.mul, u, v)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def reference_bilinear(matrix, u, v):
+    return reference_dot(u, [reference_dot(row, v) for row in matrix])
+
+
+def exactly(x):
+    """The stored parts of ``x``, field included."""
+    return x.a, x.b, x.d
+
+
+def unit_rich(rng, d):
+    """An element of Q(sqrt(d)) that is 0 or +-1 about half the time."""
+    kind = rng.randrange(6)
+    if kind < 3:
+        return QuadNumber((0, 1, -1)[kind], 0, d)
+    a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if kind == 5 else 0
+    return QuadNumber(a, b, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_dot_and_bilinear_match_the_unskipped_loop(d):
+    rng = random.Random(d)
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        u, v = ([unit_rich(rng, d) for _ in range(n)] for _ in range(2))
+        k = rng.randrange(n)
+        unit = [one if i == k else zero for i in range(n)]
+        for x, y in ((u, v), (unit, v), (u, unit), ([zero] * n, v), (u, [-one] * n)):
+            assert exactly(dot(x, y)) == exactly(reference_dot(x, y)), (x, y)
+        matrix = [[unit_rich(rng, d) for _ in range(n)] for _ in range(n)]
+        identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        for m in (matrix, identity, [[zero] * n] * n):
+            assert exactly(bilinear(m, u, v)) == exactly(reference_bilinear(m, u, v))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_dot_without_a_nonzero_product_is_zero_of_the_field(d):
+    zero, one, root = QuadNumber.zero(d), QuadNumber.one(d), QuadNumber.sqrt_d(d)
+    for u, v in (([zero], [root]), ([zero, one, zero], [root, zero, one]), ([one], [zero])):
+        result = dot(u, v)
+        assert exactly(result) == (0, 0, d)
+        assert exactly(result) == exactly(reference_dot(u, v))
+
+
+def test_dot_takes_the_other_factor_of_a_one():
+    x = q3(Fraction(9, 26), Fraction(1, 26))
+    assert dot([q3(1)], [x]) is x and dot([x, q3(0)], [q3(1), x]) is x

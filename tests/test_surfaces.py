@@ -3,15 +3,27 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_qfield import exactly, unit_rich
 
+import divfilt.surfaces
 from divfilt.errors import InputError, RootOutsideFieldError
-from divfilt.model import builtin_model
+from divfilt.model import builtin_model, load_model
 from divfilt.qfield import QuadNumber, quadratic_roots
-from divfilt.surfaces import ConeSpec, SurfaceLattice, _signature
+from divfilt.surfaces import (
+    ConeSpec,
+    SurfaceLattice,
+    _inverse,
+    _signature,
+    _solve_linear_rows,
+)
+
+UNION_MODEL = Path(__file__).resolve().parent / "data" / "two_copy_union.json"
 
 
 @pytest.fixture(scope="module")
@@ -389,3 +401,138 @@ def test_builtin_and_changed_quadratic_surfaces_are_hyperbolic():
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
         sbar = m.surface("Sbar")
         assert _signature(sbar.gram) == (1, 2)
+
+
+# -- Gauss-Jordan against the unskipped loop ---------------------------------------
+
+
+def reference_row_reduce(aug, ncols):
+    """``_row_reduce`` before it skipped unit pivots and zero multiples."""
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(row, len(aug)) if aug[r][col].sign() != 0), None
+        )
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = aug[row][col].inverse()
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col].sign() != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == len(aug):
+            break
+    return pivot_cols
+
+
+def exact_solution(result):
+    """A nested result of ``_solve_linear_rows`` or ``_inverse``, each
+    element as its stored parts, or None."""
+    if result is None:
+        return None
+    if isinstance(result, QuadNumber):
+        return exactly(result)
+    return tuple(exact_solution(x) for x in result)
+
+
+def assert_matches_reference(monkeypatch, rows, nvars, d):
+    """``_solve_linear_rows`` on ``rows`` and ``_inverse`` of their
+    coefficient matrix, when square, equal the reference loop's; returns
+    the solution."""
+    matrix = [coeffs for coeffs, _ in rows]
+    square = len(matrix) == nvars
+    solved = _solve_linear_rows(rows, nvars, d)
+    inverse = _inverse(matrix, d) if square else None
+    with monkeypatch.context() as patched:
+        patched.setattr(divfilt.surfaces, "_row_reduce", reference_row_reduce)
+        expected = _solve_linear_rows(rows, nvars, d)
+        expected_inverse = _inverse(matrix, d) if square else None
+    assert exact_solution(solved) == exact_solution(expected), rows
+    assert exact_solution(inverse) == exact_solution(expected_inverse), matrix
+    return solved
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_row_reduce_matches_the_unskipped_loop(monkeypatch, d):
+    """Seeded systems rich in exact 0 and +-1, with unit rows, zero
+    columns, and singular and inconsistent copies, over two fields."""
+    rng = random.Random(40 + d)
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    kinds = {"unique": 0, "free": 0, "none": 0}
+    for _ in range(150):
+        nvars = rng.randint(1, 4)
+        nrows = rng.choice((nvars, nvars, rng.randint(1, 5)))
+        rows = []
+        for _ in range(nrows):
+            if rng.random() < 0.3:
+                k = rng.randrange(nvars)
+                coeffs = tuple(one if i == k else zero for i in range(nvars))
+            else:
+                coeffs = tuple(unit_rich(rng, d) for _ in range(nvars))
+            rows.append((coeffs, unit_rich(rng, d)))
+        if rng.random() < 0.3:
+            col = rng.randrange(nvars)
+            rows = [
+                (tuple(zero if i == col else x for i, x in enumerate(c)), rhs)
+                for c, rhs in rows
+            ]
+        solved = assert_matches_reference(monkeypatch, rows, nvars, d)
+        kinds["none" if solved is None else "free" if solved[1] else "unique"] += 1
+        # a multiple of a row changes nothing; moving its right side makes
+        # the system inconsistent
+        coeffs, rhs = rows[rng.randrange(nrows)]
+        factor = unit_rich(rng, d) or -one
+        scaled = tuple(factor * x for x in coeffs)
+        dependent = rows + [(scaled, factor * rhs)]
+        again = assert_matches_reference(monkeypatch, dependent, nvars, d)
+        assert exact_solution(again) == exact_solution(solved)
+        inconsistent = rows + [(scaled, factor * rhs + 1)]
+        moved = assert_matches_reference(monkeypatch, inconsistent, nvars, d)
+        assert moved is None or not any(coeffs)
+    assert min(kinds.values()) >= 10, kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverse_of_identity_and_singular_matrices(monkeypatch, n):
+    zero, one = QuadNumber.zero(3), QuadNumber.one(3)
+    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    assert exact_solution(_inverse(identity, 3)) == exact_solution(identity)
+    reversed_rows = identity[::-1]
+    assert _inverse(reversed_rows, 3) == reversed_rows
+    singular = [row[:] for row in identity]
+    singular[-1] = [zero] * n
+    assert _inverse(singular, 3) is None
+    zero_rhs = [(tuple(row), zero) for row in identity]
+    assert assert_matches_reference(monkeypatch, zero_rhs, n, 3) == ([zero] * n, [])
+
+
+def test_union_block_diagonal_systems_match_the_unskipped_loop(monkeypatch):
+    """The 4x4 systems of the two-copy union, in which no row couples the
+    two copies: its pairings and contractions (block-diagonal), and every
+    four of its unit bound rows and nef gradients at seeded points, as the
+    certificates solve them."""
+    union = load_model(UNION_MODEL)
+    rng = random.Random(44)
+    zero, one = QuadNumber.zero(3), QuadNumber.one(3)
+    units = [tuple(one if i == k else zero for i in range(4)) for k in range(4)]
+    matrices = list(union.pairings)
+    for _ in range(4):
+        D = union.divisor([rng.randint(0, 3) for _ in range(4)])
+        matrices.append(union.contraction(D))
+    for _ in range(4):
+        point = [q3(rng.randint(1, 9), rng.randint(0, 2)) for _ in range(4)]
+        grads = units + [c.gradient(point) for c in union.nef_systems]
+        matrices.extend(list(subset) for subset in combinations(grads, 4))
+    outcomes = set()
+    for matrix in matrices:
+        # no row couples the two copies
+        assert not any(any(row[:2]) and any(row[2:]) for row in matrix), matrix
+        rows = [(tuple(row), unit_rich(rng, 3)) for row in matrix]
+        solved = assert_matches_reference(monkeypatch, rows, 4, 3)
+        outcomes.add(solved is not None and not solved[1])
+    assert outcomes == {True, False}
