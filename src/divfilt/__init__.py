@@ -25,7 +25,6 @@ from .errors import (
     DivfiltError,
     InputError,
     ModelValidationError,
-    NoMinimalEnvelopeError,
     ParseError,
     RootOutsideFieldError,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "MinkowskiReport",
     "ModelValidationError",
     "MultReport",
-    "NoMinimalEnvelopeError",
     "ParseError",
     "PiecewisePoly",
     "PiecewiseRegion",

@@ -16,29 +16,33 @@ Along a segment of divisors ``D1 + r*D2`` the envelope is piecewise
 affine in ``r``, and one walk (:func:`_walk`) follows it: from a known
 envelope, the constraints active there fix a line, the line ends where
 another constraint meets it, and a certified point inside proves it the
-envelope up to that end.  ``gamma(D)`` walks from the anchor ``A = sum
-E_i``, which is its own envelope when ``-A`` is nef, along ``A + r*(D -
-A)`` to ``r = 1``; ``regions`` walks ``D1 + r*D2`` from ``sigma(D1)`` and
-returns the slopes where the active set changes, the breakpoints of the
-piecewise multiplicity formulas, and ``multiplicity.piecewise_limit``
-builds each region's cubic from its line.  The last region's direction
-is ``sigma(D2)``; certified, it becomes ``D2``'s cached envelope.
+envelope up to that end.  The walk hands out one :class:`Region` per
+stretch of constant active set: its slopes, its line and the envelope
+certified there.  ``gamma(D)`` walks from the anchor ``A = sum E_i``,
+which is its own envelope when ``-A`` is nef, along ``A + r*(D - A)``
+to ``r = 1`` and reads the last record's envelope; ``regions`` walks
+``D1 + r*D2`` from ``sigma(D1)`` and returns the records' lower slopes
+past the first, the breakpoints of the piecewise multiplicity formulas,
+and ``multiplicity.piecewise_limit`` builds one cubic per record from
+its line.  The last region's direction is ``sigma(D2)``; certified, it
+becomes ``D2``'s cached envelope.
 
 Every answer is certified, not assumed: for each coordinate ``i`` there
 are multipliers ``lam >= 0`` on the active constraints with ``sum lam_c
 grad c = e_i``.  Because each quadratic nef cone is half of a light cone
 (its surface's gram matrix has signature ``(1, rho - 1)``, the Hodge
 index theorem), these first-order conditions prove minimality exactly,
-and the multipliers are kept on the result.  So a walk that strays can
+and the multipliers are kept on the result (:func:`_certified`, which
+returns None for a point it cannot prove).  So a walk that strays can
 fail (a :class:`ComputationError`) but cannot return a wrong envelope.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import ComputationError, InputError, NoMinimalEnvelopeError
+from .errors import ComputationError, InputError
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber, dot, quadratic_roots
 from .surfaces import (
@@ -212,14 +216,11 @@ def _certificate(
 
 
 def _certified(
-    model: ThreefoldModel,
-    D: ExcDivisor,
-    constraints: Sequence[Constraint],
-    point: Point,
-) -> GammaEnvelope:
-    """The envelope of ``D``, if ``point`` is feasible and certified minimal.
-
-    ``constraints`` are ``D``'s bounds and then the model's nef constraints.
+    model: ThreefoldModel, D: ExcDivisor, point: Point
+) -> Optional[GammaEnvelope]:
+    """``point`` as the envelope of ``D``, if it is feasible for ``D``'s
+    bounds and the model's nef constraints and certified minimal in every
+    coordinate (so the minimum is unique); else None.
 
     The certificate is sufficient.  Each active constraint ``c`` satisfies
     ``grad c(point) . (g - point) >= 0`` at every feasible ``g``: for a
@@ -229,22 +230,18 @@ def _certified(
     Hodge index theorem, which :class:`SurfaceLattice` checks).  So
     ``e_i = sum lam_c grad c(point)`` with ``lam >= 0`` gives ``g_i >=
     point_i`` (first-order conditions suffice on this convex set; Arrow
-    and Enthoven 1961).  Raises :class:`NoMinimalEnvelopeError` naming a
-    coordinate without a certificate.
+    and Enthoven 1961).
     """
+    constraints = [*_bounds(model, D), *model.nef_systems]
     signs = [c.value(point).sign() for c in constraints]
     if min(signs) < 0:
-        raise NoMinimalEnvelopeError("no minimal envelope: candidate is infeasible")
+        return None
     # a coordinate at its bound is D's own coefficient, so results share it
     point = tuple(a if sign == 0 else x for x, a, sign in zip(point, D.coeffs, signs))
     active = [c for c, sign in zip(constraints, signs) if sign == 0]
     certificate = _certificate(active, point)
-    for prime, multipliers in zip(model.primes, certificate):
-        if multipliers is None:
-            raise NoMinimalEnvelopeError(
-                f"no minimal envelope: no certificate that coordinate {prime} "
-                "is minimal"
-            )
+    if None in certificate:
+        return None
     return GammaEnvelope(
         input=D,
         gamma=point,
@@ -258,15 +255,28 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
 
     Walks the segment ``A + r*(D - A)`` from the anchor ``A = sum E_i``
     at ``r = 0`` to ``D`` at ``r = 1`` (:func:`_walk`), and returns the
-    point at ``r = 1`` that :func:`_certified` proves minimal in every
-    coordinate.  A model on which ``-A`` is not nef is refused.
+    last region's envelope, the point at ``r = 1`` that :func:`_certified`
+    proves minimal in every coordinate.  A model on which ``-A`` is not
+    nef is refused.
     """
     _require_effective(model, D, nonzero=True)
     A = ExcDivisor(model, (QuadNumber.one(model.field_d),) * len(model.primes))
-    return _walk(model, A, D - A, target=D)
+    return _walk(model, A, D - A, target=D)[-1].envelope
 
 
 Line = tuple[ExcDivisor, ExcDivisor]
+
+
+class Region(NamedTuple):
+    """One region of a walk along ``D1 + r*D2``: the slopes ``lo <= r <=
+    hi`` (``hi`` None when the region is unbounded), the line ``(P, Q)``
+    with ``sigma(D1 + r*D2) = P + r*Q`` on them, and ``envelope``, the
+    one certified at the region's first sample."""
+
+    lo: QuadNumber
+    hi: Optional[QuadNumber]
+    line: Line
+    envelope: GammaEnvelope
 
 
 def _line_through(
@@ -325,33 +335,15 @@ def _gradient_keeps_direction(
     return start == end != 0
 
 
-def _envelope_at(
-    model: ThreefoldModel, D: ExcDivisor, point: Point
-) -> Optional[GammaEnvelope]:
-    """``point`` as ``D``'s envelope, if it is feasible and certified (the
-    minimum is unique), else None."""
-    constraints = [*_bounds(model, D), *model.nef_systems]
-    try:
-        return _certified(model, D, constraints, point)
-    except NoMinimalEnvelopeError:
-        return None
-
-
-def _on_line(
-    model: ThreefoldModel, D: ExcDivisor, line: Line, s: QuadNumber
-) -> Optional[GammaEnvelope]:
-    """The point of ``line`` at ``r = s`` as ``D``'s envelope, if certified."""
-    return _envelope_at(model, D, (line[0] + line[1] * s).coeffs)
-
-
 def _walk(
     model: ThreefoldModel,
     D1: ExcDivisor,
     D2: ExcDivisor,
     target: Optional[ExcDivisor] = None,
-) -> Union[tuple[list[QuadNumber], list[Line]], GammaEnvelope]:
-    """:func:`regions`' slopes and each region's line ``(P, Q)`` along
-    ``D1 + r*D2``, or with ``target = D1 + D2``, ``target``'s envelope.
+) -> list[Region]:
+    """The regions of ``D1 + r*D2``, one :class:`Region` each, in order of
+    slope; with ``target = D1 + D2``, the last record's envelope is
+    ``target``'s.
 
     The family's constraints are the bounds ``g_k >= coeff_k(D1 + r*D2)``
     and the nef constraints, which read ``g`` alone.  Each step starts at
@@ -365,16 +357,17 @@ def _walk(
     anchor turns negative at once above ``lo`` (:func:`_falls_past`; its
     point in the step would be infeasible).  With a ``target``, a kept
     line whose point at ``r = 1`` is certified as ``target``'s envelope
-    ends the walk.  Otherwise the line ends at ``hi``, the least root
-    above ``lo`` of a constraint that does not vanish all along it (with
-    a ``target``, below 1).  The step's line is the first whose point at
-    ``(lo + hi)/2`` (at ``lo + 1`` if nothing ends it) is certified as the
-    envelope there.  A step with the previous step's active set continues
-    its region; otherwise ``lo`` is a breakpoint.  The next anchor's
-    active constraints are those with a root at ``hi``, then those that
-    vanish all along the line.  A constraint's restriction to a line is
-    computed once: for those active at the anchor before the line is
-    kept, for the rest after.
+    ends the walk with a last record ``Region(lo, 1, line, envelope)``.
+    Otherwise the line ends at ``hi``, the least root above ``lo`` of a
+    constraint that does not vanish all along it (with a ``target``,
+    below 1).  The step's line is the first whose point at ``(lo + hi)/2``
+    (at ``lo + 1`` if nothing ends it) is certified as the envelope
+    there.  A step with the previous step's active set extends its
+    region's record to ``hi``; otherwise it opens a record at ``lo``, a
+    breakpoint.  The next anchor's active constraints are those with a
+    root at ``hi``, then those that vanish all along the line.  A
+    constraint's restriction to a line is computed once: for those
+    active at the anchor before the line is kept, for the rest after.
 
     No constraint changes sign strictly between ``lo`` and ``hi``, so one
     feasible point covers the step, and one certificate does when the
@@ -389,7 +382,7 @@ def _walk(
     Without a ``target``, the last region's line ``(P, Q)`` gives
     ``sigma(D1/r + D2) = P/r + Q`` for every large ``r``, so ``Q`` is
     ``sigma(D2)`` in the limit; the certificate, not the limit, proves it.
-    When ``D2.envelope`` is empty and :func:`_envelope_at` certifies ``Q``
+    When ``D2.envelope`` is empty and :func:`_certified` certifies ``Q``
     for an equal copy of ``D2`` (so that the envelope does not point back
     at ``D2``), it is stored there, and a later ``D2.envelope`` runs no
     ``gamma``; refused, nothing is stored.
@@ -426,9 +419,7 @@ def _walk(
         return nef[k - t].along(u, v)
 
     lo = zero
-    starts: list[QuadNumber] = []
-    lines: list[Line] = []
-    active: Optional[frozenset[str]] = None
+    walk: list[Region] = []
     while True:
         for subset in combinations(at_anchor, t):
             line = _line_through(model, D2, subset, g, lo)
@@ -440,9 +431,10 @@ def _walk(
             ):
                 continue
             if target is not None:
-                env = _on_line(model, target, line, one)
+                env = _certified(model, target, (line[0] + line[1]).coeffs)
                 if env is not None:
-                    return env
+                    walk.append(Region(lo, one, line, env))
+                    return walk
             roots = [
                 quadratic_roots(*(on[k] if k in on else along(k, line)))
                 for k in range(t + len(nef))
@@ -452,7 +444,7 @@ def _walk(
             if target is not None and (hi is None or hi >= one):
                 continue
             s = lo + 1 if hi is None else (lo + hi) / 2
-            env = _on_line(model, D1 + D2 * s, line, s)
+            env = _certified(model, D1 + D2 * s, (line[0] + line[1] * s).coeffs)
             if env is not None:
                 break
         else:
@@ -475,17 +467,16 @@ def _walk(
                     f"the gradient of {c.ident} turns along the envelope line above "
                     f"slope {lo.canonical_string()}; one certificate does not cover it"
                 )
-        if env.active != active:
-            starts.append(lo)
-            lines.append(line)
-            active = env.active
+        if walk and env.active == walk[-1].envelope.active:
+            walk[-1] = walk[-1]._replace(hi=hi)
+        else:
+            walk.append(Region(lo, hi, line, env))
         if hi is None:
             if "envelope" not in vars(D2):
-                copy = ExcDivisor(model, D2.coeffs)
-                env = _envelope_at(model, copy, line[1].coeffs)
+                env = _certified(model, ExcDivisor(model, D2.coeffs), line[1].coeffs)
                 if env is not None:
                     vars(D2)["envelope"] = env
-            return starts[1:], lines
+            return walk
         lo, g = hi, (line[0] + line[1] * hi).coeffs
         at_anchor = [k for k, rs in enumerate(roots) if rs is not None and hi in rs]
         at_anchor += [k for k, rs in enumerate(roots) if rs is None]
@@ -499,8 +490,9 @@ def regions(
     Within a region the envelope is affine in ``r``; the walk
     (:func:`_walk`) follows it region by region from ``sigma(D1)``, so its
     work is proportional to the number of regions and ``gamma`` runs only
-    for ``D1.envelope``.  The last region's direction, certified, fills
+    for ``D1.envelope``.  The slopes are the lower ends of the walk's
+    records past the first.  The last region's direction, certified, fills
     ``D2.envelope`` when it is empty.  Dependent directions give a single
     region.
     """
-    return _walk(model, D1, D2)[0]
+    return [region.lo for region in _walk(model, D1, D2)[1:]]

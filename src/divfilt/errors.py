@@ -5,7 +5,7 @@ codes): problems with *input* — unparseable scalars, malformed model
 documents, inconsistent intersection data — and problems that arise during
 a *computation* that was set up correctly but cannot be completed in exact
 arithmetic (a quadratic with no root in the ground field, an envelope
-system with no coordinatewise minimum).
+walk that finds no certified line).
 """
 
 from __future__ import annotations
@@ -46,6 +46,3 @@ class DiscriminantMismatchError(ComputationError):
 class RootOutsideFieldError(ComputationError):
     """A required square root does not lie in the working quadratic field."""
 
-
-class NoMinimalEnvelopeError(ComputationError):
-    """The feasible set has no coordinatewise-minimal point."""

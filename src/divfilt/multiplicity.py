@@ -254,7 +254,7 @@ def mixed(
     """
     slots: list[ExcDivisor] = []
     for D, exponent in factors:
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise InputError("exponents must be nonnegative integers")
         if exponent == 0:
             continue
@@ -294,20 +294,18 @@ def piecewise_limit(
 ) -> PiecewisePoly:
     """The limit of ``n*D1 + j*D2`` filtrations as a piecewise cubic.
 
-    Within each region delivered by :func:`envelope.regions` the envelope
-    is an affine function ``P + r*Q`` of the slope; the region's cubic is
-    ``(n*P + j*Q)^3/6``.  The lines are the ones the walk of ``regions``
-    certified, each through the envelope at the region's lower slope, so
-    beyond ``D1.envelope`` no ``gamma`` call runs.  The walk also fills
-    ``D2.envelope`` from the last region's certified direction, so a
-    following :func:`product_limit` or :func:`minkowski_check` on the same
-    divisors runs no ``gamma`` at all.
+    Within each region of the walk behind :func:`envelope.regions` the
+    envelope is an affine function ``P + r*Q`` of the slope; one
+    :class:`PiecewiseRegion` per walk record carries its slopes and the
+    cubic ``(n*P + j*Q)^3/6`` of its line.  The lines are the ones the
+    walk certified, so beyond ``D1.envelope`` no ``gamma`` call runs.  The
+    walk also fills ``D2.envelope`` from the last region's certified
+    direction, so a following :func:`product_limit` or
+    :func:`minkowski_check` on the same divisors runs no ``gamma`` at all.
     """
-    breakpoints, lines = _walk(model, D1, D2)
-    zero = QuadNumber.zero(model.field_d)
     pieces = [
-        PiecewiseRegion(lo, hi, _region_form(model, *line))
-        for lo, hi, line in zip([zero] + breakpoints, breakpoints + [None], lines)
+        PiecewiseRegion(region.lo, region.hi, _region_form(model, *region.line))
+        for region in _walk(model, D1, D2)
     ]
     return PiecewisePoly(tuple(pieces))
 

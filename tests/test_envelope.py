@@ -23,7 +23,7 @@ from divfilt.envelope import (
     is_antinef,
     regions,
 )
-from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
+from divfilt.errors import ComputationError, InputError
 from divfilt.model import builtin_document, builtin_model, load_model, model_from_dict
 from divfilt.multiplicity import piecewise_limit
 from divfilt.qfield import QuadNumber, quadratic_roots
@@ -551,23 +551,21 @@ def test_point_with_negative_multiplier_is_refused(model):
     assert [c.ident for c in active] == ["coeff[F]", "nef[F]:0"]
     found = _certificate(active, point)
     assert found[0] is None and found[1] == (("coeff[F]", q3(1)),)
-    with pytest.raises(NoMinimalEnvelopeError, match="coordinate Sbar is minimal"):
-        _certified(model, D, constraints, point)
+    assert _certified(model, D, point) is None
     assert gamma(model, D).gamma == (q3(1), q3(2))
 
 
 def test_feasible_points_without_a_least_one_are_refused(model):
     """(1, 2) and (3/2, 3/2) are both feasible for D = (1, 1) and neither is
-    below the other, so neither is certified, and the error names the
-    first coordinate without a certificate."""
+    below the other, so neither is certified: the first coordinate has no
+    certificate, and ``_certified`` returns None."""
     D = model.divisor([1, 1])
     constraints = _bounds(model, D) + list(model.nef_systems)
     for point in ((q3(1), q3(2)), (q3(Fraction(3, 2)), q3(Fraction(3, 2)))):
         assert all(c.value(point).sign() >= 0 for c in constraints)
-        with pytest.raises(
-            NoMinimalEnvelopeError, match="no certificate that coordinate Sbar is"
-        ):
-            _certified(model, D, constraints, point)
+        active = [c for c in constraints if c.value(point).sign() == 0]
+        assert _certificate(active, point)[0] is None
+        assert _certified(model, D, point) is None
 
 
 # -- the region walk against one envelope per sample ------------------------------
@@ -626,22 +624,30 @@ def sampled_regions_oracle(m, D1, D2):
 
 
 def test_walk_matches_one_envelope_per_sample():
-    """The walk's breakpoints are the oracle's, and at every oracle sample
-    its region's line gives ``gamma``'s envelope, on seeded pairs of the
-    builtin model and of a basis-changed copy."""
+    """The walk's records tile the slopes from 0, their lower slopes past
+    the first are the oracle's breakpoints, and at every oracle sample its
+    region's line gives ``gamma``'s envelope, with the active set of the
+    record's envelope, which is ``gamma``'s at its own input; on seeded
+    pairs of the builtin model and of a basis-changed copy."""
     rng = random.Random(43)
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
         counts, kinds = set(), set()
         for _ in range(40):
             D1, D2 = seeded_pair(m, rng)
-            breakpoints, lines = _walk(m, D1, D2)
+            walk = _walk(m, D1, D2)
+            breakpoints = [region.lo for region in walk[1:]]
             expected, sampled = sampled_regions_oracle(m, D1, D2)
             assert breakpoints == expected, (D1, D2)
-            assert len(lines) == len(breakpoints) + 1
+            assert walk[0].lo == 0
+            assert [region.hi for region in walk] == breakpoints + [None]
+            for region in walk:
+                assert region.envelope == gamma(m, region.envelope.input), (D1, D2)
             for s, env in sampled:
-                P, Q = lines[sum(s > b for b in breakpoints)]
+                region = walk[sum(s > b for b in breakpoints)]
+                P, Q = region.line
                 assert (P + Q * s).coeffs == env.gamma, (D1, D2, s)
-            counts.add(len(breakpoints) + 1)
+                assert region.envelope.active == env.active, (D1, D2, s)
+            counts.add(len(walk))
             kinds.add(proportional(D1, D2))
         assert counts == {1, 2, 3} and kinds == {True, False}
 
@@ -666,8 +672,9 @@ def counting_gamma(monkeypatch):
 
 def test_walk_calls_gamma_only_for_the_first_anchor(monkeypatch):
     """Every region starts from an anchor, so the walk's only ``gamma`` call
-    is ``D1.envelope``, and none once that cache is filled, on seeded pairs
-    of both models with 1, 2 and 3 regions and proportional pairs."""
+    is ``D1.envelope``, and none once that cache is filled, when it returns
+    the same records, on seeded pairs of both models with 1, 2 and 3
+    regions and proportional pairs."""
     rng = random.Random(5)
     calls = counting_gamma(monkeypatch)
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
@@ -675,12 +682,12 @@ def test_walk_calls_gamma_only_for_the_first_anchor(monkeypatch):
         for _ in range(30):
             D1, D2 = seeded_pair(m, rng)
             calls.clear()
-            breakpoints = _walk(m, D1, D2)[0]
+            walk = _walk(m, D1, D2)
             assert calls == [D1] and "envelope" in vars(D1), (D1, D2)
             calls.clear()
-            assert _walk(m, D1, D2)[0] == breakpoints
+            assert _walk(m, D1, D2) == walk
             assert calls == [], (D1, D2)
-            counts.add(len(breakpoints) + 1)
+            counts.add(len(walk))
             kinds.add(proportional(D1, D2))
         assert counts == {1, 2, 3} and kinds == {True, False}
 
@@ -700,17 +707,50 @@ def test_walk_fills_sigma_of_D2_from_the_last_region():
     pairs of three models with 1, 2 and 3 regions and proportional pairs."""
     seen = {}
     for m, D1, D2 in three_model_pairs(70, 12):
-        breakpoints, lines = _walk(m, D1, D2)
+        walk = _walk(m, D1, D2)
         filled = vars(D2)["envelope"]
-        assert filled.gamma == lines[-1][1].coeffs, (D1, D2)
+        assert walk[-1].hi is None
+        assert filled.gamma == walk[-1].line[1].coeffs, (D1, D2)
         assert filled.input == D2 and filled.input is not D2
         assert filled == gamma(m, m.divisor(D2.coeffs)), (D1, D2)
         assert (filled.gamma, filled.active) == reference_gamma(m, D2)[:2], (D1, D2)
-        seen.setdefault(id(m), set()).add((len(breakpoints) + 1, proportional(D1, D2)))
+        seen.setdefault(id(m), set()).add((len(walk), proportional(D1, D2)))
     assert len(seen) == 3
     for kinds in seen.values():
         assert {1, 2, 3} <= {n for n, _ in kinds}
         assert {p for _, p in kinds} == {True, False}
+
+
+def test_walk_extends_a_record_over_steps_with_one_active_set(monkeypatch):
+    """A step that ends where the active set does not change extends its
+    region's record.  With spurious roots at slopes 2 and 5, inside the
+    second and third regions of ``(Sbar, F)``, reported for constraints
+    that are positive and rising there, each of those regions takes two
+    steps; the records keep their slopes, lines and active sets, and
+    their envelopes are the ones at the first step's sample."""
+    m = builtin_model()
+    S, F = m.prime_divisor("Sbar"), m.prime_divisor("F")
+    plain = _walk(m, S, F)
+    cuts = (q3(2), q3(5))
+    real = divfilt.envelope.quadratic_roots
+
+    def with_cuts(alpha, beta, chi):
+        roots = real(alpha, beta, chi)
+        if roots is None:
+            return None
+        value = [alpha * s * s + beta * s + chi for s in cuts]
+        slope = [alpha * s * 2 + beta for s in cuts]
+        rising = [s for s, v, d in zip(cuts, value, slope) if v.sign() > 0 < d.sign()]
+        return sorted(roots + rising)
+
+    monkeypatch.setattr(divfilt.envelope, "quadratic_roots", with_cuts)
+    split = _walk(m, m.prime_divisor("Sbar"), m.prime_divisor("F"))
+    assert [(r.lo, r.hi, r.line, r.envelope.active) for r in split] == [
+        (r.lo, r.hi, r.line, r.envelope.active) for r in plain
+    ]
+    assert [r.envelope.input for r in split] == [
+        S + F * s for s in (q3(Fraction(1, 2)), q3(Fraction(3, 2)), q3(4) - ROOT3 / 6)
+    ]
 
 
 def test_walk_keeps_a_filled_envelope_of_D2(model):
@@ -740,11 +780,11 @@ def counting_field_operations(monkeypatch):
 @pytest.mark.parametrize(
     "function, divisors, multiplications, inverses",
     [
-        (gamma, ([2, 1],), 52, 0),
-        (gamma, ([1, 3],), 140, 10),
-        (gamma, ([3, 7],), 41, 0),
-        (piecewise_limit, ([1, 0], [0, 1]), 204, 29),
-        (piecewise_limit, ([1, 2], [2, 7]), 302, 23),
+        (gamma, ([2, 1],), 50, 0),
+        (gamma, ([1, 3],), 136, 10),
+        (gamma, ([3, 7],), 39, 0),
+        (piecewise_limit, ([1, 0], [0, 1]), 202, 29),
+        (piecewise_limit, ([1, 2], [2, 7]), 300, 23),
     ],
 )
 def test_field_operation_counts(monkeypatch, function, divisors, multiplications, inverses):
@@ -752,7 +792,10 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
     builtin model (its ``nef_systems`` built inside the count), pinned.
     ``dot`` and ``_row_reduce`` multiply by no exact 0 or 1; without those
     skips the five rows took 152/6, 310/16, 127/4, 626/46 and 481/34
-    multiplications/inverses.  A change that lowers a count re-pins it."""
+    multiplications/inverses.  ``gamma``'s walk reads its target's point
+    on a line ``(P, Q)`` as ``P + Q``, not ``P + Q*1``: that saves one
+    multiplication per prime and tried line (52, 140, 41, 204 and 302
+    before).  A change that lowers a count re-pins it."""
     m = model_from_dict(builtin_document())
     args = [m.divisor(coeffs) for coeffs in divisors]
     counts = counting_field_operations(monkeypatch)
@@ -786,34 +829,35 @@ def test_walk_without_lines_is_refused(monkeypatch, capsys):
     assert "no certified envelope line from sum E_i to (1, 0);" in captured.err
 
 
-# ``_on_line`` calls on test_walk_skips_lines_that_fall_at_once's pairs by
-# a walk that certified every line it found; 23 of them were refused
+# certifications of a step's line on test_walk_skips_lines_that_fall_at_once's
+# pairs by a walk that certified every line it found; 23 of them were refused
 UNSKIPPED_ON_LINE_CALLS = 97
 
 
 def test_walk_skips_lines_that_fall_at_once(monkeypatch):
     """Lines on which a constraint active at the anchor turns negative at
-    once are skipped before certification, so ``_on_line`` runs less often,
-    and the breakpoints still equal the oracle's, on seeded pairs of the
-    builtin model and of a basis-changed copy.  ``D1.envelope`` is filled
-    before counting, so the count is the region walk's alone."""
+    once are skipped before certification, so ``_certified`` runs less
+    often, and the breakpoints still equal the oracle's, on seeded pairs of
+    the builtin model and of a basis-changed copy.  ``D1.envelope`` and
+    ``D2.envelope`` are filled before counting, so the count is the region
+    walk's step certifications alone."""
     rng = random.Random(11)
     cases = []
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
         for _ in range(20):
             D1, D2 = seeded_pair(m, rng)
-            D1.envelope
+            D1.envelope, D2.envelope
             cases.append((m, D1, D2, sampled_regions_oracle(m, D1, D2)[0]))
     results = []
-    real = divfilt.envelope._on_line
+    real = divfilt.envelope._certified
 
     def counted(*args):
         results.append(real(*args))
         return results[-1]
 
-    monkeypatch.setattr(divfilt.envelope, "_on_line", counted)
+    monkeypatch.setattr(divfilt.envelope, "_certified", counted)
     for m, D1, D2, expected in cases:
-        assert _walk(m, D1, D2)[0] == expected, (D1, D2)
+        assert [region.lo for region in _walk(m, D1, D2)[1:]] == expected, (D1, D2)
     assert len(results) < UNSKIPPED_ON_LINE_CALLS
     assert None not in results
 
@@ -837,17 +881,17 @@ def test_gradient_keeps_direction(model):
 
 
 def test_walk_refuses_a_step_whose_active_gradient_turns(monkeypatch, capsys):
-    """With ``_on_line`` patched to report ``nef[Sbar]:quad`` active, the
+    """With ``_certified`` patched to report ``nef[Sbar]:quad`` active, the
     step above slope 1 of ``(1,0) + r*(0,1)``, on which that quadratic's
     gradient turns, is refused: ``regions`` raises ``ComputationError`` and
     ``divfilt piecewise`` exits 3 without a traceback."""
-    real = divfilt.envelope._on_line
+    real = divfilt.envelope._certified
 
     def claims_quad(*args):
         env = real(*args)
         return env and env._replace(active=env.active | {"nef[Sbar]:quad"})
 
-    monkeypatch.setattr(divfilt.envelope, "_on_line", claims_quad)
+    monkeypatch.setattr(divfilt.envelope, "_certified", claims_quad)
     m = builtin_model()
     with pytest.raises(ComputationError, match=r"nef\[Sbar\]:quad turns .* above slope 1;"):
         regions(m, m.divisor([1, 0]), m.divisor([0, 1]))
@@ -855,6 +899,32 @@ def test_walk_refuses_a_step_whose_active_gradient_turns(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("computation error: the gradient of nef[Sbar]:quad")
+
+
+# -- orthogonality of the envelope ---------------------------------------------------
+
+
+def test_envelope_is_orthogonal_to_its_raised_primes():
+    """``(sigma^2 . E_i) = 0`` at every raised coordinate ``i`` of seeded
+    envelopes on the builtin model, a basis-changed copy and the two-copy
+    union: the local form of the orthogonality of Boucksom-Favre-Jonsson,
+    which checks ``triple`` and the envelope against each other whatever
+    path the walk took."""
+    rng = random.Random(81)
+    models = (builtin_model(), model_from_dict(basis_changed_document()), load_model(UNION_MODEL))
+    for m in models:
+        raised = 0
+        for _ in range(30):
+            D = m.divisor([seeded_coefficient(rng) for _ in m.primes])
+            if D.is_zero():
+                continue
+            env = gamma(m, D)
+            sigma = env.envelope_divisor
+            for i in env.raised_indices:
+                E = m.prime_divisor(m.primes[i])
+                assert m.triple(sigma, sigma, E) == 0, (D, m.primes[i])
+                raised += 1
+        assert raised >= 10, m.primes
 
 
 # -- models beyond the builtin one --------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,7 +24,7 @@ import divfilt.envelope
 import divfilt.multiplicity
 from divfilt import cli
 from divfilt.envelope import _walk, gamma, regions
-from divfilt.errors import ComputationError, InputError, NoMinimalEnvelopeError
+from divfilt.errors import ComputationError, InputError
 from divfilt.intervals import cbrt_enclosure, quad_enclosure
 from divfilt.model import builtin_model, load_model, model_from_dict
 from divfilt.multiplicity import (
@@ -139,6 +140,11 @@ def test_mixed_rejects_bad_exponents(model):
         mixed(model, [(S, 1)])
     with pytest.raises(InputError):
         mixed(model, [(S, -1), (F, 4)])
+    # booleans are ``int`` subclasses but not exponents, as for the indices
+    # of ``filt_examples``
+    for factors in ([(S, True), (F, 2)], [(S, 2), (F, 1), (F, False)], [(S, 1.0), (F, 2)]):
+        with pytest.raises(InputError, match="exponents must be nonnegative integers"):
+            mixed(model, factors)
 
 
 # -- piecewise limit -------------------------------------------------------------------
@@ -524,32 +530,89 @@ def test_piecewise_matches_three_sample_fit_on_seeded_pairs(model):
     assert counts == {1, 2, 3}
 
 
+def j_derivatives(form, j):
+    """The value and the first two ``j``-derivatives of a cubic form in
+    ``(n, j)`` at ``(1, j)``."""
+    a0, a1, a2, a3 = form.coefficients
+    return (
+        a0 + a1 * j + a2 * j * j + a3 * j * j * j,
+        a1 + a2 * j * 2 + a3 * j * j * 3,
+        a2 * 2 + a3 * j * 6,
+    )
+
+
+def second_derivative_jumps(m, D1, D2):
+    """``(slope, jump)`` at every breakpoint of ``n*D1 + j*D2``, read off the
+    walk's records: the limit's second ``j``-derivative at ``n = 1``, left
+    minus right.  Asserts that ``piecewise_limit``'s regions are the
+    records' and that the value and the first derivative glue there."""
+    walk = _walk(m, D1, D2)
+    pw = piecewise_limit(m, D1, D2)
+    assert [(r.lower_slope, r.upper_slope) for r in pw.regions] == [
+        (region.lo, region.hi) for region in walk
+    ]
+    jumps = []
+    for left, right in zip(pw.regions, pw.regions[1:]):
+        b = right.lower_slope
+        below, above = j_derivatives(left.poly, b), j_derivatives(right.poly, b)
+        assert below[:2] == above[:2], (D1, D2, b)
+        jumps.append((b, below[2] - above[2]))
+    return jumps
+
+
+def test_piecewise_limit_is_c1_but_not_c2_at_every_breakpoint():
+    """Across every breakpoint of seeded families on the builtin model, a
+    basis-changed copy and the two-copy union, the limit's value and first
+    derivative agree and its second derivative jumps: the local form of
+    the differentiability of volume (Boucksom-Favre-Jonsson)."""
+    seen = Counter()
+    for m, D1, D2 in three_model_pairs(83, 15):
+        for b, jump in second_derivative_jumps(m, D1, D2):
+            assert jump != 0, (D1, D2, b)
+            seen[len(m.primes)] += 1
+    assert seen[2] >= 20 and seen[4] >= 20, seen
+
+
+def test_piecewise_jumps_of_sbar_f(model):
+    """For ``(Sbar, F)`` the second ``j``-derivative at ``n = 1`` drops by
+    108 at ``r = 1`` and jumps by ``27/13 + 81/13*sqrt(3)`` (left minus
+    right) at ``r = 3 - sqrt(3)/3``, where Sbar's light-cone constraint
+    becomes tight."""
+    S, F = model.prime_divisor("Sbar"), model.prime_divisor("F")
+    assert second_derivative_jumps(model, S, F) == [
+        (q3(1), q3(-108)),
+        (q3(3) - ROOT3 / 3, q3(Fraction(27, 13), Fraction(81, 13))),
+    ]
+
+
 @pytest.mark.parametrize("c1, c2", [((1, 2), (0, 1)), ((1, 0), (0, 1))])
 def test_envelope_line_rejects_a_moved_sample(model, monkeypatch, capsys, c1, c2):
     """The last region's line is certified at one sample, one slope above
-    its start.  With that sample refused, or with each coordinate of the
-    line's point there moved by 1/1000, no line certifies the region, and
-    ``regions``, ``piecewise_limit`` and ``divfilt piecewise`` refuse the
-    family at the region's lower slope (exit 3, no traceback)."""
+    its start, where the record's envelope is ``gamma``'s.  With that
+    sample refused, or with each coordinate of the line's point there
+    moved by 1/1000, no line certifies the region, and ``regions``,
+    ``piecewise_limit`` and ``divfilt piecewise`` refuse the family at the
+    region's lower slope (exit 3, no traceback)."""
     D1, D2 = model.divisor(c1), model.divisor(c2)
-    breakpoints, lines = _walk(model, D1, D2)
-    lo = breakpoints[-1]
+    last = _walk(model, D1, D2)[-1]
+    lo = last.lo
     s = lo + 1
-    P, Q = lines[-1]
+    P, Q = last.line
     assert (P + Q * s).coeffs == gamma(model, D1 + D2 * s).gamma
+    assert last.envelope == gamma(model, D1 + D2 * s)
     target = (D1 + D2 * s).coeffs
     message = f"no certified envelope line above slope {lo.canonical_string()};"
     pair = [",".join(map(str, c)) for c in (c1, c2)]
     real_certified = divfilt.envelope._certified
     for moved in (None, *range(len(model.primes))):
 
-        def refused(m, D, constraints, point, moved=moved):
+        def refused(m, D, point, moved=moved):
             if D.coeffs == target:
                 if moved is None:
-                    raise NoMinimalEnvelopeError("refused")
+                    return None
                 point = list(point)
                 point[moved] += Fraction(1, 1000)
-            return real_certified(m, D, constraints, tuple(point))
+            return real_certified(m, D, tuple(point))
 
         with monkeypatch.context() as patch:
             patch.setattr(divfilt.envelope, "_certified", refused)
@@ -632,11 +695,11 @@ def test_refused_sigma_of_D2_leaves_the_cache_to_gamma(monkeypatch):
         D1.envelope
         refused = []
 
-        def refusing(mm, D, constraints, point, target=D2.coeffs):
+        def refusing(mm, D, point, target=D2.coeffs):
             if D.coeffs == target:
                 refused.append(point)
-                raise NoMinimalEnvelopeError("refused")
-            return real(mm, D, constraints, point)
+                return None
+            return real(mm, D, point)
 
         with monkeypatch.context() as patch:
             patch.setattr(divfilt.envelope, "_certified", refusing)

@@ -12,7 +12,7 @@ import pytest
 
 import divfilt
 from divfilt import cli
-from divfilt.envelope import gamma
+from divfilt.envelope import Region, _walk, gamma
 from divfilt.filt_examples import (
     LengthSequence,
     ProbeResult,
@@ -123,6 +123,11 @@ CASES = [
         divfilt.GammaEnvelope,
         lambda: gamma(fresh_model(), fresh_model().divisor([1, 3])),
         ("input", "gamma", "active", "certificate"),
+    ),
+    (
+        Region,
+        lambda: _walk(fresh_model(), *pair(fresh_model()))[0],
+        ("lo", "hi", "line", "envelope"),
     ),
     (
         CubicForm,
