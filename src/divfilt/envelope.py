@@ -25,7 +25,7 @@ to ``r = 1`` and reads the last record's envelope; ``regions`` walks
 past the first, the breakpoints of the piecewise multiplicity formulas,
 and ``multiplicity.piecewise_limit`` builds one cubic per record from
 its line.  The last region's direction is ``sigma(D2)``; certified, it
-becomes ``D2``'s cached envelope.
+fills the envelope cache of ``D2`` that :func:`_sigma` reads.
 
 Every answer is certified, not assumed: for each coordinate ``i`` there
 are multipliers ``lam >= 0`` on the active constraints with ``sum lam_c
@@ -264,6 +264,24 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     return _walk(model, A, D - A, target=D)[-1].envelope
 
 
+def _sigma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
+    """``gamma`` of ``D``, computed once per divisor object.
+
+    The envelope is kept in ``vars(D)``, outside ``==`` and ``hash``.
+    ``gamma`` is looked up on this module at each fill, so a replaced
+    ``gamma`` is the one called.  It runs on an equal copy: the envelope's
+    ``input`` does not point back at ``D``, so no reference cycle outlives
+    the divisor's last reference.  A region walk along ``D1 + r*D2`` may
+    fill the cache of ``D2`` first (:func:`_walk`).
+    """
+    if D.model != model:
+        raise InputError("divisor belongs to a different model")
+    cache = vars(D)
+    if "envelope" not in cache:
+        cache["envelope"] = gamma(model, ExcDivisor(model, D.coeffs))
+    return cache["envelope"]
+
+
 Line = tuple[ExcDivisor, ExcDivisor]
 
 
@@ -348,7 +366,7 @@ def _walk(
     The family's constraints are the bounds ``g_k >= coeff_k(D1 + r*D2)``
     and the nef constraints, which read ``g`` alone.  Each step starts at
     an *anchor* ``(g, lo)`` on the envelope: at ``lo = 0``, ``sigma(D1)``
-    (``D1.envelope``, filled here), or with a ``target``, ``D1`` itself,
+    (``_sigma(model, D1)``), or with a ``target``, ``D1`` itself,
     which is its own envelope when ``-D1`` is nef and is refused when it
     is not; later, the previous step's line at its end.  Each ``t``-subset
     of the constraints active at the anchor, in ``combinations`` order,
@@ -382,10 +400,10 @@ def _walk(
     Without a ``target``, the last region's line ``(P, Q)`` gives
     ``sigma(D1/r + D2) = P/r + Q`` for every large ``r``, so ``Q`` is
     ``sigma(D2)`` in the limit; the certificate, not the limit, proves it.
-    When ``D2.envelope`` is empty and :func:`_certified` certifies ``Q``
+    When ``D2``'s cache is empty and :func:`_certified` certifies ``Q``
     for an equal copy of ``D2`` (so that the envelope does not point back
-    at ``D2``), it is stored there, and a later ``D2.envelope`` runs no
-    ``gamma``; refused, nothing is stored.
+    at ``D2``), it is stored there, and a later ``_sigma(model, D2)`` runs
+    no ``gamma``; refused, nothing is stored.
 
     Raises :class:`ComputationError` naming the slope where an active
     gradient turns, and where no line certifies: the slope, or with a
@@ -397,7 +415,7 @@ def _walk(
     if target is None:
         for D in (D1, D2):
             _require_effective(model, D, nonzero=True)
-        g = D1.envelope.gamma
+        g = _sigma(model, D1).gamma
     else:
         g = D1.coeffs
     signs = [
@@ -490,9 +508,9 @@ def regions(
     Within a region the envelope is affine in ``r``; the walk
     (:func:`_walk`) follows it region by region from ``sigma(D1)``, so its
     work is proportional to the number of regions and ``gamma`` runs only
-    for ``D1.envelope``.  The slopes are the lower ends of the walk's
+    for ``_sigma(model, D1)``.  The slopes are the lower ends of the walk's
     records past the first.  The last region's direction, certified, fills
-    ``D2.envelope`` when it is empty.  Dependent directions give a single
-    region.
+    ``D2``'s envelope cache when it is empty.  Dependent directions give a
+    single region.
     """
     return [region.lo for region in _walk(model, D1, D2)[1:]]

@@ -29,7 +29,7 @@ import json
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InputError, ModelValidationError, ParseError
 from .frozen import Frozen
@@ -50,9 +50,6 @@ from .surfaces import (
     SurfaceLattice,
 )
 
-if TYPE_CHECKING:
-    from .envelope import GammaEnvelope
-
 BUILTIN_MODEL_NAME = "paper"
 
 DIMENSION = 3
@@ -61,7 +58,8 @@ DIMENSION = 3
 class ExcDivisor(Frozen):
     """A divisor supported on the exceptional primes: D = sum g_i E_i.
 
-    Instances keep a ``__dict__`` for the cached :attr:`envelope`.
+    Instances keep a ``__dict__``, where ``envelope._sigma`` caches the
+    divisor's envelope outside ``==`` and ``hash``.
     """
 
     _fields = ("model", "coeffs")
@@ -104,22 +102,6 @@ class ExcDivisor(Frozen):
         return ExcDivisor(self.model, tuple(x * scalar for x in self.coeffs))
 
     __rmul__ = __mul__
-
-    @cached_property
-    def envelope(self) -> "GammaEnvelope":
-        """``envelope.gamma`` of this divisor, computed on first use.
-
-        The cache takes no part in ``==`` or ``hash``.  ``gamma`` is looked
-        up on its module at each fill, so a replaced ``gamma`` is the one
-        called.  It runs on an equal copy: the cached envelope's ``input``
-        does not point back here, so no reference cycle outlives the
-        divisor's last reference.  A region walk along ``D1 + r*D2`` may
-        fill the cache of ``D2`` first, with the same envelope certified
-        from its last region, also computed on an equal copy.
-        """
-        from . import envelope  # envelope imports this module
-
-        return envelope.gamma(self.model, ExcDivisor(self.model, self.coeffs))
 
     def __str__(self) -> str:
         return "(" + ", ".join(c.canonical_string() for c in self.coeffs) + ")"

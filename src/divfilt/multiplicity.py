@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 # unused here, but bench/tracing.py wraps ``multiplicity.gamma`` too
-from .envelope import GammaEnvelope, _walk, gamma  # noqa: F401
+from .envelope import GammaEnvelope, _sigma, _walk, gamma  # noqa: F401
 from .errors import ComputationError, InputError
 from .frozen import Frozen
 from .intervals import cbrt_enclosure, quad_enclosure
@@ -58,6 +58,8 @@ class CubicForm(Frozen):
         self._set_fields(coefficients)
 
     def coefficient(self, d1: int, d2: int) -> QuadNumber:
+        if any(not isinstance(d, int) or isinstance(d, bool) for d in (d1, d2)):
+            raise InputError("monomial degrees must be integers")
         try:
             return self.coefficients[MONOMIALS.index((d1, d2))]
         except ValueError:
@@ -223,21 +225,14 @@ class MultReport(Frozen):
         self._set_fields(limit, multiplicity, gamma_used)
 
 
-def _sigma(model: ThreefoldModel, D: ExcDivisor) -> tuple[GammaEnvelope, ExcDivisor]:
-    """``D``'s envelope, computed once per divisor object (``D.envelope``)."""
-    if D.model != model:
-        raise InputError("divisor belongs to a different model")
-    env = D.envelope
-    return env, env.envelope_divisor
-
-
 def limit_single(model: ThreefoldModel, D: ExcDivisor) -> MultReport:
     """lim of colength(m*D-filtration)/m^3, via the envelope divisor.
 
     With sigma the envelope divisor, the limit is ``-((-sigma)^3)/3!``,
     i.e. ``(sigma^3)/6`` after the sign flips cancel.
     """
-    env, sigma = _sigma(model, D)
+    env = _sigma(model, D)
+    sigma = env.envelope_divisor
     multiplicity = model.triple(sigma, sigma, sigma)
     return MultReport(
         limit=multiplicity / 6, multiplicity=multiplicity, gamma_used=env
@@ -258,8 +253,7 @@ def mixed(
             raise InputError("exponents must be nonnegative integers")
         if exponent == 0:
             continue
-        _, sigma = _sigma(model, D)
-        slots.extend([sigma] * exponent)
+        slots.extend([_sigma(model, D).envelope_divisor] * exponent)
     if len(slots) != model.dimension:
         raise InputError(f"exponents must sum to {model.dimension}")
     return model.triple(slots[0], slots[1], slots[2])
@@ -298,9 +292,9 @@ def piecewise_limit(
     envelope is an affine function ``P + r*Q`` of the slope; one
     :class:`PiecewiseRegion` per walk record carries its slopes and the
     cubic ``(n*P + j*Q)^3/6`` of its line.  The lines are the ones the
-    walk certified, so beyond ``D1.envelope`` no ``gamma`` call runs.  The
-    walk also fills ``D2.envelope`` from the last region's certified
-    direction, so a following :func:`product_limit` or
+    walk certified, so beyond ``sigma(D1)`` no ``gamma`` call runs.  The
+    walk also fills the envelope cache of ``D2`` from the last region's
+    certified direction, so a following :func:`product_limit` or
     :func:`minkowski_check` on the same divisors runs no ``gamma`` at all.
     """
     pieces = [
@@ -317,11 +311,11 @@ def product_limit(
 
     The coefficient of ``n^d1 j^d2`` is the mixed multiplicity with those
     exponents divided by ``d1! d2!``; unlike :func:`piecewise_limit` this
-    is a single polynomial valid on the whole quadrant.  It reads the
-    cached ``D.envelope`` of each, both known after :func:`piecewise_limit`.
+    is a single polynomial valid on the whole quadrant.  It reads each
+    envelope from its divisor's cache (``envelope._sigma``), both filled
+    after :func:`piecewise_limit`.
     """
-    _, sigma1 = _sigma(model, D1)
-    _, sigma2 = _sigma(model, D2)
+    sigma1, sigma2 = (_sigma(model, D).envelope_divisor for D in (D1, D2))
     return _region_form(model, sigma1, sigma2)
 
 
@@ -459,8 +453,7 @@ def minkowski_check(
     (:func:`_cube_root_sum_decision`), labelled with the interval
     precision that separates its sides when one does.
     """
-    _, sigma1 = _sigma(model, D1)
-    _, sigma2 = _sigma(model, D2)
+    sigma1, sigma2 = (_sigma(model, D).envelope_divisor for D in (D1, D2))
     e = _mixed_values(model, sigma1, sigma2)
     L = e[3] + 3 * e[2] + 3 * e[1] + e[0]
     holds, method = _cube_root_sum_decision(L, e[3], e[0])

@@ -171,7 +171,9 @@ class QuadNumber(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.__add__(-o)
+        if o.d != self.d:  # self was rational, o irrational in another field
+            return self.__add__(-o)
+        return QuadNumber(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other: ScalarLike) -> "QuadNumber":
         return (-self).__add__(other)

@@ -18,6 +18,7 @@ from divfilt.envelope import (
     _certified,
     _gradient_keeps_direction,
     _region_label,
+    _sigma,
     _walk,
     gamma,
     is_antinef,
@@ -347,7 +348,8 @@ def reference_gamma(model, D):
     """The plain algorithm: fresh constraints, every subset of as many
     constraints as unknowns, every candidate tested for feasibility.  The
     primes of each of :func:`blocks` are solved apart, since no constraint
-    couples two blocks.  Returns ``(gamma, active, region)``."""
+    couples two blocks.  Returns ``(gamma, active, region)``, or None when
+    the feasible points of some block have no least one."""
     d = model.field_d
     zero, one = QuadNumber.zero(d), QuadNumber.one(d)
     minimum, active = [None] * len(model.primes), set()
@@ -377,7 +379,10 @@ def reference_gamma(model, D):
         feasible = [
             p for p in candidates if all(c.value(p).sign() >= 0 for c in constraints)
         ]
-        (least,) = [p for p in feasible if all(below(p, q) for q in feasible)]
+        least = [p for p in feasible if all(below(p, q) for q in feasible)]
+        if not least:
+            return None
+        (least,) = least
         for i, g in zip(block, least):
             minimum[i] = g
         active |= {c.ident for c in constraints if c.value(least).sign() == 0}
@@ -672,7 +677,7 @@ def counting_gamma(monkeypatch):
 
 def test_walk_calls_gamma_only_for_the_first_anchor(monkeypatch):
     """Every region starts from an anchor, so the walk's only ``gamma`` call
-    is ``D1.envelope``, and none once that cache is filled, when it returns
+    is ``_sigma`` of ``D1``, and none once that cache is filled, when it returns
     the same records, on seeded pairs of both models with 1, 2 and 3
     regions and proportional pairs."""
     rng = random.Random(5)
@@ -701,7 +706,7 @@ def three_model_pairs(seed, count):
 
 
 def test_walk_fills_sigma_of_D2_from_the_last_region():
-    """The walk stores its last region's direction as ``D2.envelope``, on an
+    """The walk stores its last region's direction as ``D2``'s envelope, on an
     equal copy of ``D2``; it equals ``reference_gamma`` and a fresh
     ``gamma(D2)`` in ``gamma``, ``active`` and ``certificate``, on seeded
     pairs of three models with 1, 2 and 3 regions and proportional pairs."""
@@ -754,9 +759,9 @@ def test_walk_extends_a_record_over_steps_with_one_active_set(monkeypatch):
 
 
 def test_walk_keeps_a_filled_envelope_of_D2(model):
-    """A ``D2.envelope`` already in the cache is kept as it is."""
+    """An envelope of ``D2`` already in the cache is kept as it is."""
     D1, D2 = model.divisor([1, 2]), model.divisor([0, 1])
-    env = D2.envelope
+    env = _sigma(model, D2)
     _walk(model, D1, D2)
     assert vars(D2)["envelope"] is env
 
@@ -806,7 +811,7 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
 def test_walk_without_lines_is_refused(monkeypatch, capsys):
     """When ``_line_through`` finds no line, ``gamma`` raises
     ``ComputationError`` naming the divisor, ``regions`` and
-    ``piecewise_limit`` from a known ``D1.envelope`` raise it naming slope
+    ``piecewise_limit`` from a known ``_sigma(m, D1)`` raise it naming slope
     0, and ``divfilt piecewise``, whose ``gamma`` for ``D1`` is refused
     first, exits 3 without a traceback."""
     rng = random.Random(47)
@@ -814,7 +819,7 @@ def test_walk_without_lines_is_refused(monkeypatch, capsys):
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
         for _ in range(5):
             D1, D2 = seeded_pair(m, rng)
-            D1.envelope
+            _sigma(m, D1)
             pairs.append((m, D1, D2))
     monkeypatch.setattr(divfilt.envelope, "_line_through", lambda *args: None)
     for m, D1, D2 in pairs:
@@ -838,15 +843,15 @@ def test_walk_skips_lines_that_fall_at_once(monkeypatch):
     """Lines on which a constraint active at the anchor turns negative at
     once are skipped before certification, so ``_certified`` runs less
     often, and the breakpoints still equal the oracle's, on seeded pairs of
-    the builtin model and of a basis-changed copy.  ``D1.envelope`` and
-    ``D2.envelope`` are filled before counting, so the count is the region
+    the builtin model and of a basis-changed copy.  ``_sigma`` fills the
+    caches of ``D1`` and ``D2`` before counting, so the count is the region
     walk's step certifications alone."""
     rng = random.Random(11)
     cases = []
     for m in (builtin_model(), model_from_dict(basis_changed_document())):
         for _ in range(20):
             D1, D2 = seeded_pair(m, rng)
-            D1.envelope, D2.envelope
+            _sigma(m, D1), _sigma(m, D2)
             cases.append((m, D1, D2, sampled_regions_oracle(m, D1, D2)[0]))
     results = []
     real = divfilt.envelope._certified

@@ -23,7 +23,7 @@ from test_model import basis_changed_document
 import divfilt.envelope
 import divfilt.multiplicity
 from divfilt import cli
-from divfilt.envelope import _walk, gamma, regions
+from divfilt.envelope import _sigma, _walk, gamma, regions
 from divfilt.errors import ComputationError, InputError
 from divfilt.intervals import cbrt_enclosure, quad_enclosure
 from divfilt.model import builtin_model, load_model, model_from_dict
@@ -306,6 +306,15 @@ def test_cubic_unknown_monomial_rejected():
     form = CubicForm((q3(1), q3(0), q3(0), q3(0)))
     with pytest.raises(InputError):
         form.coefficient(2, 0)
+
+
+@pytest.mark.parametrize("d1, d2", [(True, 2), (1, True), (1.0, 2.0), (3, 0.0)])
+def test_cubic_degrees_must_be_integers(d1, d2):
+    """``MONOMIALS.index`` compares with ``==``, so ``True`` and ``1.0``
+    would otherwise read the coefficient of ``n*j^2``."""
+    form = CubicForm((q3(1), q3(2), q3(3), q3(4)))
+    with pytest.raises(InputError, match="degrees must be integers"):
+        form.coefficient(d1, d2)
 
 
 # -- Minkowski inequality suite ----------------------------------------------------------------
@@ -680,7 +689,7 @@ def test_family_sweep_computes_each_envelope_once(monkeypatch):
         text = family_sweep(m, D1, D2)
         assert calls == [D1], (D1, D2)
         E1, E2 = m.divisor(D1.coeffs), m.divisor(D2.coeffs)
-        E1.envelope, E2.envelope
+        _sigma(m, E1), _sigma(m, E2)
         assert family_sweep(m, E1, E2) == text, (D1, D2)
 
 
@@ -692,7 +701,7 @@ def test_refused_sigma_of_D2_leaves_the_cache_to_gamma(monkeypatch):
     real = divfilt.envelope._certified
     for m, D1, D2 in three_model_pairs(70, 6):
         expected = family_sweep(m, m.divisor(D1.coeffs), m.divisor(D2.coeffs))
-        D1.envelope
+        _sigma(m, D1)
         refused = []
 
         def refusing(mm, D, point, target=D2.coeffs):
@@ -761,12 +770,12 @@ def test_divisor_with_filled_envelope_equals_fresh_one(model):
     assert vars(warmed)["envelope"] is env and "envelope" not in vars(fresh)
     assert warmed == fresh and hash(warmed) == hash(fresh)
     assert {warmed: 1}[fresh] == 1
-    assert warmed.envelope == fresh.envelope == gamma(model, fresh)
+    assert _sigma(model, warmed) == _sigma(model, fresh) == gamma(model, fresh)
 
 
 def test_divisor_with_filled_envelope_is_freed_without_the_cycle_collector(model):
     D = model.divisor([1, 3])
-    assert D.envelope.input == D
+    assert _sigma(model, D).input == D
     ref = weakref.ref(D)
     gc.disable()
     try:
@@ -781,6 +790,8 @@ def test_envelope_of_divisor_from_other_model_is_refused(model):
     D = other.divisor([1, 3])
     with pytest.raises(InputError, match="different model"):
         limit_single(model, D)
-    assert D.envelope.model == other  # fills the cache
+    with pytest.raises(InputError, match="different model"):
+        _sigma(model, D)
+    assert _sigma(other, D).model == other  # fills the cache
     with pytest.raises(InputError, match="different model"):
         limit_single(model, D)
