@@ -182,8 +182,28 @@ def _region_label(model: ThreefoldModel, raised: tuple[int, ...]) -> str:
     return "raised(" + ",".join(model.primes[i] for i in raised) + ")"
 
 
+def _linear_inverse(
+    model: ThreefoldModel, rows: Sequence[LinearConstraint]
+) -> Optional[list[list[QuadNumber]]]:
+    """The inverse of the matrix whose rows are the coefficients of
+    ``rows``, or None if it is singular.
+
+    A linear row's gradient is constant, so the inverse depends on the
+    model alone: it is computed on first use and kept in a table in
+    ``vars(model)``, keyed by the rows' idents in order (None for a
+    singular matrix), outside ``==`` and ``hash``.  Callers list the rows
+    in the order of ``[*bounds, *model.nef_systems]``, so the table holds
+    at most one entry per subset of the linear rows.
+    """
+    table = vars(model).setdefault("linear_inverses", {})
+    key = tuple(c.ident for c in rows)
+    if key not in table:
+        table[key] = _inverse([c.coeffs for c in rows], model.field_d)
+    return table[key]
+
+
 def _certificate(
-    active: Sequence[Constraint], point: Point
+    model: ThreefoldModel, active: Sequence[Constraint], point: Point
 ) -> list[Optional[Multipliers]]:
     """Per coordinate ``i``: multipliers ``lam >= 0`` on ``active`` with
     ``sum lam_c grad c(point) = e_i`` (the nonzero ones, by ident), or None.
@@ -191,13 +211,19 @@ def _certificate(
     On ``t`` active constraints with independent gradients, row ``i`` of
     the inverse of their gradient matrix is the only candidate ``lam``;
     further subsets are tried only for coordinates whose row has a
-    negative entry.
+    negative entry.  ``active`` is in the order of ``[*bounds,
+    *model.nef_systems]``; the inverse of linear rows is the model's
+    (:func:`_linear_inverse`), one with a quadratic row is computed here.
     """
     t, d = len(point), point[0].d
     grads = [c.gradient(point) for c in active]
+    quadratic = [isinstance(c, QuadraticConstraint) for c in active]
     found: list[Optional[Multipliers]] = [None] * t
     for subset in combinations(range(len(active)), t):
-        inverse = _inverse([grads[k] for k in subset], d)
+        if any(quadratic[k] for k in subset):
+            inverse = _inverse([grads[k] for k in subset], d)
+        else:
+            inverse = _linear_inverse(model, [active[k] for k in subset])
         if inverse is None:
             continue
         for i, row in enumerate(inverse):
@@ -239,7 +265,7 @@ def _certified(
     # a coordinate at its bound is D's own coefficient, so results share it
     point = tuple(a if sign == 0 else x for x, a, sign in zip(point, D.coeffs, signs))
     active = [c for c, sign in zip(constraints, signs) if sign == 0]
-    certificate = _certificate(active, point)
+    certificate = _certificate(model, active, point)
     if None in certificate:
         return None
     return GammaEnvelope(
@@ -299,7 +325,7 @@ class Region(NamedTuple):
 
 def _line_through(
     model: ThreefoldModel,
-    D2: ExcDivisor,
+    family: Sequence[Constraint],
     subset: Sequence[int],
     g: Point,
     lo: QuadNumber,
@@ -307,27 +333,34 @@ def _line_through(
     """``(P, Q)`` with ``P + r*Q`` the line through ``g`` at ``r = lo``
     that the linearisations of the family constraints ``subset`` fix.
 
-    Family constraint ``k < t`` is the bound ``g_k >= coeff_k(D1 +
-    r*D2)``, which asks ``Q_k = coeff_k(D2)``; constraint ``t + j`` is the
-    nef constraint ``c = model.nef_systems[j]``, which asks ``grad c(g) .
-    Q = 0``.  These must fix ``Q`` uniquely; then ``P = g - lo*Q``.
-    Returns None otherwise.  Whether the constraints vanish all along the
-    line is left to the caller.
+    ``family`` is ``[*_bounds(model, D2), *model.nef_systems]``.  Family
+    constraint ``k < t`` stands for the bound ``g_k >= coeff_k(D1 +
+    r*D2)``, which asks ``Q_k = coeff_k(D2)``: the bound of ``D2`` vanishes
+    at ``Q``.  A nef constraint ``c`` asks ``grad c(g) . Q = 0``; a linear
+    one is homogeneous, so it too vanishes at ``Q``.  These must fix ``Q``
+    uniquely; then ``P = g - lo*Q`` (``g`` itself at ``lo = 0``).  The
+    rows are taken in family order; linear rows give ``Q`` through the
+    model's inverse (:func:`_linear_inverse`), rows with a quadratic are
+    solved by elimination.  Returns None when ``Q`` is not unique.
+    Whether the constraints vanish all along the line is left to the
+    caller.
     """
     t, d = len(model.primes), model.field_d
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    nef = model.nef_systems
-    rows = [
-        (tuple(one if i == k else zero for i in range(t)), D2.coeffs[k])
-        if k < t
-        else (nef[k - t].gradient(g), zero)
-        for k in subset
-    ]
-    solved = _solve_linear_rows(rows, t, d)
-    if solved is None or solved[1]:
-        return None
-    v = tuple(solved[0])
-    u = tuple(gi - lo * vi for gi, vi in zip(g, v))
+    rows = [family[k] for k in sorted(subset)]
+    zero = QuadNumber.zero(d)
+    rhs = [zero if isinstance(c, QuadraticConstraint) else -c.const for c in rows]
+    if any(isinstance(c, QuadraticConstraint) for c in rows):
+        equations = [(c.gradient(g), b) for c, b in zip(rows, rhs)]
+        solved = _solve_linear_rows(equations, t, d)
+        if solved is None or solved[1]:
+            return None
+        v = tuple(solved[0])
+    else:
+        inverse = _linear_inverse(model, rows)
+        if inverse is None:
+            return None
+        v = tuple(dot(row, rhs) for row in inverse)
+    u = tuple(gi - lo * vi for gi, vi in zip(g, v)) if lo else g
     return ExcDivisor(model, u), ExcDivisor(model, v)
 
 
@@ -412,6 +445,7 @@ def _walk(
     t = len(model.primes)
     zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
     nef = model.nef_systems
+    family = [*_bounds(model, D2), *nef]
     if target is None:
         for D in (D1, D2):
             _require_effective(model, D, nonzero=True)
@@ -440,7 +474,7 @@ def _walk(
     walk: list[Region] = []
     while True:
         for subset in combinations(at_anchor, t):
-            line = _line_through(model, D2, subset, g, lo)
+            line = _line_through(model, family, subset, g, lo)
             if line is None:
                 continue
             on = {k: along(k, line) for k in at_anchor}

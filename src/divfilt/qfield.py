@@ -106,15 +106,25 @@ class QuadNumber(Frozen):
 
     @classmethod
     def rational(cls, value: RationalLike, d: int) -> "QuadNumber":
-        return cls(Fraction(value), Fraction(0), d)
+        """The rational ``value``, an ``int`` or ``Fraction``, in Q(sqrt(d)).
+
+        A bool, a float or any other type raises :class:`InputError`: a
+        float such as 0.1 is not the rational it is written as.
+        """
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise InputError(
+                f"scalar must be an int, Fraction or QuadNumber, "
+                f"got {type(value).__name__} {value!r}"
+            )
+        return cls(value, _ZERO, d)
 
     @classmethod
     def in_field(cls, value: ScalarLike, d: int) -> "QuadNumber":
         """``value`` as an element of Q(sqrt(d)).
 
         Integers, Fractions and rational elements of any field are
-        accepted; an irrational element of another field raises
-        :class:`InputError`.
+        accepted; an irrational element of another field, and any value
+        that :meth:`rational` refuses, raise :class:`InputError`.
         """
         if isinstance(value, QuadNumber):
             if value.d == d:

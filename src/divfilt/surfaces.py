@@ -107,9 +107,10 @@ Point = tuple[QuadNumber, ...]
 def _falls_past(along: Quadratic, lo: QuadNumber) -> bool:
     """Whether ``alpha r^2 + beta r + chi``, zero at ``lo``, is negative
     just above ``lo``: its derivative ``2 alpha lo + beta`` there is
-    negative, or zero with ``alpha < 0``."""
+    negative, or zero with ``alpha < 0``.  At ``lo = 0`` the derivative
+    is ``beta``."""
     alpha, beta, _ = along
-    slope = (2 * alpha * lo + beta).sign()
+    slope = (2 * alpha * lo + beta if lo else beta).sign()
     return slope < 0 or (slope == 0 and alpha.sign() < 0)
 
 

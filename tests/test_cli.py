@@ -10,7 +10,7 @@ from test_envelope import AMPLE_SELF_RESTRICTION, UNION_MODEL
 
 from divfilt import cli, verify
 from divfilt.errors import ComputationError
-from divfilt.model import builtin_document
+from divfilt.model import builtin_document, builtin_model
 
 # past Python's default limit of 4300 digits for int() of a string
 BIG = "7" * 5000
@@ -316,6 +316,31 @@ def test_verify_paper_reports_a_failing_limit_in_its_rows(
     assert len(failed) == rows and len(calls) == 1
     assert all("| error: ComputationError: synthetic failure" in f for f in failed)
     assert out.splitlines()[-1] == f"{rows} of 34 claims FAIL"
+
+
+def test_verify_paper_names_failing_minkowski_checks(capsys, monkeypatch):
+    """A Minkowski report with failing verdicts is summarised by their
+    labels; one whose checks hold is counted by method, the fourth
+    decided exactly or by intervals."""
+    real = verify.minkowski_check
+    m = builtin_model()
+    S, F = m.prime_divisor("Sbar"), m.prime_divisor("F")
+    report = real(m, S, F)
+    failing = report._replace(
+        verdicts=tuple(i not in (1, 10) for i in range(len(report.verdicts)))
+    )
+    monkeypatch.setattr(verify, "minkowski_check", lambda *args: failing)
+    labels = [c.label for c in report.checks]
+    assert verify._minkowski_summary(m, S, F) == f"FAILS: {labels[1]}, {labels[10]}"
+    code, out, err = run_cli(capsys, ["verify-paper"])
+    assert (code, err) == (4, "")
+    (row,) = [line for line in out.splitlines() if line.startswith("minkowski(Sbar,F)")]
+    assert f"FAILS: {labels[1]}, {labels[10]}" in row and row.endswith("| FAIL")
+    assert out.splitlines()[-1] == "1 of 34 claims FAIL"
+    for method, counts in (("exact", "11 exact + 0"), ("interval(30 digits)", "10 exact + 1")):
+        held = report._replace(cube_root_method=method)
+        monkeypatch.setattr(verify, "minkowski_check", lambda *args: held)
+        assert verify._minkowski_summary(m, S, F) == f"all {counts} interval hold"
 
 
 # -- exit codes and error prefixes --------------------------------------------------

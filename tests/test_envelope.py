@@ -27,7 +27,7 @@ from divfilt.envelope import (
 from divfilt.errors import ComputationError, InputError
 from divfilt.model import builtin_document, builtin_model, load_model, model_from_dict
 from divfilt.multiplicity import piecewise_limit
-from divfilt.qfield import QuadNumber, quadratic_roots
+from divfilt.qfield import QuadNumber, dot, quadratic_roots
 from divfilt.surfaces import LinearConstraint, QuadraticConstraint, _solve_linear_rows
 
 
@@ -554,7 +554,7 @@ def test_point_with_negative_multiplier_is_refused(model):
     constraints = _bounds(model, D) + list(model.nef_systems)
     active = [c for c in constraints if c.value(point).sign() == 0]
     assert [c.ident for c in active] == ["coeff[F]", "nef[F]:0"]
-    found = _certificate(active, point)
+    found = _certificate(model, active, point)
     assert found[0] is None and found[1] == (("coeff[F]", q3(1)),)
     assert _certified(model, D, point) is None
     assert gamma(model, D).gamma == (q3(1), q3(2))
@@ -569,7 +569,7 @@ def test_feasible_points_without_a_least_one_are_refused(model):
     for point in ((q3(1), q3(2)), (q3(Fraction(3, 2)), q3(Fraction(3, 2)))):
         assert all(c.value(point).sign() >= 0 for c in constraints)
         active = [c for c in constraints if c.value(point).sign() == 0]
-        assert _certificate(active, point)[0] is None
+        assert _certificate(model, active, point)[0] is None
         assert _certified(model, D, point) is None
 
 
@@ -785,11 +785,18 @@ def counting_field_operations(monkeypatch):
 @pytest.mark.parametrize(
     "function, divisors, multiplications, inverses",
     [
-        (gamma, ([2, 1],), 50, 0),
-        (gamma, ([1, 3],), 136, 10),
-        (gamma, ([3, 7],), 39, 0),
-        (piecewise_limit, ([1, 0], [0, 1]), 202, 29),
-        (piecewise_limit, ([1, 2], [2, 7]), 300, 23),
+        (gamma, ([2, 1],), 32, 0),
+        (gamma, ([1, 3],), 124, 9),
+        (gamma, ([3, 7],), 31, 0),
+        (piecewise_limit, ([1, 0], [0, 1]), 172, 28),
+        (piecewise_limit, ([1, 2], [2, 7]), 282, 22),
+    ],
+    ids=[
+        "gamma-divisors0",
+        "gamma-divisors1",
+        "gamma-divisors2",
+        "piecewise_limit-divisors3",
+        "piecewise_limit-divisors4",
     ],
 )
 def test_field_operation_counts(monkeypatch, function, divisors, multiplications, inverses):
@@ -800,12 +807,55 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
     multiplications/inverses.  ``gamma``'s walk reads its target's point
     on a line ``(P, Q)`` as ``P + Q``, not ``P + Q*1``: that saves one
     multiplication per prime and tried line (52, 140, 41, 204 and 302
-    before).  A change that lowers a count re-pins it."""
+    before).  A walk's first step, at slope 0, multiplies nothing by it;
+    a line of linear rows is the model's inverse of those rows times the
+    right-hand side, not an elimination; and a line's rows are eliminated
+    in family order (50/0, 136/10, 39/0, 202/29 and 300/23 before).  A
+    change that lowers a count re-pins it; the case ids leave the counts
+    out, so a re-pin keeps each case's name."""
     m = model_from_dict(builtin_document())
     args = [m.divisor(coeffs) for coeffs in divisors]
     counts = counting_field_operations(monkeypatch)
     function(m, *args)
     assert (counts["__mul__"], counts["inverse"]) == (multiplications, inverses)
+
+
+def test_second_gamma_reuses_the_models_linear_inverses(monkeypatch):
+    """Each model keeps the inverse of every set of linear rows it has
+    met: on a fresh builtin model, ``gamma(2, 1)`` (active set
+    ``coeff[Sbar]``, ``nef[F]:0``, all linear) runs ``_inverse``, and a
+    second ``gamma`` on an equal divisor runs none and gives the same
+    envelope.  The table holds only inverses of linear rows, keyed by
+    idents in the order of ``[*bounds, *nef_systems]``, at most one per
+    ``t``-subset of them, and another fresh model starts without one."""
+    m = model_from_dict(builtin_document())
+    calls = []
+    real = divfilt.envelope._inverse
+
+    def counted(matrix, d):
+        calls.append(matrix)
+        return real(matrix, d)
+
+    monkeypatch.setattr(divfilt.envelope, "_inverse", counted)
+    first = gamma(m, m.divisor([2, 1]))
+    assert first.active == {"coeff[Sbar]", "nef[F]:0"} and calls
+    calls.clear()
+    assert gamma(m, m.divisor([2, 1])) == first
+    assert calls == []
+    t = len(m.primes)
+    rows = [*_bounds(m, m.zero_divisor()), *m.nef_systems]
+    linear = {c.ident: c for c in rows if isinstance(c, LinearConstraint)}
+    order = [c.ident for c in rows]
+    table = vars(m)["linear_inverses"]
+    assert 0 < len(table) <= len(list(combinations(linear, t)))
+    for key, inverse in table.items():
+        assert list(key) == sorted(key, key=order.index) and len(key) == t
+        matrix = [linear[ident].coeffs for ident in key]
+        assert inverse == real(matrix, m.field_d)
+        if inverse is not None:
+            product = [[dot(row, col) for col in zip(*matrix)] for row in inverse]
+            assert product == [[int(i == k) for k in range(t)] for i in range(t)]
+    assert "linear_inverses" not in vars(model_from_dict(builtin_document()))
 
 
 def test_walk_without_lines_is_refused(monkeypatch, capsys):
@@ -986,6 +1036,30 @@ def test_union_regions_are_both_copies_breakpoints(model, union):
         D2 = union.divisor(A2.coeffs + B2.coeffs)
         expected = sorted(set(regions(model, A1, A2)) | set(regions(model, B1, B2)))
         assert regions(union, D1, D2) == expected
+
+
+def test_union_walk_lines_match_the_plain_algorithm(model, union):
+    """The union's walk against the plain algorithm on the whole union,
+    not only its halves: at each record's midpoint (``lo + 1`` for the
+    last), the record's line ``P + r*Q`` is ``reference_gamma(D1 +
+    r*D2)``, with the record's active set.  ``sampled_regions_oracle``
+    cannot take the union, but a fixed divisor splits into blocks."""
+    rng = random.Random(62)
+    counts = set()
+    for _ in range(6):
+        (A1, A2), (B1, B2) = seeded_pair(model, rng), seeded_pair(model, rng)
+        D1 = union.divisor(A1.coeffs + B1.coeffs)
+        D2 = union.divisor(A2.coeffs + B2.coeffs)
+        walk = _walk(union, D1, D2)
+        for region in walk:
+            s = region.lo + 1 if region.hi is None else (region.lo + region.hi) / 2
+            P, Q = region.line
+            expected = reference_gamma(union, D1 + D2 * s)
+            assert expected is not None, (D1, D2, s)
+            assert (P + Q * s).coeffs == expected[0], (D1, D2, s)
+            assert region.envelope.active == expected[1], (D1, D2, s)
+        counts.add(len(walk))
+    assert counts == {1, 2, 3, 4}, counts
 
 
 def test_model_where_sum_of_primes_is_not_antinef_is_refused():

@@ -371,6 +371,15 @@ def test_divisor_foreign_field_rejected(model):
         model.divisor([root2, 0])
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1", None])
+def test_divisor_refuses_floats_and_bools(model, value):
+    """A float is not the rational it is written as, and a bool is not a
+    number here: ``divisor([0.1, 1])`` read 3602879701896397/2^55 and
+    ``divisor([True, 2])`` read (1, 2) before they were refused."""
+    with pytest.raises(InputError, match="int, Fraction or QuadNumber"):
+        model.divisor([value, 1])
+
+
 def test_divisor_arity_enforced(model):
     with pytest.raises(InputError):
         model.divisor([1, 2, 3])

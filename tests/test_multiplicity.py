@@ -235,6 +235,14 @@ def test_piecewise_edge_evaluation(pw):
         pw.value_at(-1, 1)
 
 
+def test_piecewise_value_at_refuses_floats_and_bools(pw):
+    """A float point is refused as input, where it once reached
+    ``CubicForm.value_at`` and failed there with a ``TypeError``."""
+    for n, j in ((1.5, Fraction(1, 4)), (1, 0.25), (True, 2)):
+        with pytest.raises(InputError, match="int, Fraction or QuadNumber"):
+            pw.value_at(n, j)
+
+
 def test_piecewise_region_validation():
     poly = CubicForm((q3(1), q3(0), q3(0), q3(0)))
     with pytest.raises(InputError):  # first region must start at 0

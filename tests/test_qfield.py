@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import divfilt.qfield
 from divfilt import (
     DiscriminantMismatchError,
+    InputError,
     ParseError,
     QuadNumber,
     RootOutsideFieldError,
@@ -97,6 +98,17 @@ def test_parse_scalar_rejects_garbage_and_wrong_root():
         parse_scalar("sqrt(2)", 3)
     with pytest.raises(ParseError):
         parse_scalar("1 ++ sqrt(3)", 3)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, True, "1", None, 1j])
+def test_rational_and_in_field_refuse_non_scalars(value):
+    """Only ints, Fractions and QuadNumbers are scalars; the constructor
+    keeps ``Fraction``'s own conversions (``QuadNumber("0", 0, 2)``)."""
+    for make in (QuadNumber.rational, QuadNumber.in_field):
+        with pytest.raises(InputError, match="int, Fraction or QuadNumber"):
+            make(value, 3)
+    assert QuadNumber.in_field(Fraction(1, 2), 3) == QuadNumber.rational(Fraction(1, 2), 3)
+    assert QuadNumber.in_field(q3(0, 1), 3) == q3(0, 1)
 
 
 def test_discriminant_must_be_squarefree():

@@ -44,6 +44,13 @@ small = st.integers(min_value=-6, max_value=6)
 coords3 = st.tuples(small, small, small)
 
 
+def test_cls_refuses_floats_and_bools(abelian):
+    for coords in ([0.5, 1, 0], [1, True, 0], [1, 0, "2"]):
+        with pytest.raises(InputError, match="int, Fraction or QuadNumber"):
+            abelian.cls(coords)
+    assert abelian.cls([Fraction(1, 2), 1, q3(0, 1)]).coords[0] == q3(Fraction(1, 2))
+
+
 # -- pairing ----------------------------------------------------------------
 
 
