@@ -16,115 +16,103 @@ Q(sqrt(d)):
   non-polynomial growth (:mod:`divfilt.filt_examples`).
 
 The command line entry point is ``divfilt`` (see :mod:`divfilt.cli`).
+
+The public names are not imported here: each is read from its defining
+module at every use, and that module is imported on first use (PEP 562).
+So ``import divfilt`` loads no module of the package,
+``divfilt.builtin_model()`` loads only the model and the layers under it,
+and a replaced ``divfilt.envelope.gamma`` is what ``divfilt.gamma``
+returns.  The layers themselves (``divfilt.envelope`` and so on, all but
+:mod:`divfilt.cli`) are imported on first use the same way;
+:mod:`divfilt.cli` imports every layer.
 """
 
-from .envelope import GammaEnvelope, gamma, is_antinef, regions
-from .errors import (
-    ComputationError,
-    DiscriminantMismatchError,
-    DivfiltError,
-    InputError,
-    ModelValidationError,
-    ParseError,
-    RootOutsideFieldError,
-)
-from .filt_examples import (
-    LengthSequence,
-    ProbeResult,
-    diagonal_norm_sequence,
-    limit_probe,
-    norm_length,
-    sqrt2_length,
-    sqrt2_sequence,
-)
-from .model import (
-    BUILTIN_MODEL_NAME,
-    CheckResult,
-    ExcDivisor,
-    ThreefoldModel,
-    ValidationReport,
-    builtin_document,
-    builtin_model,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-)
-from .multiplicity import (
-    CubicForm,
-    InequalityCheck,
-    MinkowskiReport,
-    MultReport,
-    PiecewisePoly,
-    PiecewiseRegion,
-    limit_single,
-    minkowski_check,
-    mixed,
-    piecewise_limit,
-    product_limit,
-)
-from .qfield import (
-    QuadNumber,
-    field_sqrt,
-    parse_scalar,
-    rational_sqrt,
-    scalar_from_json,
-    scalar_to_json,
-    sqrt_in_field,
-)
-from .surfaces import ConeSpec, SurfaceClass, SurfaceLattice
-from .verify import Claim, VerifyReport, run_golden_suite
+import sys
+from importlib import import_module
 
-__all__ = [
-    "BUILTIN_MODEL_NAME",
-    "CheckResult",
-    "Claim",
-    "ComputationError",
-    "ConeSpec",
-    "CubicForm",
-    "DiscriminantMismatchError",
-    "DivfiltError",
-    "ExcDivisor",
-    "GammaEnvelope",
-    "InequalityCheck",
-    "InputError",
-    "LengthSequence",
-    "MinkowskiReport",
-    "ModelValidationError",
-    "MultReport",
-    "ParseError",
-    "PiecewisePoly",
-    "PiecewiseRegion",
-    "ProbeResult",
-    "QuadNumber",
-    "RootOutsideFieldError",
-    "SurfaceClass",
-    "SurfaceLattice",
-    "ThreefoldModel",
-    "ValidationReport",
-    "VerifyReport",
-    "builtin_document",
-    "builtin_model",
-    "diagonal_norm_sequence",
-    "field_sqrt",
-    "gamma",
-    "is_antinef",
-    "limit_probe",
-    "limit_single",
-    "load_model",
-    "minkowski_check",
-    "mixed",
-    "model_from_dict",
-    "model_to_dict",
-    "norm_length",
-    "parse_scalar",
-    "piecewise_limit",
-    "product_limit",
-    "rational_sqrt",
-    "regions",
-    "run_golden_suite",
-    "scalar_from_json",
-    "scalar_to_json",
-    "sqrt2_length",
-    "sqrt2_sequence",
-    "sqrt_in_field",
-]
+# the public names of each module, in order of layer
+_EXPORTS = {
+    "errors": (
+        "ComputationError",
+        "DiscriminantMismatchError",
+        "DivfiltError",
+        "InputError",
+        "ModelValidationError",
+        "ParseError",
+        "RootOutsideFieldError",
+    ),
+    "qfield": (
+        "QuadNumber",
+        "field_sqrt",
+        "parse_scalar",
+        "rational_sqrt",
+        "scalar_from_json",
+        "scalar_to_json",
+        "sqrt_in_field",
+    ),
+    "filt_examples": (
+        "LengthSequence",
+        "ProbeResult",
+        "diagonal_norm_sequence",
+        "limit_probe",
+        "norm_length",
+        "sqrt2_length",
+        "sqrt2_sequence",
+    ),
+    "surfaces": ("ConeSpec", "SurfaceClass", "SurfaceLattice"),
+    "model": (
+        "BUILTIN_MODEL_NAME",
+        "CheckResult",
+        "ExcDivisor",
+        "ThreefoldModel",
+        "ValidationReport",
+        "builtin_document",
+        "builtin_model",
+        "load_model",
+        "model_from_dict",
+        "model_to_dict",
+    ),
+    "envelope": ("GammaEnvelope", "gamma", "is_antinef", "regions"),
+    "multiplicity": (
+        "CubicForm",
+        "InequalityCheck",
+        "MinkowskiReport",
+        "MultReport",
+        "PiecewisePoly",
+        "PiecewiseRegion",
+        "limit_single",
+        "minkowski_check",
+        "mixed",
+        "piecewise_limit",
+        "product_limit",
+    ),
+    "verify": ("Claim", "VerifyReport", "run_golden_suite"),
+}
+
+# every layer but ``cli``, each an attribute of the package on first use
+_LAYERS = frozenset({*_EXPORTS, "frozen", "intervals"})
+
+# each public name's defining module, by its full name
+_MODULE_OF = {
+    name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """The public ``name`` from its defining module, or the layer ``name``,
+    imported on first use."""
+    if name in _LAYERS:
+        return import_module(f".{name}", __name__)
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # a loaded layer is read from ``sys.modules``: ``import_module`` costs
+    # microseconds at every use of a name
+    return getattr(sys.modules.get(module) or import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -438,6 +438,22 @@ def _walk(
     at ``D2``), it is stored there, and a later ``_sigma(model, D2)`` runs
     no ``gamma``; refused, nothing is stored.
 
+    On a model whose nef cones are all polyhedral (every nef row linear) a
+    step finds no line only where some divisor on the walk's segment has
+    no least anti-nef majorant.  Minimising ``sum g_i`` over ``g >=
+    coeffs(D1 + r*D2)``, ``-sum g_i E_i`` nef, is a linear program whose
+    right-hand side is affine in ``r``.  Suppose every divisor with ``r``
+    in ``[lo, lo + eps)`` has a least majorant; it is then the program's
+    unique optimum.  There are finitely many bases, so one basis is
+    optimal on all of some ``[lo, lo + eps')``.  Its ``t`` rows are active
+    at the anchor, and they fix the envelope's line there, which the walk
+    tries.  On that line the constraints active strictly between ``lo``
+    and ``hi`` are the same at every ``r``, and so are their gradients.
+    The multipliers that prove minimality just above ``lo`` therefore
+    prove it at the step's sample, and at ``r = 1`` when the step reaches
+    it.  So when no line certifies, divisors just above ``lo`` with no
+    least majorant exist, and the refusal says so.
+
     Raises :class:`ComputationError` naming the slope where an active
     gradient turns, and where no line certifies: the slope, or with a
     ``target``, the ``target``.
@@ -500,15 +516,17 @@ def _walk(
             if env is not None:
                 break
         else:
-            where = (
-                f"above slope {lo.canonical_string()}"
-                if target is None
-                else f"from sum E_i to {target}"
+            if target is None:
+                where = f"above slope {lo.canonical_string()}"
+                there = "of the family just above that slope"
+            else:
+                where, there = f"from sum E_i to {target}", "on that segment"
+            cause = (
+                f"a divisor {there} has no least anti-nef majorant"
+                if all(isinstance(c, LinearConstraint) for c in nef)
+                else "the model is outside this solver's supported family"
             )
-            raise ComputationError(
-                f"no certified envelope line {where}; "
-                "the model is outside this solver's supported family"
-            )
+            raise ComputationError(f"no certified envelope line {where}; {cause}")
         for c in nef:
             if (
                 c.ident in env.active

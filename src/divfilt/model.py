@@ -25,7 +25,6 @@ and a ruled surface with basis ``C0, f``.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -531,6 +530,8 @@ def load_model(source: Union[str, Path, Mapping]) -> ThreefoldModel:
     """Load a model from a JSON file path (or an already-parsed document)."""
     if isinstance(source, Mapping):
         return model_from_dict(source)
+    import json  # only to parse text: the builtin model needs no JSON
+
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
@@ -594,4 +595,6 @@ def builtin_model() -> ThreefoldModel:
 
 def builtin_document() -> dict:
     """A fresh copy of the built-in model's JSON document."""
+    import json
+
     return json.loads(json.dumps(_BUILTIN_DOC))

@@ -23,6 +23,7 @@ from .filt_examples import (
 )
 from .model import ThreefoldModel, builtin_document, builtin_model, model_from_dict
 from .multiplicity import (
+    PiecewisePoly,
     limit_single,
     minkowski_check,
     mixed,
@@ -146,6 +147,18 @@ def run_golden_suite(model: Optional[ThreefoldModel] = None) -> VerifyReport:
             lambda n=n, j=j: str(gamma(m, m.divisor([n, j]))),
         )
 
+    # -- orthogonality: sigma^2 . E_i = 0 at every raised prime E_i ---------
+    for (n, j), expected in (
+        ((2, 1), "sigma^2*F = 0"),
+        ((1, 3), "sigma^2*Sbar = 0"),
+        ((0, 1), "sigma^2*Sbar = 0"),
+    ):
+        claim(
+            f"orthogonality({n},{j})",
+            expected,
+            lambda n=n, j=j: _orthogonality(m, m.divisor([n, j])),
+        )
+
     claim(
         "antinef(2*Sbar+2*F)",
         "True",
@@ -179,6 +192,13 @@ def run_golden_suite(model: Optional[ThreefoldModel] = None) -> VerifyReport:
             expected,
             lambda k=k: pw().regions[k].poly.scaled(6).render(),
         )
+
+    # -- C^1 gluing across each breakpoint, with the jump of f'' -------------
+    for k, expected in (
+        (0, "at 1: value 0, slope 0, jump -108"),
+        (1, "at 3 - 1/3*sqrt(3): value 0, slope 0, jump 27/13 + 81/13*sqrt(3)"),
+    ):
+        claim(f"gluing(Sbar,F)[{k + 1}]", expected, lambda k=k: _gluing(pw(), k))
 
     # -- single-divisor limits ----------------------------------------------
     claim(
@@ -312,6 +332,36 @@ def _once(compute: Callable[[], object]) -> Callable:
         return kept[0]
 
     return get
+
+
+def _orthogonality(model: ThreefoldModel, D) -> str:
+    """``sigma^2 . E_i`` at each prime ``E_i`` that ``D``'s envelope raises:
+    zero is the local form of the orthogonality of the positive intersection
+    product (Boucksom-Favre-Jonsson, J. Algebraic Geom. 18, 2009)."""
+    env = gamma(model, D)
+    sigma = env.envelope_divisor
+    raised = [model.primes[i] for i in env.raised_indices]
+    values = [model.triple(sigma, sigma, model.prime_divisor(p)) for p in raised]
+    return ", ".join(
+        f"sigma^2*{p} = {v.canonical_string()}" for p, v in zip(raised, values)
+    )
+
+
+def _gluing(pw: PiecewisePoly, k: int) -> str:
+    """Left minus right across breakpoint ``k`` of the limit along ``n*D1 +
+    j*D2`` at ``n = 1``: its value, first and second ``j``-derivative.  The
+    first two vanish, the differentiability of volume (Boucksom-Favre-Jonsson);
+    the second does not."""
+    r = pw.regions[k + 1].lower_slope
+    diff = pw.regions[k].poly - pw.regions[k + 1].poly
+    value = diff.slope_value(r)
+    _, a1, a2, a3 = diff.coefficients
+    slope = a1 + (a2 * 2 + a3 * r * 3) * r
+    jump = a2 * 2 + a3 * r * 6
+    return (
+        f"at {r.canonical_string()}: value {value.canonical_string()}, "
+        f"slope {slope.canonical_string()}, jump {jump.canonical_string()}"
+    )
 
 
 def _minkowski_summary(model: ThreefoldModel, D1, D2) -> str:

@@ -206,7 +206,7 @@ def test_examples_csv(capsys):
 def test_verify_paper_passes(capsys):
     code, out, _ = run_cli(capsys, ["verify-paper"])
     assert code == 0
-    assert out.splitlines()[-1] == "all 34 claims PASS"
+    assert out.splitlines()[-1] == "all 39 claims PASS"
 
 
 def test_validate_model_builtin(capsys):
@@ -298,7 +298,7 @@ def test_verify_paper_on_mismatching_model_exits_4(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, rows", [("piecewise_limit", 6), ("product_limit", 1)]
+    "name, rows", [("piecewise_limit", 8), ("product_limit", 1)]
 )
 def test_verify_paper_reports_a_failing_limit_in_its_rows(
     capsys, monkeypatch, name, rows
@@ -315,7 +315,7 @@ def test_verify_paper_reports_a_failing_limit_in_its_rows(
     failed = [line for line in out.splitlines() if line.endswith("| FAIL")]
     assert len(failed) == rows and len(calls) == 1
     assert all("| error: ComputationError: synthetic failure" in f for f in failed)
-    assert out.splitlines()[-1] == f"{rows} of 34 claims FAIL"
+    assert out.splitlines()[-1] == f"{rows} of 39 claims FAIL"
 
 
 def test_verify_paper_names_failing_minkowski_checks(capsys, monkeypatch):
@@ -336,7 +336,7 @@ def test_verify_paper_names_failing_minkowski_checks(capsys, monkeypatch):
     assert (code, err) == (4, "")
     (row,) = [line for line in out.splitlines() if line.startswith("minkowski(Sbar,F)")]
     assert f"FAILS: {labels[1]}, {labels[10]}" in row and row.endswith("| FAIL")
-    assert out.splitlines()[-1] == "1 of 34 claims FAIL"
+    assert out.splitlines()[-1] == "1 of 39 claims FAIL"
     for method, counts in (("exact", "11 exact + 0"), ("interval(30 digits)", "10 exact + 1")):
         held = report._replace(cube_root_method=method)
         monkeypatch.setattr(verify, "minkowski_check", lambda *args: held)
@@ -680,7 +680,7 @@ def test_verify_paper_json_mirror(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["all_pass"] is True
-    assert len(doc["claims"]) == 34
+    assert len(doc["claims"]) == 39
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,8 @@ from fractions import Fraction
 import pytest
 from test_envelope import assert_certificate_holds, reference_gamma
 
-from divfilt.envelope import gamma
-from divfilt.errors import DivfiltError
+from divfilt.envelope import gamma, regions
+from divfilt.errors import ComputationError, DivfiltError
 from divfilt.model import model_from_dict
 
 # draws of a functional the generator may spend on one model
@@ -112,7 +112,8 @@ def test_gamma_on_generated_models(t, seed):
     """Every ``gamma`` answer equals ``reference_gamma`` in its point,
     active set and region, and passes :func:`assert_certificate_holds`;
     every refusal is a :class:`DivfiltError` for a divisor whose feasible
-    set has no least point; nothing else escapes."""
+    set has no least point, and it names that cause; nothing else
+    escapes."""
     rng = random.Random(seed)
     answered = raised = refused = 0
     for _ in range(MODELS):
@@ -120,8 +121,12 @@ def test_gamma_on_generated_models(t, seed):
         for D in seeded_divisors(m, rng, DIVISORS):
             try:
                 env = gamma(m, D)
-            except DivfiltError:
+            except DivfiltError as exc:
                 assert reference_gamma(m, D) is None, D
+                assert str(exc) == (
+                    f"no certified envelope line from sum E_i to {D}; "
+                    "a divisor on that segment has no least anti-nef majorant"
+                )
                 refused += 1
                 continue
             assert (env.gamma, env.active, env.region) == reference_gamma(m, D), D
@@ -129,3 +134,20 @@ def test_gamma_on_generated_models(t, seed):
             answered += 1
             raised += bool(env.raised_indices)
     assert (answered, raised, refused) == PINNED[t, seed]
+
+
+def test_family_refusal_names_its_cause():
+    """``regions`` refuses a family on a generated model where the walk
+    finds no line above a slope, names the cause, and the oracle agrees:
+    the family's divisor at the slope has a least anti-nef majorant, the
+    one just above it has none."""
+    m = model_from_dict(polyhedral_document(random.Random(1), 3))
+    D1, D2 = m.divisor([0, 1, 1]), m.divisor([1, 0, 1])
+    with pytest.raises(ComputationError) as refusal:
+        regions(m, D1, D2)
+    assert str(refusal.value) == (
+        "no certified envelope line above slope 1/4; a divisor of the family "
+        "just above that slope has no least anti-nef majorant"
+    )
+    assert reference_gamma(m, D1 + D2 * Fraction(1, 4)) is not None
+    assert reference_gamma(m, D1 + D2 * Fraction(251, 1000)) is None
