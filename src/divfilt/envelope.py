@@ -53,7 +53,7 @@ from .surfaces import (
     QuadraticConstraint,
     _falls_past,
     _inverse,
-    _solve_linear_rows,
+    _row_reduce,
 )
 
 
@@ -340,8 +340,10 @@ def _line_through(
     one is homogeneous, so it too vanishes at ``Q``.  These must fix ``Q``
     uniquely; then ``P = g - lo*Q`` (``g`` itself at ``lo = 0``).  The
     rows are taken in family order; linear rows give ``Q`` through the
-    model's inverse (:func:`_linear_inverse`), rows with a quadratic are
-    solved by elimination.  Returns None when ``Q`` is not unique.
+    model's inverse (:func:`_linear_inverse`); with a quadratic row the
+    ``t x (t+1)`` augmented matrix is row reduced in place and ``Q`` read
+    off its last column.  Returns None when ``Q`` is not unique (fewer
+    than ``t`` pivots).
     Whether the constraints vanish all along the line is left to the
     caller.
     """
@@ -350,11 +352,10 @@ def _line_through(
     zero = QuadNumber.zero(d)
     rhs = [zero if isinstance(c, QuadraticConstraint) else -c.const for c in rows]
     if any(isinstance(c, QuadraticConstraint) for c in rows):
-        equations = [(c.gradient(g), b) for c, b in zip(rows, rhs)]
-        solved = _solve_linear_rows(equations, t, d)
-        if solved is None or solved[1]:
+        aug = [[*c.gradient(g), b] for c, b in zip(rows, rhs)]
+        if len(_row_reduce(aug, t)) < t:
             return None
-        v = tuple(solved[0])
+        v = tuple(row[t] for row in aug)
     else:
         inverse = _linear_inverse(model, rows)
         if inverse is None:

@@ -427,14 +427,17 @@ def model_from_dict(doc: Mapping) -> ThreefoldModel:
             _scalar_vector(row, d, f"{where}.gram[{k}]")
             for k, row in enumerate(gram_doc)
         )
+        ample = _scalar_vector(sdoc["ample"], d, f"{where}.ample")
+        nef = _cone_from_json(sdoc["nef"], d, f"{where}.nef")
+        eff = _cone_from_json(sdoc["eff"], d, f"{where}.eff")
         try:
             lattice = SurfaceLattice(
                 name=name,
                 basis=basis,
                 gram=gram,
-                ample_ref=_scalar_vector(sdoc["ample"], d, f"{where}.ample"),
-                nef_cone=_cone_from_json(sdoc["nef"], d, f"{where}.nef"),
-                eff_cone=_cone_from_json(sdoc["eff"], d, f"{where}.eff"),
+                ample_ref=ample,
+                nef_cone=nef,
+                eff_cone=eff,
                 field_d=d,
             )
         except InputError as exc:
@@ -451,38 +454,21 @@ def model_from_dict(doc: Mapping) -> ThreefoldModel:
         raise ParseError(f"model.surfaces: surfaces without primes {unused}")
 
     rdoc = doc["restrictions"]
-    if not isinstance(rdoc, Mapping):
-        raise ParseError("model.restrictions: expected an object")
-    unknown = sorted(set(rdoc) - set(primes))
-    if unknown:
-        raise ParseError(f"model.restrictions: unknown primes {unknown}")
+    _require_keys(rdoc, set(primes), set(), "model.restrictions")
     rows = []
     for on_prime in primes:
-        row_doc = rdoc.get(on_prime)
-        if not isinstance(row_doc, Mapping):
-            raise ParseError(f"model.restrictions[{on_prime!r}]: missing row")
-        unknown = sorted(set(row_doc) - set(primes))
-        if unknown:
-            raise ParseError(
-                f"model.restrictions[{on_prime!r}]: unknown primes {unknown}"
-            )
+        where = f"model.restrictions[{on_prime!r}]"
+        row_doc = rdoc[on_prime]
+        _require_keys(row_doc, set(primes), set(), where)
         surface = lattices[on_prime]
         row = []
         for of_prime in primes:
-            if of_prime not in row_doc:
-                raise ParseError(
-                    f"model.restrictions[{on_prime!r}]: missing entry for "
-                    f"{of_prime!r}"
-                )
-            coords = _scalar_vector(
-                row_doc[of_prime], d, f"model.restrictions[{on_prime!r}][{of_prime!r}]"
-            )
+            at = f"{where}[{of_prime!r}]"
+            coords = _scalar_vector(row_doc[of_prime], d, at)
             try:
                 row.append(surface.cls(coords))
             except InputError as exc:
-                raise ParseError(
-                    f"model.restrictions[{on_prime!r}][{of_prime!r}]: {exc}"
-                ) from None
+                raise ParseError(f"{at}: {exc}") from None
         rows.append(tuple(row))
 
     try:

@@ -247,15 +247,15 @@ def mixed(
     Symmetric in its factors; ``mixed([(D, 3)])`` equals the plain
     multiplicity of ``D``.
     """
-    slots: list[ExcDivisor] = []
-    for D, exponent in factors:
+    for _, exponent in factors:
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise InputError("exponents must be nonnegative integers")
-        if exponent == 0:
-            continue
-        slots.extend([_sigma(model, D).envelope_divisor] * exponent)
-    if len(slots) != model.dimension:
+    if sum(exponent for _, exponent in factors) != model.dimension:
         raise InputError(f"exponents must sum to {model.dimension}")
+    slots: list[ExcDivisor] = []
+    for D, exponent in factors:
+        if exponent:
+            slots.extend([_sigma(model, D).envelope_divisor] * exponent)
     return model.triple(slots[0], slots[1], slots[2])
 
 

@@ -18,9 +18,9 @@ list, and the envelope solver pulls the same constraints back to the
 coefficients of exceptional divisors.
 
 Constraints taken as equalities are solved by one exact Gauss-Jordan
-elimination (``_row_reduce``, behind ``_solve_linear_rows`` and
-``_inverse``).  Its rows are mostly unit vectors, so it scales no row by
-a pivot that is exactly 1, scales no zero entry, and subtracts no
+elimination (``_row_reduce``, behind ``_inverse`` and the envelope walk's
+square systems).  Its rows are mostly unit vectors, so it scales no row
+by a pivot that is exactly 1, scales no zero entry, and subtracts no
 multiple of a row from an entry where that row is zero.
 
 Both cones are CLOSED: boundary classes are members.  Downstream limit
@@ -142,34 +142,6 @@ def _row_reduce(aug: list[list[QuadNumber]], ncols: int) -> list[int]:
         if row == len(aug):
             break
     return pivot_cols
-
-
-def _solve_linear_rows(
-    rows: list[tuple[tuple[QuadNumber, ...], QuadNumber]], nvars: int, d: int
-) -> Optional[tuple[list[QuadNumber], list[list[QuadNumber]]]]:
-    """Solve linear equations over Q(sqrt(d)).
-
-    ``rows`` are equations ``coeffs . v = rhs``.  Returns None when
-    inconsistent, else a particular solution and a basis of the null
-    space (empty basis = unique solution).
-    """
-    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    pivot_cols = _row_reduce(aug, nvars)
-    for r in range(len(pivot_cols), len(aug)):
-        if aug[r][nvars].sign() != 0:
-            return None
-    particular = [zero] * nvars
-    for r, col in enumerate(pivot_cols):
-        particular[col] = aug[r][nvars]
-    null_basis = []
-    for free_col in (c for c in range(nvars) if c not in pivot_cols):
-        vec = [zero] * nvars
-        vec[free_col] = one
-        for r, col in enumerate(pivot_cols):
-            vec[col] = -aug[r][free_col]
-        null_basis.append(vec)
-    return particular, null_basis
 
 
 def _inverse(

@@ -372,6 +372,16 @@ def test_bad_exponents_exit_2(capsys):
     assert err.startswith("invalid input:")
 
 
+def test_huge_exponent_exit_2(capsys):
+    """An exponent past ``sys.maxsize`` is refused by its sum, before any
+    slot is built."""
+    exponents = f"{10**23 - 1},0"
+    code, out, err = run_cli(
+        capsys, ["mixed", "-D1", "1,0", "-D2", "0,1", "--exponents", exponents]
+    )
+    assert (code, out, err) == (2, "", "invalid input: exponents must sum to 3\n")
+
+
 def test_missing_model_file_exit_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["gamma", "--model", str(tmp_path / "nope.json"), "-D", "1,1"]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from test_model import basis_changed_document
+from test_surfaces import reference_solve
 
 import divfilt.envelope
 from divfilt import cli
@@ -28,7 +29,7 @@ from divfilt.errors import ComputationError, InputError
 from divfilt.model import builtin_document, builtin_model, load_model, model_from_dict
 from divfilt.multiplicity import piecewise_limit
 from divfilt.qfield import QuadNumber, dot, quadratic_roots
-from divfilt.surfaces import LinearConstraint, QuadraticConstraint, _solve_linear_rows
+from divfilt.surfaces import LinearConstraint, QuadraticConstraint
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -295,7 +296,7 @@ def _solve_equality_system(constraints, nvars, d):
     """
     linears = [c for c in constraints if isinstance(c, LinearConstraint)]
     quads = [c for c in constraints if isinstance(c, QuadraticConstraint)]
-    solved = _solve_linear_rows([(c.coeffs, -c.const) for c in linears], nvars, d)
+    solved = reference_solve([(c.coeffs, -c.const) for c in linears], nvars, d)
     if solved is None:
         return []
     particular, null_basis = solved

@@ -271,6 +271,13 @@ def set_scalar(doc, value):
     doc["restrictions"]["F"]["F"][0] = value
 
 
+def list_sbar_twice(doc):
+    """A one-surface document whose prime list names ``Sbar`` twice."""
+    doc["surfaces"].pop()
+    doc["primes"] = ["Sbar", "Sbar"]
+    doc["restrictions"] = {"Sbar": {"Sbar": doc["restrictions"]["Sbar"]["Sbar"]}}
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -293,6 +300,29 @@ def set_scalar(doc, value):
         (lambda d: set_scalar(d, {"a": 0.5, "b": 1}), "expected an integer"),
         (lambda d: set_scalar(d, {"a": 0.1, "b": 1}), "expected an integer"),
         (lambda d: set_scalar(d, {"a": "1e10000000"}), "expected an integer"),
+        # each message names its location once, at the start
+        (
+            lambda d: d["surfaces"][1]["nef"].update(inequalities=[1, 0]),
+            r"^model\.surfaces\[1\]\.nef\.inequalities\[0\]: expected a list of scalars$",
+        ),
+        (lambda d: d["restrictions"].pop("F"), r"^model\.restrictions: missing \['F'\]$"),
+        (
+            lambda d: d["restrictions"].update(G={}),
+            r"^model\.restrictions: unknown fields \['G'\]$",
+        ),
+        (
+            lambda d: d["restrictions"].update(F=[[1, 0], [-1, -108]]),
+            r"^model\.restrictions\['F'\]: expected an object$",
+        ),
+        (
+            lambda d: d["restrictions"]["F"].pop("Sbar"),
+            r"^model\.restrictions\['F'\]: missing \['Sbar'\]$",
+        ),
+        (
+            lambda d: d["restrictions"]["F"].update(G=[0, 0]),
+            r"^model\.restrictions\['F'\]: unknown fields \['G'\]$",
+        ),
+        (list_sbar_twice, r"^model: prime names are not unique$"),
     ],
 )
 def test_schema_violations(mutate, fragment):

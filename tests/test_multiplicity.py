@@ -124,6 +124,8 @@ def test_mixed_is_symmetric_and_pads_zero_exponents(model):
     S, F = model.prime_divisor("Sbar"), model.prime_divisor("F")
     assert mixed(model, [(F, 1), (S, 2)]) == mixed(model, [(S, 2), (F, 1)])
     assert mixed(model, [(S, 3), (F, 0)]) == mixed(model, [(S, 3)])
+    # a factor with exponent 0 computes no envelope: gamma refuses this one
+    assert mixed(model, [(S, 3), (model.zero_divisor(), 0)]) == mixed(model, [(S, 3)])
 
 
 def test_mixed_extreme_exponents_match_plain_multiplicity(model):
@@ -140,6 +142,8 @@ def test_mixed_rejects_bad_exponents(model):
         mixed(model, [(S, 1)])
     with pytest.raises(InputError):
         mixed(model, [(S, -1), (F, 4)])
+    with pytest.raises(InputError, match="exponents must sum to 3"):
+        mixed(model, [(S, 10**30)])
     # booleans are ``int`` subclasses but not exponents, as for the indices
     # of ``filt_examples``
     for factors in ([(S, True), (F, 2)], [(S, 2), (F, 1), (F, False)], [(S, 1.0), (F, 2)]):

@@ -136,8 +136,19 @@ def test_mixing_distinct_irrationalities_raises():
     r3 = q3(0, 1)
     with pytest.raises(DiscriminantMismatchError):
         r2 + r3
-    # A rational tagged with another field mixes freely.
-    assert QuadNumber(Fraction(5), Fraction(0), 2) + r3 == q3(5, 1)
+    for mix in (lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y):
+        with pytest.raises(DiscriminantMismatchError):
+            mix(r2, r3)
+    # A rational tagged with another field mixes freely, on either side,
+    # and the result lies in the irrational's field.
+    five = QuadNumber(Fraction(5), Fraction(0), 2)
+    assert exactly(five + r3) == exactly(q3(5, 1))
+    assert exactly(five - r3) == exactly(q3(5, -1))
+    assert exactly(five * r3) == exactly(q3(0, 5))
+    assert exactly(five / r3) == exactly(q3(0, Fraction(5, 3)))
+    assert exactly(five.__rtruediv__(r3)) == exactly(q3(0, Fraction(1, 5)))
+    assert exactly(r3 - five) == exactly(q3(-5, 1))
+    assert exactly(r3 / five) == exactly(q3(0, Fraction(1, 5)))
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,8 @@ from divfilt.surfaces import (
     ConeSpec,
     SurfaceLattice,
     _inverse,
+    _row_reduce,
     _signature,
-    _solve_linear_rows,
 )
 
 UNION_MODEL = Path(__file__).resolve().parent / "data" / "two_copy_union.json"
@@ -437,9 +437,32 @@ def reference_row_reduce(aug, ncols):
     return pivot_cols
 
 
+def reference_solve(rows, nvars, d):
+    """Solve the equations ``coeffs . v = rhs`` of ``rows`` over
+    Q(sqrt(d)) with the reference loop.  Returns None when inconsistent,
+    else a particular solution and a basis of the null space (empty basis
+    = unique solution)."""
+    zero, one = QuadNumber.zero(d), QuadNumber.one(d)
+    aug = [[*coeffs, rhs] for coeffs, rhs in rows]
+    pivot_cols = reference_row_reduce(aug, nvars)
+    if any(row[nvars].sign() != 0 for row in aug[len(pivot_cols) :]):
+        return None
+    particular = [zero] * nvars
+    for row, col in zip(aug, pivot_cols):
+        particular[col] = row[nvars]
+    null_basis = []
+    for free_col in (c for c in range(nvars) if c not in pivot_cols):
+        vec = [zero] * nvars
+        vec[free_col] = one
+        for row, col in zip(aug, pivot_cols):
+            vec[col] = -row[free_col]
+        null_basis.append(vec)
+    return particular, null_basis
+
+
 def exact_solution(result):
-    """A nested result of ``_solve_linear_rows`` or ``_inverse``, each
-    element as its stored parts, or None."""
+    """A nested result of ``reference_solve``, ``_row_reduce`` or
+    ``_inverse``, each element as its stored parts, or None."""
     if result is None:
         return None
     if isinstance(result, QuadNumber):
@@ -448,20 +471,22 @@ def exact_solution(result):
 
 
 def assert_matches_reference(monkeypatch, rows, nvars, d):
-    """``_solve_linear_rows`` on ``rows`` and ``_inverse`` of their
-    coefficient matrix, when square, equal the reference loop's; returns
-    the solution."""
+    """``_row_reduce`` on the augmented matrix of ``rows`` gives the
+    reference loop's pivots and reduced matrix, and ``_inverse`` of their
+    coefficient matrix, when square, equals the reference loop's; returns
+    the reference solution."""
     matrix = [coeffs for coeffs, _ in rows]
     square = len(matrix) == nvars
-    solved = _solve_linear_rows(rows, nvars, d)
+    aug = [[*coeffs, rhs] for coeffs, rhs in rows]
+    expected = [row[:] for row in aug]
+    assert _row_reduce(aug, nvars) == reference_row_reduce(expected, nvars), rows
+    assert exact_solution(aug) == exact_solution(expected), rows
     inverse = _inverse(matrix, d) if square else None
     with monkeypatch.context() as patched:
         patched.setattr(divfilt.surfaces, "_row_reduce", reference_row_reduce)
-        expected = _solve_linear_rows(rows, nvars, d)
         expected_inverse = _inverse(matrix, d) if square else None
-    assert exact_solution(solved) == exact_solution(expected), rows
     assert exact_solution(inverse) == exact_solution(expected_inverse), matrix
-    return solved
+    return reference_solve(rows, nvars, d)
 
 
 @pytest.mark.parametrize("d", [2, 3])
