@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ComputationError, InputError
+from .errors import ComputationError, InputError, RootOutsideFieldError
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber, dot, quadratic_roots
 from .surfaces import (
@@ -286,8 +286,34 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     nef is refused.
     """
     _require_effective(model, D, nonzero=True)
-    A = ExcDivisor(model, (QuadNumber.one(model.field_d),) * len(model.primes))
+    A = ExcDivisor(model, _anchor(model)[0])
     return _walk(model, A, D - A, target=D)[-1].envelope
+
+
+def _anchor(model: ThreefoldModel) -> tuple[Point, tuple[int, ...]]:
+    """``gamma``'s anchor ``A = sum E_i`` and the indices of the family
+    constraints active there: every bound and each nef row zero at ``A``.
+
+    They and the nef rows' signs at ``A`` depend on the model alone, so
+    they are computed on first use and kept in ``vars(model)`` beside the
+    linear inverses, as field elements and indices that point nowhere
+    back at the model.  A model on which ``-A`` is not nef is refused on
+    every call.
+    """
+    record = vars(model).get("anchor")
+    if record is None:
+        t, nef = len(model.primes), model.nef_systems
+        A = (QuadNumber.one(model.field_d),) * t
+        signs = tuple(c.value(A).sign() for c in nef)
+        at_anchor = (*range(t), *(t + k for k, sign in enumerate(signs) if sign == 0))
+        record = vars(model)["anchor"] = A, signs, at_anchor
+    A, signs, at_anchor = record
+    if -1 in signs:
+        raise ComputationError(
+            "gamma walks from the anchor sum E_i, but -sum E_i is not nef on "
+            f"this model: it fails {model.nef_systems[signs.index(-1)].ident}"
+        )
+    return A, at_anchor
 
 
 def _sigma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
@@ -400,9 +426,10 @@ def _walk(
     The family's constraints are the bounds ``g_k >= coeff_k(D1 + r*D2)``
     and the nef constraints, which read ``g`` alone.  Each step starts at
     an *anchor* ``(g, lo)`` on the envelope: at ``lo = 0``, ``sigma(D1)``
-    (``_sigma(model, D1)``), or with a ``target``, ``D1`` itself,
-    which is its own envelope when ``-D1`` is nef and is refused when it
-    is not; later, the previous step's line at its end.  Each ``t``-subset
+    (``_sigma(model, D1)``), or with a ``target``, ``gamma``'s anchor
+    ``D1 = sum E_i`` with the active set the model keeps for it
+    (:func:`_anchor`, which refuses a model on which ``-D1`` is not nef);
+    later, the previous step's line at its end.  Each ``t``-subset
     of the constraints active at the anchor, in ``combinations`` order,
     fixes a line through it (:func:`_line_through`).  The line is kept if
     the subset vanishes all along it and no constraint active at the
@@ -457,7 +484,9 @@ def _walk(
 
     Raises :class:`ComputationError` naming the slope where an active
     gradient turns, and where no line certifies: the slope, or with a
-    ``target``, the ``target``.
+    ``target``, the ``target``.  A :class:`RootOutsideFieldError` from a
+    constraint's roots along a line also names the constraint and the
+    slope.
     """
     t = len(model.primes)
     zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
@@ -467,18 +496,13 @@ def _walk(
         for D in (D1, D2):
             _require_effective(model, D, nonzero=True)
         g = _sigma(model, D1).gamma
+        signs = [
+            *((x - a).sign() for x, a in zip(g, D1.coeffs)),
+            *(c.value(g).sign() for c in nef),
+        ]
+        at_anchor = [k for k, sign in enumerate(signs) if sign == 0]
     else:
-        g = D1.coeffs
-    signs = [
-        *((x - a).sign() for x, a in zip(g, D1.coeffs)),
-        *(c.value(g).sign() for c in nef),
-    ]
-    if min(signs) < 0:  # sigma(D1) is feasible: only gamma's anchor can fail
-        raise ComputationError(
-            "gamma walks from the anchor sum E_i, but -sum E_i is not nef on "
-            f"this model: it fails {nef[signs.index(-1) - t].ident}"
-        )
-    at_anchor = [k for k, sign in enumerate(signs) if sign == 0]
+        g, at_anchor = _anchor(model)
 
     def along(k: int, line: Line) -> Quadratic:
         """Family constraint ``k`` at ``line`` as ``alpha r^2 + beta r + chi``."""
@@ -504,10 +528,16 @@ def _walk(
                 if env is not None:
                     walk.append(Region(lo, one, line, env))
                     return walk
-            roots = [
-                quadratic_roots(*(on[k] if k in on else along(k, line)))
-                for k in range(t + len(nef))
-            ]
+            roots = []
+            for k, c in enumerate(family):
+                q = on[k] if k in on else along(k, line)
+                try:
+                    roots.append(quadratic_roots(*q))
+                except RootOutsideFieldError as exc:
+                    raise RootOutsideFieldError(
+                        f"{exc}, where {c.ident} meets the envelope line above "
+                        f"slope {lo.canonical_string()}"
+                    ) from None
             ends = [root for rs in roots for root in rs or () if root > lo]
             hi = min(ends, default=None)
             if target is not None and (hi is None or hi >= one):

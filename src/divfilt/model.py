@@ -231,14 +231,18 @@ class ThreefoldModel(Frozen):
 
         ``(D1 . D2 . D) = D1^T M_D D2``: the form with its last argument
         fixed, so one contraction serves every product that ends in ``D``.
+        Each ``pairings[k]`` is symmetric, since :class:`SurfaceLattice`
+        refuses an asymmetric gram matrix, so the entries with ``j >= i``
+        are computed and mirrored.
         """
         if D.model != self:
             raise InputError("divisor belongs to a different model")
         t = len(self.primes)
-        return tuple(
-            tuple(dot(D.coeffs, [T[i][j] for T in self.pairings]) for j in range(t))
-            for i in range(t)
-        )
+        M = [[None] * t for _ in range(t)]
+        for i in range(t):
+            for j in range(i, t):
+                M[i][j] = M[j][i] = dot(D.coeffs, [T[i][j] for T in self.pairings])
+        return tuple(map(tuple, M))
 
     def triple(self, D1: ExcDivisor, D2: ExcDivisor, D3: ExcDivisor) -> QuadNumber:
         """Trilinear intersection number (D1 . D2 . D3).
@@ -339,10 +343,10 @@ def _require_keys(doc: Mapping, required: set, optional: set, where: str) -> Non
         raise ParseError(f"{where}: expected an object")
     missing = required - set(doc)
     if missing:
-        raise ParseError(f"{where}: missing {sorted(missing)}")
+        raise ParseError(f"{where}: missing {sorted(missing, key=str)}")
     extra = set(doc) - required - optional
     if extra:
-        raise ParseError(f"{where}: unknown fields {sorted(extra)}")
+        raise ParseError(f"{where}: unknown fields {sorted(extra, key=str)}")
 
 
 def _is_list(doc: object) -> bool:

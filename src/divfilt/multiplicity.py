@@ -81,9 +81,6 @@ class CubicForm(Frozen):
     def scaled(self, factor: ScalarLike) -> "CubicForm":
         return CubicForm(tuple(c * factor for c in self.coefficients))
 
-    def is_zero(self) -> bool:
-        return all(c.sign() == 0 for c in self.coefficients)
-
     def render(self) -> str:
         parts: list[tuple[bool, str]] = []
         for coeff, mono in zip(self.coefficients, MONOMIAL_NAMES):

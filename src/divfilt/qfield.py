@@ -189,6 +189,8 @@ class QuadNumber(Frozen):
         return (-self).__add__(other)
 
     def __mul__(self, other: ScalarLike) -> "QuadNumber":
+        if isinstance(other, (int, Fraction)):  # scale both parts directly
+            return QuadNumber(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -209,6 +211,10 @@ class QuadNumber(Frozen):
         return QuadNumber(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other: ScalarLike) -> "QuadNumber":
+        if isinstance(other, (int, Fraction)):  # no norm and no inverse
+            if other == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
+            return QuadNumber(self.a / other, self.b / other, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -266,11 +272,6 @@ class QuadNumber(Frozen):
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
@@ -319,14 +320,6 @@ class QuadNumber(Frozen):
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
-
-    def ceil(self) -> int:
-        """Least integer ``k`` with ``k >= self`` (exact)."""
-        return math.ceil(self)
-
-    def floor(self) -> int:
-        """Greatest integer ``k`` with ``k <= self`` (exact)."""
-        return math.floor(self)
 
     # -- rendering ------------------------------------------------------
 

@@ -539,6 +539,22 @@ def test_model_where_sum_of_primes_is_not_antinef_exit_3(capsys):
         assert err.startswith("computation error:") and "-sum E_i is not nef" in err
 
 
+def test_root_outside_the_field_exit_3(capsys, tmp_path):
+    """The builtin model's data over Q(sqrt(2)) loads, but its envelopes
+    need sqrt(3); the refusal keeps its prefix, names the constraint and
+    the slope, and exits 3."""
+    doc = builtin_document()
+    doc["field"]["d"] = 2
+    path = tmp_path / "over_sqrt2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["gamma", "-D", "1,3", "--model", str(path)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "computation error: root outside field: sqrt(15552) is not in Q(sqrt(2)), "
+        "where nef[Sbar]:quad meets the envelope line above slope 0\n"
+    )
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["frobnicate"])

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from divfilt.envelope import (
     is_antinef,
     regions,
 )
-from divfilt.errors import ComputationError, InputError
+from divfilt.errors import ComputationError, InputError, RootOutsideFieldError
 from divfilt.model import builtin_document, builtin_model, load_model, model_from_dict
 from divfilt.multiplicity import piecewise_limit
 from divfilt.qfield import QuadNumber, dot, quadratic_roots
@@ -787,10 +788,10 @@ def counting_field_operations(monkeypatch):
     "function, divisors, multiplications, inverses",
     [
         (gamma, ([2, 1],), 32, 0),
-        (gamma, ([1, 3],), 124, 9),
+        (gamma, ([1, 3],), 123, 8),
         (gamma, ([3, 7],), 31, 0),
-        (piecewise_limit, ([1, 0], [0, 1]), 172, 28),
-        (piecewise_limit, ([1, 2], [2, 7]), 282, 22),
+        (piecewise_limit, ([1, 0], [0, 1]), 157, 14),
+        (piecewise_limit, ([1, 2], [2, 7]), 266, 13),
     ],
     ids=[
         "gamma-divisors0",
@@ -811,8 +812,11 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
     before).  A walk's first step, at slope 0, multiplies nothing by it;
     a line of linear rows is the model's inverse of those rows times the
     right-hand side, not an elimination; and a line's rows are eliminated
-    in family order (50/0, 136/10, 39/0, 202/29 and 300/23 before).  A
-    change that lowers a count re-pins it; the case ids leave the counts
+    in family order (50/0, 136/10, 39/0, 202/29 and 300/23 before).  An
+    int or Fraction divisor scales both parts, with no multiplication and
+    no inverse, and a contraction computes only its upper triangle
+    (124/9, 172/28 and 282/22 before in rows 2, 4 and 5).  A change that
+    lowers a count re-pins it; the case ids leave the counts
     out, so a re-pin keeps each case's name."""
     m = model_from_dict(builtin_document())
     args = [m.divisor(coeffs) for coeffs in divisors]
@@ -1065,7 +1069,63 @@ def test_union_walk_lines_match_the_plain_algorithm(model, union):
 
 def test_model_where_sum_of_primes_is_not_antinef_is_refused():
     """One prime whose self-restriction is the ample class: the model
-    loads, but ``-sum E_i`` is not nef, so ``gamma`` has no anchor."""
+    loads, but ``-sum E_i`` is not nef, so ``gamma`` has no anchor; the
+    model keeps its anchor record, and a second ``gamma`` is refused
+    alike."""
     m = load_model(AMPLE_SELF_RESTRICTION)
-    with pytest.raises(ComputationError, match=r"-sum E_i is not nef .* nef\[E\]:0"):
-        gamma(m, m.divisor([1]))
+    for _ in range(2):
+        with pytest.raises(ComputationError, match=r"-sum E_i is not nef .* nef\[E\]:0"):
+            gamma(m, m.divisor([1]))
+    assert "anchor" in vars(m)
+
+
+def test_second_gamma_evaluates_no_nef_row_at_the_anchor(monkeypatch):
+    """On a fresh builtin model the first ``gamma`` evaluates every nef row
+    at ``A = sum E_i`` once and keeps the anchor record in
+    ``vars(model)``; a second ``gamma`` on another divisor, whose envelope
+    is not ``A``, evaluates none there.  (A linear row's ``along`` reads
+    its value at the line's base, which is ``A`` on a first step; those
+    calls restrict the row to a line and are not counted.)  The record
+    holds field elements and indices only, so nothing in it points back
+    at the model."""
+    m = model_from_dict(builtin_document())
+    A = (QuadNumber.one(m.field_d),) * len(m.primes)
+    at_A = Counter()
+    for cls in (LinearConstraint, QuadraticConstraint):
+        real = cls.value
+
+        def counted(c, point, _real=real):
+            if sys._getframe(1).f_code.co_name != "along":
+                at_A[c.ident] += tuple(point) == A
+            return _real(c, point)
+
+        monkeypatch.setattr(cls, "value", counted)
+    assert gamma(m, m.divisor([1, 3])).gamma != A
+    assert all(at_A[c.ident] == 1 for c in m.nef_systems)
+    at_A.clear()
+    assert gamma(m, m.divisor([2, 1])).gamma != A
+    assert sum(at_A.values()) == 0
+    point, signs, at_anchor = vars(m)["anchor"]
+    assert point == A and all(isinstance(x, QuadNumber) for x in point)
+    assert all(isinstance(k, int) for k in (*signs, *at_anchor))
+
+
+def test_root_outside_the_field_names_its_constraint_and_slope():
+    """The builtin model's data over Q(sqrt(2)) loads, but its envelopes
+    need sqrt(3): the walk's refusal keeps the ``root outside field:``
+    prefix and names the constraint and the slope where the root lies."""
+    doc = builtin_document()
+    doc["field"]["d"] = 2
+    m = model_from_dict(doc)
+    with pytest.raises(RootOutsideFieldError) as refusal:
+        gamma(m, m.divisor([1, 3]))
+    assert str(refusal.value) == (
+        "root outside field: sqrt(15552) is not in Q(sqrt(2)), where "
+        "nef[Sbar]:quad meets the envelope line above slope 0"
+    )
+    with pytest.raises(RootOutsideFieldError) as refusal:
+        regions(m, m.divisor([1, 0]), m.divisor([0, 1]))
+    assert str(refusal.value) == (
+        "root outside field: sqrt(3888) is not in Q(sqrt(2)), where "
+        "nef[Sbar]:quad meets the envelope line above slope 1"
+    )

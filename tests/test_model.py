@@ -120,6 +120,35 @@ def basis_changed_document():
     return doc
 
 
+def test_contraction_matches_the_full_sum(model):
+    """``contraction`` mirrors its upper triangle; every entry equals the
+    full sum ``sum_k coeff_k(D) * pairings[k][i][j]``, on the builtin
+    model, a basis-changed copy, the two-copy union and seeded generated
+    polyhedral models over two and three primes."""
+    # imported here: test_generated_models imports this module through test_envelope
+    from test_envelope import UNION_MODEL
+    from test_generated_models import polyhedral_document
+
+    rng = random.Random(7)
+    models = [model, model_from_dict(basis_changed_document()), load_model(UNION_MODEL)]
+    models += [model_from_dict(polyhedral_document(rng, t)) for t in (2, 2, 3, 3)]
+    for m in models:
+        t = len(m.primes)
+        for _ in range(10):
+            D = m.divisor(
+                q3(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-2, 2))
+                for _ in range(t)
+            )
+            full = tuple(
+                tuple(
+                    sum((c * T[i][j] for c, T in zip(D.coeffs, m.pairings)), q3(0))
+                    for j in range(t)
+                )
+                for i in range(t)
+            )
+            assert m.contraction(D) == full, (m.primes, D)
+
+
 def test_triple_matches_restriction_pairings(model):
     """``triple`` against the definition through ``restrict`` and ``pair``."""
     changed = model_from_dict(basis_changed_document())
@@ -323,6 +352,11 @@ def list_sbar_twice(doc):
             r"^model\.restrictions\['F'\]: unknown fields \['G'\]$",
         ),
         (list_sbar_twice, r"^model: prime names are not unique$"),
+        (
+            # keys of mixed types, as a Python caller may pass them
+            lambda d: d["restrictions"].update({"G": {}, 1: {}}),
+            r"^model\.restrictions: unknown fields \[1, 'G'\]$",
+        ),
     ],
 )
 def test_schema_violations(mutate, fragment):

@@ -48,11 +48,11 @@ def test_product_of_reciprocal_threshold_slopes_is_one():
 
 def test_ceil_of_ten_root_two():
     x = QuadNumber(Fraction(0), Fraction(10), 2)
-    assert x.ceil() == 15
+    assert math.ceil(x) == 15
 
 
 def test_ceil_of_root_two():
-    assert QuadNumber(Fraction(0), Fraction(1), 2).ceil() == 2
+    assert math.ceil(QuadNumber(Fraction(0), Fraction(1), 2)) == 2
 
 
 def test_sqrt_in_field_examples():
@@ -224,11 +224,11 @@ def test_order_is_transitive(x, y, z):
 
 @given(quads)
 def test_ceil_bracket(x):
-    k = x.ceil()
+    k = math.ceil(x)
     assert x <= k
     assert x > k - 1
-    assert x.floor() == -((-x).ceil())
-    assert x.floor() <= x < x.floor() + 1
+    assert math.floor(x) == -math.ceil(-x)
+    assert math.floor(x) <= x < math.floor(x) + 1
 
 
 # ~60-digit numerators and denominators, far past float precision
@@ -336,9 +336,9 @@ def test_scalar_from_json_accepts_ints_and_rejects_junk():
 
 
 def test_math_ceil_floor_protocols():
-    x = q3(Fraction(7, 2), Fraction(-1, 5))
-    assert math.ceil(x) == x.ceil()
-    assert math.floor(x) == x.floor()
+    x = q3(Fraction(7, 2), Fraction(-1, 5))  # 7/2 - sqrt(3)/5 = 3.15...
+    assert math.ceil(x) == 4
+    assert math.floor(x) == 3
 
 
 def test_rational_sqrt():
@@ -447,6 +447,34 @@ def test_dot_without_a_nonzero_product_is_zero_of_the_field(d):
         result = dot(u, v)
         assert exactly(result) == (0, 0, d)
         assert exactly(result) == exactly(reference_dot(u, v))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_scaling_by_a_rational_matches_the_coerced_path(d):
+    """``x * s``, ``s * x`` and ``x / s`` for an int, bool or Fraction ``s``
+    scale both parts directly; they equal, part for part, the product and
+    quotient with ``s`` brought into the field first, and a zero ``s``
+    raises the same ``ZeroDivisionError``."""
+    rng = random.Random(d)
+    scalars = [0, 1, -1, True, False, Fraction(0), Fraction(1), Fraction(-1)]
+    scalars += [rng.randint(-50, 50) for _ in range(20)]
+    scalars += [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(20)]
+    for _ in range(40):
+        x = unit_rich(rng, d)
+        for s in scalars:
+            in_field = QuadNumber(Fraction(s), 0, d)
+            results = [x * s, s * x]
+            assert exactly(x * s) == exactly(s * x) == exactly(x * in_field), (x, s)
+            if s:
+                results.append(x / s)
+                assert exactly(x / s) == exactly(x / in_field), (x, s)
+            else:
+                with pytest.raises(ZeroDivisionError) as direct:
+                    x / s
+                with pytest.raises(ZeroDivisionError) as coerced:
+                    x / in_field
+                assert str(direct.value) == str(coerced.value)
+            assert all(type(y.a) is type(y.b) is Fraction for y in results)
 
 
 def test_dot_takes_the_other_factor_of_a_one():
