@@ -290,30 +290,30 @@ def gamma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
     return _walk(model, A, D - A, target=D)[-1].envelope
 
 
-def _anchor(model: ThreefoldModel) -> tuple[Point, tuple[int, ...]]:
-    """``gamma``'s anchor ``A = sum E_i`` and the indices of the family
-    constraints active there: every bound and each nef row zero at ``A``.
+def _anchor(model: ThreefoldModel) -> tuple[Point, frozenset[str]]:
+    """``gamma``'s anchor ``A = sum E_i`` and the idents of the constraints
+    active at it, from ``_certified(model, A, A)``, which certifies ``A``
+    exactly when ``-A`` is nef (the ``t`` bound rows give the identity).
 
-    They and the nef rows' signs at ``A`` depend on the model alone, so
-    they are computed on first use and kept in ``vars(model)`` beside the
-    linear inverses, as field elements and indices that point nowhere
-    back at the model.  A model on which ``-A`` is not nef is refused on
-    every call.
+    Both depend on the model alone, so they are kept in ``vars(model)`` on
+    first use, as field elements and strings that point nowhere back at
+    the model (None for the active set when ``-A`` is not nef).  Such a
+    model is refused on every call, naming the first nef row negative at
+    ``A``.
     """
     record = vars(model).get("anchor")
     if record is None:
-        t, nef = len(model.primes), model.nef_systems
-        A = (QuadNumber.one(model.field_d),) * t
-        signs = tuple(c.value(A).sign() for c in nef)
-        at_anchor = (*range(t), *(t + k for k, sign in enumerate(signs) if sign == 0))
-        record = vars(model)["anchor"] = A, signs, at_anchor
-    A, signs, at_anchor = record
-    if -1 in signs:
+        A = (QuadNumber.one(model.field_d),) * len(model.primes)
+        env = _certified(model, ExcDivisor(model, A), A)
+        record = vars(model)["anchor"] = A, None if env is None else env.active
+    A, active = record
+    if active is None:
+        failed = next(c for c in model.nef_systems if c.value(A).sign() < 0)
         raise ComputationError(
             "gamma walks from the anchor sum E_i, but -sum E_i is not nef on "
-            f"this model: it fails {model.nef_systems[signs.index(-1)].ident}"
+            f"this model: it fails {failed.ident}"
         )
-    return A, at_anchor
+    return A, active
 
 
 def _sigma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
@@ -427,9 +427,9 @@ def _walk(
     and the nef constraints, which read ``g`` alone.  Each step starts at
     an *anchor* ``(g, lo)`` on the envelope: at ``lo = 0``, ``sigma(D1)``
     (``_sigma(model, D1)``), or with a ``target``, ``gamma``'s anchor
-    ``D1 = sum E_i`` with the active set the model keeps for it
-    (:func:`_anchor`, which refuses a model on which ``-D1`` is not nef);
-    later, the previous step's line at its end.  Each ``t``-subset
+    ``D1 = sum E_i`` (:func:`_anchor`); later, the previous step's line at
+    its end.  The first anchor's active set is read off its certified
+    envelope by ident, so nothing is evaluated there.  Each ``t``-subset
     of the constraints active at the anchor, in ``combinations`` order,
     fixes a line through it (:func:`_line_through`).  The line is kept if
     the subset vanishes all along it and no constraint active at the
@@ -488,21 +488,17 @@ def _walk(
     constraint's roots along a line also names the constraint and the
     slope.
     """
+    if target is None:
+        start = _sigma(model, D1)
+        _require_effective(model, D2, nonzero=True)
+        g, active = start.gamma, start.active
+    else:
+        g, active = _anchor(model)
     t = len(model.primes)
     zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
     nef = model.nef_systems
     family = [*_bounds(model, D2), *nef]
-    if target is None:
-        for D in (D1, D2):
-            _require_effective(model, D, nonzero=True)
-        g = _sigma(model, D1).gamma
-        signs = [
-            *((x - a).sign() for x, a in zip(g, D1.coeffs)),
-            *(c.value(g).sign() for c in nef),
-        ]
-        at_anchor = [k for k, sign in enumerate(signs) if sign == 0]
-    else:
-        g, at_anchor = _anchor(model)
+    at_anchor = [k for k, c in enumerate(family) if c.ident in active]
 
     def along(k: int, line: Line) -> Quadratic:
         """Family constraint ``k`` at ``line`` as ``alpha r^2 + beta r + chi``."""

@@ -128,13 +128,7 @@ class ValidationReport(NamedTuple):
         return [f"{c.name}: {c.detail}" for c in self.checks if not c.ok]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, "checks": [c._asdict() for c in self.checks]}
 
 
 class ThreefoldModel(Frozen):

@@ -332,13 +332,7 @@ class InequalityCheck(NamedTuple):
         return f"inequality {self.label}: {self.lhs} <= {self.rhs} ... {verdict} [{self.method}]"
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "holds": self.holds,
-            "method": self.method,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return self._asdict()
 
 
 def _sides(

@@ -403,8 +403,11 @@ class SurfaceLattice(Frozen):
         ``t*`` is the least root ``t >= 0`` of a defining form that falls
         just past ``t``, found exactly.  Raises
         :class:`RootOutsideFieldError` when a form vanishes on the ray's
-        line outside the field.
+        line outside the field, and :class:`InputError` for a class of
+        another lattice.
         """
+        if direction.lattice != self:
+            raise InputError("class does not belong to this lattice")
         if direction.is_zero():
             raise InputError("direction must be nonzero")
         if not self.cone_contains(cone, base):

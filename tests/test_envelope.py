@@ -768,6 +768,39 @@ def test_walk_keeps_a_filled_envelope_of_D2(model):
     assert vars(D2)["envelope"] is env
 
 
+def test_walk_evaluates_no_constraint_at_a_filled_sigma_of_D1(monkeypatch):
+    """With ``_sigma`` of ``D1`` and ``D2`` already filled, the walk reads
+    its first anchor's active set off ``sigma(D1)``'s certified envelope and
+    evaluates no constraint's ``value`` at ``sigma(D1)`` outside ``along``,
+    on seeded pairs of three models whose first region's direction is
+    nonzero (so no later sample of the walk lies at ``sigma(D1)``); the
+    records are those of a walk from empty caches."""
+    at_start = Counter()
+    start = [()]
+    for cls in (LinearConstraint, QuadraticConstraint):
+        real = cls.value
+
+        def counted(c, point, _real=real):
+            if sys._getframe(1).f_code.co_name != "along":
+                at_start[c.ident] += tuple(point) == start[0]
+            return _real(c, point)
+
+        monkeypatch.setattr(cls, "value", counted)
+    walked = Counter()
+    for m, D1, D2 in three_model_pairs(11, 12):
+        start[0] = ()
+        plain = _walk(m, m.divisor(D1.coeffs), m.divisor(D2.coeffs))
+        if not any(plain[0].line[1].coeffs):
+            continue
+        _sigma(m, D2)
+        start[0] = _sigma(m, D1).gamma
+        at_start.clear()
+        assert _walk(m, D1, D2) == plain, (D1, D2)
+        assert sum(at_start.values()) == 0, (D1, D2, at_start)
+        walked[id(m)] += 1
+    assert len(walked) == 3 and min(walked.values()) >= 4, walked
+
+
 def counting_field_operations(monkeypatch):
     """Count ``QuadNumber`` multiplications (``__mul__`` and its alias
     ``__rmul__``) and inverses from outside the class; returns the counter."""
@@ -791,7 +824,7 @@ def counting_field_operations(monkeypatch):
         (gamma, ([1, 3],), 123, 8),
         (gamma, ([3, 7],), 31, 0),
         (piecewise_limit, ([1, 0], [0, 1]), 157, 14),
-        (piecewise_limit, ([1, 2], [2, 7]), 266, 13),
+        (piecewise_limit, ([1, 2], [2, 7]), 261, 13),
     ],
     ids=[
         "gamma-divisors0",
@@ -815,7 +848,10 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
     in family order (50/0, 136/10, 39/0, 202/29 and 300/23 before).  An
     int or Fraction divisor scales both parts, with no multiplication and
     no inverse, and a contraction computes only its upper triangle
-    (124/9, 172/28 and 282/22 before in rows 2, 4 and 5).  A change that
+    (124/9, 172/28 and 282/22 before in rows 2, 4 and 5).  A family
+    walk reads its first anchor's active set off ``sigma(D1)``'s
+    certified envelope instead of evaluating every bound difference and
+    nef row there (266/13 before in row 5).  A change that
     lowers a count re-pins it; the case ids leave the counts
     out, so a re-pin keeps each case's name."""
     m = model_from_dict(builtin_document())
@@ -1086,8 +1122,9 @@ def test_second_gamma_evaluates_no_nef_row_at_the_anchor(monkeypatch):
     is not ``A``, evaluates none there.  (A linear row's ``along`` reads
     its value at the line's base, which is ``A`` on a first step; those
     calls restrict the row to a line and are not counted.)  The record
-    holds field elements and indices only, so nothing in it points back
-    at the model."""
+    holds field elements and the idents of the constraints active at
+    ``A``'s certified envelope only, so nothing in it points back at the
+    model."""
     m = model_from_dict(builtin_document())
     A = (QuadNumber.one(m.field_d),) * len(m.primes)
     at_A = Counter()
@@ -1105,9 +1142,10 @@ def test_second_gamma_evaluates_no_nef_row_at_the_anchor(monkeypatch):
     at_A.clear()
     assert gamma(m, m.divisor([2, 1])).gamma != A
     assert sum(at_A.values()) == 0
-    point, signs, at_anchor = vars(m)["anchor"]
+    point, active = vars(m)["anchor"]
     assert point == A and all(isinstance(x, QuadNumber) for x in point)
-    assert all(isinstance(k, int) for k in (*signs, *at_anchor))
+    assert active == _certified(m, m.divisor(A), A).active
+    assert isinstance(active, frozenset) and all(isinstance(k, str) for k in active)
 
 
 def test_root_outside_the_field_names_its_constraint_and_slope():

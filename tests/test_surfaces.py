@@ -238,6 +238,16 @@ def test_zero_direction_rejected(abelian):
         )
 
 
+def test_foreign_direction_rejected(abelian, ruled):
+    """A direction from another lattice is refused, whether its rank differs
+    or not (the union model's ``Sbar'`` has the same rank as ``Sbar``)."""
+    union = load_model(UNION_MODEL)
+    base = abelian.cls([1, 2, 3])
+    for direction in (ruled.cls([-1, -1]), union.surface("Sbar'").cls([0, 1, -1])):
+        with pytest.raises(InputError, match="class does not belong to this lattice"):
+            abelian.boundary_slopes("eff", base, direction)
+
+
 def test_root_outside_field_is_hard_error():
     # gram forcing discriminant 5, not a square times the field's 3
     lattice = SurfaceLattice(
