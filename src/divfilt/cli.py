@@ -11,14 +11,15 @@ function and prints the text lines or the JSON document.
 Divisors are passed as comma-separated scalars in prime order, each in the
 canonical form ``p/q``, ``r/s*sqrt(d)``, or ``p/q +/- r/s*sqrt(d)``.
 Output is deterministic; ``--output json`` mirrors the text fields.
-Exit codes: 0 success, 2 parse/validation error, 3 computation error,
-4 verification mismatch.
+Exit codes: 0 success, 1 stdout closed early, 2 parse/validation error,
+3 computation error, 4 verification mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -345,7 +346,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args.handler, args)
+        code = _run(args.handler, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's last flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

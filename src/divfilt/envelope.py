@@ -256,7 +256,10 @@ def _certified(
     Hodge index theorem, which :class:`SurfaceLattice` checks).  So
     ``e_i = sum lam_c grad c(point)`` with ``lam >= 0`` gives ``g_i >=
     point_i`` (first-order conditions suffice on this convex set; Arrow
-    and Enthoven 1961).
+    and Enthoven 1961).  Sufficiency rests on the model being validated:
+    ``validate`` requires each surface's ample class ``a`` strictly inside
+    its nef cone, so ``a^T G a > 0``, and the half light cone on ``a``'s
+    side is convex only for such an ``a``.
     """
     constraints = [*_bounds(model, D), *model.nef_systems]
     signs = [c.value(point).sign() for c in constraints]
@@ -369,9 +372,8 @@ def _line_through(
     model's inverse (:func:`_linear_inverse`); with a quadratic row the
     ``t x (t+1)`` augmented matrix is row reduced in place and ``Q`` read
     off its last column.  Returns None when ``Q`` is not unique (fewer
-    than ``t`` pivots).
-    Whether the constraints vanish all along the line is left to the
-    caller.
+    than ``t`` pivots).  The rows then vanish all along the line, or one
+    of them falls at once above ``lo`` (:func:`_walk`).
     """
     t, d = len(model.primes), model.field_d
     rows = [family[k] for k in sorted(subset)]
@@ -389,28 +391,6 @@ def _line_through(
         v = tuple(dot(row, rhs) for row in inverse)
     u = tuple(gi - lo * vi for gi, vi in zip(g, v)) if lo else g
     return ExcDivisor(model, u), ExcDivisor(model, v)
-
-
-def _gradient_keeps_direction(
-    c: QuadraticConstraint, line: Line, lo: QuadNumber, hi: Optional[QuadNumber]
-) -> bool:
-    """Whether the gradient ``2M(u + r*v)`` of ``c`` along ``line = (u, v)``
-    stays a positive multiple of one vector for ``r`` in ``[lo, hi]``
-    (``[lo, inf)`` when ``hi`` is None): ``Mu`` and ``Mv`` are parallel,
-    and the factor keeps its sign.  A gradient that is zero all along
-    qualifies."""
-    p = [dot(row, line[0].coeffs) for row in c.matrix]
-    q = [dot(row, line[1].coeffs) for row in c.matrix]
-    pairs = combinations(range(len(p)), 2)
-    if any((p[i] * q[j] - p[j] * q[i]).sign() != 0 for i, j in pairs):
-        return False
-    # a coordinate where the common direction is nonzero carries the factor
-    k = next((k for k in range(len(p)) if p[k] or q[k]), None)
-    if k is None:
-        return True
-    start = (p[k] + q[k] * lo).sign()
-    end = (q[k].sign() or p[k].sign()) if hi is None else (p[k] + q[k] * hi).sign()
-    return start == end != 0
 
 
 def _walk(
@@ -431,12 +411,12 @@ def _walk(
     its end.  The first anchor's active set is read off its certified
     envelope by ident, so nothing is evaluated there.  Each ``t``-subset
     of the constraints active at the anchor, in ``combinations`` order,
-    fixes a line through it (:func:`_line_through`).  The line is kept if
-    the subset vanishes all along it and no constraint active at the
-    anchor turns negative at once above ``lo`` (:func:`_falls_past`; its
-    point in the step would be infeasible).  With a ``target``, a kept
-    line whose point at ``r = 1`` is certified as ``target``'s envelope
-    ends the walk with a last record ``Region(lo, 1, line, envelope)``.
+    fixes a line through it (:func:`_line_through`).  The line is kept
+    unless a constraint active at the anchor turns negative at once above
+    ``lo`` (:func:`_falls_past`; its point in the step would be
+    infeasible).  With a ``target``, a kept line whose point at ``r = 1``
+    is certified as ``target``'s envelope ends the walk with a last
+    record ``Region(lo, 1, line, envelope)``.
     Otherwise the line ends at ``hi``, the least root above ``lo`` of a
     constraint that does not vanish all along it (with a ``target``,
     below 1).  The step's line is the first whose point at ``(lo + hi)/2``
@@ -449,14 +429,33 @@ def _walk(
     active at the anchor before the line is kept, for the rest after.
 
     No constraint changes sign strictly between ``lo`` and ``hi``, so one
-    feasible point covers the step, and one certificate does when the
-    gradients of the active constraints keep their directions along the
-    line.  Linear rows have constant gradients; for an active quadratic
-    this is checked (:func:`_gradient_keeps_direction`).  It holds for
-    ``t = 2``: an affine line on which a binary quadratic form vanishes
-    passes through the origin, so the form's gradient only rescales
-    along it.  The ``target``'s envelope is certified where it is
-    returned, whatever path led there.
+    feasible point covers the step; the Hodge index theorem does the rest.
+    A quadratic nef row reads ``c(g) = (Cg)^T G (Cg)``, with ``G`` its
+    surface's gram matrix, of signature ``(1, rho - 1)``
+    (:class:`SurfaceLattice` checks it), and the ample class ``a`` has
+    ``a^T G a > 0`` (``validate`` requires it).  So the orthogonal
+    complement of a nonzero isotropic vector is negative semidefinite with
+    radical its span, a totally isotropic subspace has dimension at most
+    1, and ``a^perp`` is negative definite.  Hence:
+
+    - A kept line's subset vanishes all along it.  Bound and linear rows
+      do by construction.  A quadratic row of the subset has ``Cg``
+      isotropic (nonzero, or its gradient row is zero and there is no
+      line) and ``(Cg)^T G (CQ) = 0``, so it reads ``alpha (r - lo)^2``
+      with ``alpha = (CQ)^T G (CQ) <= 0`` along the line: zero, or falling
+      at once, and then the line is skipped.
+    - One certificate covers a step.  A quadratic row active at the
+      sample has no root strictly between ``lo`` and ``hi``, so it
+      vanishes all along the line, and ``C(P + rQ) = f(r) w`` with ``f``
+      affine: its gradient is ``2 f(r) C^T G w``.  The ample-side row
+      reads ``f(r) w^T G a >= 0`` there, with ``w^T G a != 0``, so ``f``
+      keeps one sign on the open step or is 0 all along it.  The active
+      set is the same at every interior point and each gradient a
+      positive multiple of its value at the sample (linear rows' are
+      constant), so the sample's multipliers, rescaled, certify it.
+
+    The ``target``'s envelope is certified where it is returned, whatever
+    path led there.
 
     Without a ``target``, the last region's line ``(P, Q)`` gives
     ``sigma(D1/r + D2) = P/r + Q`` for every large ``r``, so ``Q`` is
@@ -482,11 +481,10 @@ def _walk(
     it.  So when no line certifies, divisors just above ``lo`` with no
     least majorant exist, and the refusal says so.
 
-    Raises :class:`ComputationError` naming the slope where an active
-    gradient turns, and where no line certifies: the slope, or with a
-    ``target``, the ``target``.  A :class:`RootOutsideFieldError` from a
-    constraint's roots along a line also names the constraint and the
-    slope.
+    Raises :class:`ComputationError` where no line certifies, naming the
+    slope, or with a ``target``, the ``target``.  A
+    :class:`RootOutsideFieldError` from a constraint's roots along a line
+    also names the constraint and the slope.
     """
     if target is None:
         start = _sigma(model, D1)
@@ -515,9 +513,7 @@ def _walk(
             if line is None:
                 continue
             on = {k: along(k, line) for k in at_anchor}
-            if any(x.sign() != 0 for k in subset for x in on[k]) or any(
-                _falls_past(q, lo) for q in on.values()
-            ):
+            if any(_falls_past(q, lo) for q in on.values()):
                 continue
             if target is not None:
                 env = _certified(model, target, (line[0] + line[1]).coeffs)
@@ -554,16 +550,6 @@ def _walk(
                 else "the model is outside this solver's supported family"
             )
             raise ComputationError(f"no certified envelope line {where}; {cause}")
-        for c in nef:
-            if (
-                c.ident in env.active
-                and isinstance(c, QuadraticConstraint)
-                and not _gradient_keeps_direction(c, line, lo, hi)
-            ):
-                raise ComputationError(
-                    f"the gradient of {c.ident} turns along the envelope line above "
-                    f"slope {lo.canonical_string()}; one certificate does not cover it"
-                )
         if walk and env.active == walk[-1].envelope.active:
             walk[-1] = walk[-1]._replace(hi=hi)
         else:

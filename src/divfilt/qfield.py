@@ -233,14 +233,14 @@ class QuadNumber(Frozen):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadNumber.one(self.d)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if exponent == 0:
+            return QuadNumber.one(self.d)
+        # left to right from the leading bit: no product with an exact one
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def conjugate(self) -> "QuadNumber":
@@ -501,7 +501,7 @@ def scalar_from_json(doc: object, d: int) -> QuadNumber:
     if isinstance(doc, dict):
         extra = set(doc) - {"a", "b"}
         if extra:
-            raise ParseError(f"unknown scalar fields {sorted(extra)}")
+            raise ParseError(f"unknown scalar fields {sorted(extra, key=str)}")
         a, b = (_json_rational(doc.get(key, 0), doc) for key in "ab")
         return QuadNumber(a, b, d)
     return QuadNumber(_json_rational(doc, doc), Fraction(0), d)

@@ -10,6 +10,7 @@ around this function and exits nonzero on any mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Optional
 
 from .envelope import gamma, is_antinef, regions
@@ -175,7 +176,7 @@ def run_golden_suite(model: Optional[ThreefoldModel] = None) -> VerifyReport:
     )
 
     # -- piecewise limit and its 3!-scaled multiplicity form ---------------
-    pw = _once(lambda: piecewise_limit(m, S, F))
+    pw = cache(lambda: piecewise_limit(m, S, F))
     for k, expected in (
         (0, "region 1: [0, 1) -> 33*n^3"),
         (1, "region 2: [1, 3 - 1/3*sqrt(3)) -> 78*n^3 - 81*n^2*j + 27*n*j^2 + 9*j^3"),
@@ -314,24 +315,6 @@ def run_golden_suite(model: Optional[ThreefoldModel] = None) -> VerifyReport:
     )
 
     return VerifyReport(tuple(claims))
-
-
-def _once(compute: Callable[[], object]) -> Callable:
-    """``compute`` run on the first call only; later calls return its
-    value or raise its error again."""
-    kept: list = []
-
-    def get():
-        if not kept:
-            try:
-                kept.append(compute())
-            except Exception as exc:
-                kept.append(exc)
-        if isinstance(kept[0], Exception):
-            raise kept[0]
-        return kept[0]
-
-    return get
 
 
 def _orthogonality(model: ThreefoldModel, D) -> str:

@@ -1,6 +1,7 @@
 """Command-line interface: output strings, JSON mirror, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -303,6 +304,9 @@ def test_verify_paper_on_mismatching_model_exits_4(capsys, tmp_path):
 def test_verify_paper_reports_a_failing_limit_in_its_rows(
     capsys, monkeypatch, name, rows
 ):
+    """Every row that reads a failing limit reports its error.  The
+    piecewise limit is cached for its rows only on success, so each row
+    computes it again and meets the same deterministic error."""
     calls = []
 
     def explode(*args):
@@ -313,7 +317,7 @@ def test_verify_paper_reports_a_failing_limit_in_its_rows(
     code, out, err = run_cli(capsys, ["verify-paper"])
     assert (code, err) == (4, "")
     failed = [line for line in out.splitlines() if line.endswith("| FAIL")]
-    assert len(failed) == rows and len(calls) == 1
+    assert len(failed) == rows and len(calls) == rows
     assert all("| error: ComputationError: synthetic failure" in f for f in failed)
     assert out.splitlines()[-1] == f"{rows} of 39 claims FAIL"
 
@@ -499,6 +503,36 @@ def test_deeply_nested_model_file_exit_2(tmp_path, text):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("parse error:") and "nests too deeply" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that takes one line and closes the pipe ends the run with
+    exit 1 and nothing on stderr."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "divfilt.cli", "examples", "--n-max", str(cli.MAX_EXAMPLES_N)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"sequence,n,length,estimate\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_stdout_closed_before_a_short_output_exits_1():
+    """Output small enough to sit in the buffer until the end fails at the
+    last flush, which ``main`` makes itself: exit 1, nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "divfilt.cli", "gamma", "-D", "1,1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_examples_n_max_bounded(capsys):

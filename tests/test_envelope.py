@@ -18,7 +18,6 @@ from divfilt.envelope import (
     _bounds,
     _certificate,
     _certified,
-    _gradient_keeps_direction,
     _region_label,
     _sigma,
     _walk,
@@ -823,8 +822,8 @@ def counting_field_operations(monkeypatch):
         (gamma, ([2, 1],), 32, 0),
         (gamma, ([1, 3],), 123, 8),
         (gamma, ([3, 7],), 31, 0),
-        (piecewise_limit, ([1, 0], [0, 1]), 157, 14),
-        (piecewise_limit, ([1, 2], [2, 7]), 261, 13),
+        (piecewise_limit, ([1, 0], [0, 1]), 152, 14),
+        (piecewise_limit, ([1, 2], [2, 7]), 250, 13),
     ],
     ids=[
         "gamma-divisors0",
@@ -851,8 +850,11 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
     (124/9, 172/28 and 282/22 before in rows 2, 4 and 5).  A family
     walk reads its first anchor's active set off ``sigma(D1)``'s
     certified envelope instead of evaluating every bound difference and
-    nef row there (266/13 before in row 5).  A change that
-    lowers a count re-pins it; the case ids leave the counts
+    nef row there (266/13 before in row 5).  A walk checks neither that
+    an active quadratic's gradient keeps its direction along a step nor
+    that a line's subset vanishes all along it, which the Hodge index
+    theorem guarantees (157/14 and 261/13 before in rows 4 and 5).  A
+    change that lowers a count re-pins it; the case ids leave the counts
     out, so a re-pin keeps each case's name."""
     m = model_from_dict(builtin_document())
     args = [m.divisor(coeffs) for coeffs in divisors]
@@ -958,43 +960,95 @@ def test_walk_skips_lines_that_fall_at_once(monkeypatch):
     assert None not in results
 
 
-def test_gradient_keeps_direction(model):
-    """``Mu`` and ``Mv`` must be parallel and ``M(u + r*v)`` keep its sign
-    on ``[lo, hi]``, for ``M = diag(1, -1)``."""
-    c = QuadraticConstraint("quad", ((q3(1), q3(0)), (q3(0), q3(-1))))
-
-    def keeps(u, v, lo, hi):
-        line = (model.divisor(u), model.divisor(v))
-        return _gradient_keeps_direction(c, line, q3(lo), None if hi is None else q3(hi))
-
-    assert keeps([1, 0], [-1, 0], 0, Fraction(1, 2))
-    assert not keeps([1, 0], [-1, 0], 0, 2)  # the factor 1 - r turns at 1
-    assert not keeps([1, 0], [-1, 0], 0, 1)  # and vanishes at 1
-    assert not keeps([1, 0], [-1, 0], 0, None)
-    assert keeps([2, 1], [4, 2], 0, None)
-    assert not keeps([1, 0], [0, 1], 0, 1)  # not parallel
-    assert keeps([0, 0], [0, 0], 0, None)  # a gradient that is zero all along
+def positive_multiple(u, v):
+    """Whether ``v`` is a positive multiple of ``u``, or both are zero."""
+    if not any(u):
+        return not any(v)
+    pairs = combinations(range(len(u)), 2)
+    parallel = all((u[i] * v[j] - u[j] * v[i]).sign() == 0 for i, j in pairs)
+    return parallel and dot(u, v).sign() > 0
 
 
-def test_walk_refuses_a_step_whose_active_gradient_turns(monkeypatch, capsys):
-    """With ``_certified`` patched to report ``nef[Sbar]:quad`` active, the
-    step above slope 1 of ``(1,0) + r*(0,1)``, on which that quadratic's
-    gradient turns, is refused: ``regions`` raises ``ComputationError`` and
-    ``divfilt piecewise`` exits 3 without a traceback."""
-    real = divfilt.envelope._certified
+def family_and_gamma_walks(m, D1, D2):
+    """The walk along ``D1 + r*D2`` and ``gamma``'s walks to ``D1`` and to
+    ``D2`` without their last region, which is certified at ``r = 1``."""
+    A = m.divisor([1] * len(m.primes))
+    return [_walk(m, D1, D2)] + [_walk(m, A, D - A, target=D)[:-1] for D in (D1, D2)]
 
-    def claims_quad(*args):
-        env = real(*args)
-        return env and env._replace(active=env.active | {"nef[Sbar]:quad"})
 
-    monkeypatch.setattr(divfilt.envelope, "_certified", claims_quad)
-    m = builtin_model()
-    with pytest.raises(ComputationError, match=r"nef\[Sbar\]:quad turns .* above slope 1;"):
-        regions(m, m.divisor([1, 0]), m.divisor([0, 1]))
-    assert cli.main(["piecewise", "-D1", "1,0", "-D2", "0,1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.startswith("computation error: the gradient of nef[Sbar]:quad")
+def test_active_quadratic_gradients_keep_their_direction_on_a_region():
+    """On every region of family and ``gamma`` walks of seeded pairs on the
+    builtin model, a basis-changed copy and the two-copy union, the
+    gradient of each quadratic nef row active at the region's sample is,
+    at interior points of the region's line, a positive multiple of its
+    value at the sample, or zero at all of them.  So the sample's
+    certificate, rescaled, covers the region (the Hodge index theorem;
+    see ``_walk``)."""
+    checked = Counter()
+    for m, D1, D2 in three_model_pairs(23, 10):
+        quadratic = [c for c in m.nef_systems if isinstance(c, QuadraticConstraint)]
+        for walk in family_and_gamma_walks(m, D1, D2):
+            for region in walk:
+                P, Q = region.line
+                width = 4 if region.hi is None else region.hi - region.lo
+                interior = [region.lo + width * Fraction(j, 4) for j in (1, 2, 3)]
+                for c in quadratic:
+                    if c.ident not in region.envelope.active:
+                        continue
+                    at_sample = c.gradient(region.envelope.gamma)
+                    for r in interior:
+                        gradient = c.gradient((P + Q * r).coeffs)
+                        assert positive_multiple(at_sample, gradient), (D1, D2, c.ident, r)
+                    checked[id(m)] += any(at_sample)
+    assert len(checked) == 3 and min(checked.values()) >= 3, checked
+
+
+def test_each_line_the_walk_tries_keeps_its_subset_or_falls_at_once(monkeypatch):
+    """On every line ``P + r*Q`` that the walks of seeded pairs on three
+    models try, each row of the line's subset vanishes all along it, or
+    reads ``alpha (r - lo)^2`` with ``alpha < 0`` and so falls at once
+    above ``lo``: bound and linear rows by construction, a quadratic row
+    because the orthogonal complement of an isotropic vector is negative
+    semidefinite (the Hodge index theorem; see ``_walk``).  The walks are
+    ``regions`` and ``gamma`` of ``D2``; those ``regions`` runs through
+    ``gamma`` are recorded with their own ``D1`` and ``D2``."""
+    tried, walking = [], []
+    real_walk, real_line = divfilt.envelope._walk, divfilt.envelope._line_through
+
+    def walk(model, D1, D2, target=None):
+        walking.append((D1, D2))
+        try:
+            return real_walk(model, D1, D2, target)
+        finally:
+            walking.pop()
+
+    def line_through(model, family, subset, g, lo):
+        line = real_line(model, family, subset, g, lo)
+        tried.append((model, *walking[-1], subset, lo, line))
+        return line
+
+    monkeypatch.setattr(divfilt.envelope, "_walk", walk)
+    monkeypatch.setattr(divfilt.envelope, "_line_through", line_through)
+    for m, D1, D2 in three_model_pairs(29, 10):
+        regions(m, D1, D2)
+        gamma(m, D2)
+    quadratic_rows = 0
+    for m, D1, D2, subset, lo, line in tried:
+        if line is None:
+            continue
+        t = len(m.primes)
+        P, Q = line[0].coeffs, line[1].coeffs
+        for k in subset:
+            if k < t:
+                q = (q3(0), Q[k] - D2.coeffs[k], P[k] - D1.coeffs[k])
+            else:
+                q = m.nef_systems[k - t].along(P, Q)
+                quadratic_rows += isinstance(m.nef_systems[k - t], QuadraticConstraint)
+            alpha = q[0]
+            vanishes = all(x.sign() == 0 for x in q)
+            falls = alpha.sign() < 0 and q[1] == -2 * alpha * lo and q[2] == alpha * lo * lo
+            assert vanishes or falls, (D1, D2, subset, lo, q)
+    assert len(tried) >= 200 and quadratic_rows >= 40, (len(tried), quadratic_rows)
 
 
 # -- orthogonality of the envelope ---------------------------------------------------

@@ -357,6 +357,11 @@ def list_sbar_twice(doc):
             lambda d: d["restrictions"].update({"G": {}, 1: {}}),
             r"^model\.restrictions: unknown fields \[1, 'G'\]$",
         ),
+        (
+            # and in a scalar's parts
+            lambda d: d["surfaces"][0]["gram"][0].__setitem__(0, {"a": 1, 2: 3, "z": 1}),
+            r"^model\.surfaces\[0\]\.gram\[0\]: unknown scalar fields \[2, 'z'\]$",
+        ),
     ],
 )
 def test_schema_violations(mutate, fragment):

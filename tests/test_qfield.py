@@ -316,6 +316,30 @@ def test_integer_powers(x, n):
     assert x**n == expected
 
 
+@pytest.mark.parametrize("n", range(-3, 9))
+def test_power_is_the_repeated_product_by_square_and_multiply(monkeypatch, n):
+    """``x**n`` equals the ``|n|``-fold product of ``x`` (of its inverse for
+    ``n < 0``); for ``n >= 1`` it squares once per bit after the leading one
+    and multiplies once per further set bit, and no more."""
+    x = q3(Fraction(2, 3), Fraction(-1, 5))
+    base = x if n >= 0 else x.inverse()
+    expected = q3(1)
+    for _ in range(abs(n)):
+        expected = expected * base
+    calls = []
+    real = QuadNumber.__mul__
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(QuadNumber, "__mul__", counted)
+    monkeypatch.setattr(QuadNumber, "__rmul__", counted)
+    assert x**n == expected
+    if n >= 1:
+        assert len(calls) == n.bit_length() - 1 + n.bit_count() - 1
+
+
 def test_scalar_from_json_accepts_ints_and_rejects_junk():
     assert scalar_from_json(7, 3) == 7
     assert scalar_from_json("7/2", 3) == Fraction(7, 2)
@@ -333,6 +357,9 @@ def test_scalar_from_json_accepts_ints_and_rejects_junk():
         scalar_from_json("one", 3)
     with pytest.raises(ParseError):
         scalar_from_json([1, 2], 3)
+    # keys of mixed types, as a Python caller may pass them
+    with pytest.raises(ParseError, match=r"^unknown scalar fields \[2, 'z'\]$"):
+        scalar_from_json({"a": 1, 2: 3, "z": 1}, 3)
 
 
 def test_math_ceil_floor_protocols():
