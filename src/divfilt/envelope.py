@@ -88,10 +88,12 @@ class GammaEnvelope(NamedTuple):
 
     @property
     def raised_indices(self) -> tuple[int, ...]:
+        """The coordinates above the input's: since ``gamma >= input``,
+        those whose bound ``coeff[prime]`` is not active."""
         return tuple(
             i
-            for i, (g, a) in enumerate(zip(self.gamma, self.input.coeffs))
-            if (g - a).sign() > 0
+            for i, prime in enumerate(self.model.primes)
+            if f"coeff[{prime}]" not in self.active
         )
 
     @property
@@ -135,17 +137,17 @@ class GammaEnvelope(NamedTuple):
 # bound constraints
 
 
-def _bounds(model: ThreefoldModel, D: ExcDivisor) -> list[Constraint]:
-    """The bounds ``g_i >= coeff_i(D)``, one per prime."""
+def _bound(model: ThreefoldModel, i: int, a: QuadNumber) -> LinearConstraint:
+    """The bound ``g_i >= a``."""
     d = model.field_d
     zero, one = QuadNumber.zero(d), QuadNumber.one(d)
-    t = len(model.primes)
-    return [
-        LinearConstraint(
-            f"coeff[{prime}]", tuple(one if k == i else zero for k in range(t)), -a
-        )
-        for i, (prime, a) in enumerate(zip(model.primes, D.coeffs))
-    ]
+    unit = tuple(one if k == i else zero for k in range(len(model.primes)))
+    return LinearConstraint(f"coeff[{model.primes[i]}]", unit, -a)
+
+
+def _bounds(model: ThreefoldModel, D: ExcDivisor) -> list[Constraint]:
+    """The bounds ``g_i >= coeff_i(D)``, one per prime."""
+    return [_bound(model, i, a) for i, a in enumerate(D.coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +262,28 @@ def _certified(
     ``validate`` requires each surface's ample class ``a`` strictly inside
     its nef cone, so ``a^T G a > 0``, and the half light cone on ``a``'s
     side is convex only for such an ``a``.
+
+    The bounds are read first, as ``(x - a).sign()``, and a point below
+    one of them is refused before any nef row is evaluated; only the
+    active bounds are built as constraints.
     """
-    constraints = [*_bounds(model, D), *model.nef_systems]
-    signs = [c.value(point).sign() for c in constraints]
-    if min(signs) < 0:
+    bound_signs = [(x - a).sign() for x, a in zip(point, D.coeffs)]
+    if min(bound_signs) < 0:
+        return None
+    nef = model.nef_systems
+    nef_signs = [c.value(point).sign() for c in nef]
+    if min(nef_signs) < 0:
         return None
     # a coordinate at its bound is D's own coefficient, so results share it
-    point = tuple(a if sign == 0 else x for x, a, sign in zip(point, D.coeffs, signs))
-    active = [c for c, sign in zip(constraints, signs) if sign == 0]
+    point = tuple(
+        a if sign == 0 else x for x, a, sign in zip(point, D.coeffs, bound_signs)
+    )
+    bounds = [
+        _bound(model, i, a)
+        for i, (a, sign) in enumerate(zip(D.coeffs, bound_signs))
+        if sign == 0
+    ]
+    active = bounds + [c for c, sign in zip(nef, nef_signs) if sign == 0]
     certificate = _certificate(model, active, point)
     if None in certificate:
         return None
@@ -426,7 +442,9 @@ def _walk(
     breakpoint.  The next anchor's active constraints are those with a
     root at ``hi``, then those that vanish all along the line.  A
     constraint's restriction to a line is computed once: for those
-    active at the anchor before the line is kept, for the rest after.
+    active at the anchor before the line is kept, for the rest after.  A
+    bound or linear row of the line's subset is not restricted: it is
+    ``(0, 0, 0)`` by construction (below).
 
     No constraint changes sign strictly between ``lo`` and ``hi``, so one
     feasible point covers the step; the Hodge index theorem does the rest.
@@ -496,6 +514,7 @@ def _walk(
     zero, one = QuadNumber.zero(model.field_d), QuadNumber.one(model.field_d)
     nef = model.nef_systems
     family = [*_bounds(model, D2), *nef]
+    linear = [isinstance(c, LinearConstraint) for c in family]
     at_anchor = [k for k, c in enumerate(family) if c.ident in active]
 
     def along(k: int, line: Line) -> Quadratic:
@@ -512,7 +531,10 @@ def _walk(
             line = _line_through(model, family, subset, g, lo)
             if line is None:
                 continue
-            on = {k: along(k, line) for k in at_anchor}
+            on = {
+                k: (zero, zero, zero) if linear[k] and k in subset else along(k, line)
+                for k in at_anchor
+            }
             if any(_falls_past(q, lo) for q in on.values()):
                 continue
             if target is not None:

@@ -41,6 +41,8 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)

@@ -26,7 +26,7 @@ and a ruled surface with basis ``C0, f``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -238,17 +238,51 @@ class ThreefoldModel(Frozen):
                 M[i][j] = M[j][i] = dot(D.coeffs, [T[i][j] for T in self.pairings])
         return tuple(map(tuple, M))
 
+    @cached_property
+    def cubic(self) -> tuple[tuple[tuple[ScalarLike, ...], ...], ...]:
+        """The coefficients of ``D^3`` in the monomials of ``D``'s
+        coefficients ``g``, built on first use.
+
+        ``cubic[i][j - i][k - j]`` multiplies ``g_i g_j g_k`` for ``i <= j
+        <= k``: the sum of ``pairings[c][a][b]`` over the orderings ``(a,
+        b, c)`` of ``(i, j, k)``, which is exactly what :meth:`triple`'s
+        contraction reads for ``(D . D . D)``.  A rational coefficient is
+        kept as a ``Fraction``, so each product by it scales a field
+        element's two parts directly.
+        """
+        t = len(self.primes)
+        sums: dict[tuple[int, ...], QuadNumber] = {}
+        for a, b, c in product(range(t), repeat=3):
+            key = tuple(sorted((a, b, c)))
+            sums[key] = sums.get(key, 0) + self.pairings[c][a][b]
+        scalar = {key: v.a if v.is_rational else v for key, v in sums.items()}
+        return tuple(
+            tuple(tuple(scalar[i, j, k] for k in range(j, t)) for j in range(i, t))
+            for i in range(t)
+        )
+
     def triple(self, D1: ExcDivisor, D2: ExcDivisor, D3: ExcDivisor) -> QuadNumber:
         """Trilinear intersection number (D1 . D2 . D3).
 
         Expands the third argument over primes into :meth:`contraction`
         and pairs the other two through it; :meth:`validate` certifies
         that the choice of expanded argument does not matter, so the
-        result is symmetric in its arguments.
+        result is symmetric in its arguments.  When the three arguments
+        are one object (``D^3``, as in a limit), the model's :attr:`cubic`
+        is evaluated instead, nested as ``sum_i g_i sum_{j >= i} g_j
+        sum_{k >= j} g_k c_ijk``.
         """
         for D in (D1, D2):
             if D.model != self:
                 raise InputError("divisor belongs to a different model")
+        if D1 is D2 is D3:
+            g = D1.coeffs
+            inner = [
+                dot(g[i:], [dot(g[j:], row) for j, row in enumerate(rows, i)])
+                for i, rows in enumerate(self.cubic)
+            ]
+            # dot takes an exact one's partner whole, so a Fraction may come back
+            return QuadNumber.in_field(dot(g, inner), self.field_d)
         return bilinear(self.contraction(D3), D1.coeffs, D2.coeffs)
 
     # -- nef conditions on exceptional divisors ----------------------------

@@ -52,7 +52,9 @@ class LinearConstraint(NamedTuple):
     const: QuadNumber
 
     def value(self, point: Vector) -> QuadNumber:
-        return self.const + dot(self.coeffs, point)
+        # every nef row is homogeneous: an exact-zero const adds nothing
+        total = dot(self.coeffs, point)
+        return total + self.const if self.const else total
 
     def gradient(self, point: Vector) -> tuple[QuadNumber, ...]:
         return self.coeffs

@@ -27,7 +27,7 @@ from divfilt.envelope import (
 )
 from divfilt.errors import ComputationError, InputError, RootOutsideFieldError
 from divfilt.model import builtin_document, builtin_model, load_model, model_from_dict
-from divfilt.multiplicity import piecewise_limit
+from divfilt.multiplicity import limit_single, piecewise_limit
 from divfilt.qfield import QuadNumber, dot, quadratic_roots
 from divfilt.surfaces import LinearConstraint, QuadraticConstraint
 
@@ -193,6 +193,20 @@ def test_epsilon_certificate_for_raised_coordinates(model):
             perturbed = list(env.gamma)
             perturbed[i] = perturbed[i] - EPSILON
             assert not is_antinef(model, model.divisor(perturbed)), (n, j, i)
+
+
+def test_raised_coordinates_are_those_whose_bound_is_not_active():
+    """``raised_indices``, read off the active set, are the coordinates
+    where the envelope exceeds the input, on seeded divisors of the
+    builtin, basis-changed and union models."""
+    kinds = set()
+    for m, D1, D2 in three_model_pairs(17, 10):
+        for D in (D1, D2):
+            env = gamma(m, D)
+            above = tuple(i for i, (g, a) in enumerate(zip(env.gamma, D.coeffs)) if g > a)
+            assert env.raised_indices == above, D
+            kinds.add(len(above))
+    assert kinds >= {0, 1}, kinds
 
 
 def test_active_constraints_reported(model):
@@ -800,6 +814,78 @@ def test_walk_evaluates_no_constraint_at_a_filled_sigma_of_D1(monkeypatch):
     assert len(walked) == 3 and min(walked.values()) >= 4, walked
 
 
+def test_walk_restricts_no_linear_subset_row_to_its_line(monkeypatch):
+    """A bound or linear nef row of a line's subset vanishes on that line by
+    construction, so the walk calls its ``along`` for no such row; it does
+    for the subset's quadratic rows and for every other row it restricts.
+    The calls are caught by a profile hook on the walk's nested ``along``,
+    and each line is matched to the subset that fixed it, on seeded family
+    and ``gamma`` walks of the builtin, basis-changed and union models."""
+    fixed = {}
+    real = divfilt.envelope._line_through
+
+    def recording(m, family, subset, g, lo):
+        line = real(m, family, subset, g, lo)
+        if line is not None:  # kept alive, so its id is not reused
+            fixed[id(line)] = line, family, subset
+        return line
+
+    monkeypatch.setattr(divfilt.envelope, "_line_through", recording)
+    along = next(c for c in _walk.__code__.co_consts if getattr(c, "co_name", "") == "along")
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is along:
+            k = frame.f_locals["k"]
+            _, family, subset = fixed[id(frame.f_locals["line"])]
+            kind = "linear" if isinstance(family[k], LinearConstraint) else "quadratic"
+            calls[kind, k in subset] += 1
+
+    sys.setprofile(profile)
+    try:
+        for m, D1, D2 in three_model_pairs(13, 8):
+            _walk(m, m.divisor(D1.coeffs), D2)
+            gamma(m, m.divisor(D2.coeffs))
+    finally:
+        sys.setprofile(None)
+    linear_in_subsets = sum(
+        isinstance(family[k], LinearConstraint)
+        for _, family, subset in fixed.values()
+        for k in subset
+    )
+    assert calls["linear", True] == 0 and linear_in_subsets > 100, (calls, linear_in_subsets)
+    others = calls["quadratic", True], calls["linear", False], calls["quadratic", False]
+    assert min(others) > 0, calls
+
+
+def test_certified_reads_no_nef_row_at_a_point_below_a_bound(monkeypatch):
+    """``_certified`` reads the bounds first: a point below one of them is
+    refused with no nef row evaluated, and a point at or above them all
+    evaluates each nef row once, on the builtin and union models."""
+    evaluated = []
+    for cls in (LinearConstraint, QuadraticConstraint):
+
+        def counted(c, point, _real=cls.value):
+            evaluated.append(c.ident)
+            return _real(c, point)
+
+        monkeypatch.setattr(cls, "value", counted)
+    for m in (builtin_model(), load_model(UNION_MODEL)):
+        nef = [c.ident for c in m.nef_systems]
+        D = m.divisor([2, 1] * (len(m.primes) // 2))
+        sigma = _sigma(m, D).gamma
+        for i in range(len(m.primes)):
+            below = tuple(
+                a - 1 if k == i else x + 5 for k, (x, a) in enumerate(zip(sigma, D.coeffs))
+            )
+            evaluated.clear()
+            assert _certified(m, D, below) is None
+            assert evaluated == [], (i, evaluated)
+        evaluated.clear()
+        assert _certified(m, D, sigma) == _sigma(m, D)
+        assert evaluated == nef
+
+
 def counting_field_operations(monkeypatch):
     """Count ``QuadNumber`` multiplications (``__mul__`` and its alias
     ``__rmul__``) and inverses from outside the class; returns the counter."""
@@ -824,6 +910,7 @@ def counting_field_operations(monkeypatch):
         (gamma, ([3, 7],), 31, 0),
         (piecewise_limit, ([1, 0], [0, 1]), 152, 14),
         (piecewise_limit, ([1, 2], [2, 7]), 250, 13),
+        (limit_single, ([1, 3],), 133, 8),
     ],
     ids=[
         "gamma-divisors0",
@@ -831,10 +918,12 @@ def counting_field_operations(monkeypatch):
         "gamma-divisors2",
         "piecewise_limit-divisors3",
         "piecewise_limit-divisors4",
+        "limit_single-divisors5",
     ],
 )
 def test_field_operation_counts(monkeypatch, function, divisors, multiplications, inverses):
-    """The field operations of ``gamma`` and ``piecewise_limit`` on a fresh
+    """The field operations of ``gamma``, ``piecewise_limit`` and
+    ``limit_single`` on a fresh
     builtin model (its ``nef_systems`` built inside the count), pinned.
     ``dot`` and ``_row_reduce`` multiply by no exact 0 or 1; without those
     skips the five rows took 152/6, 310/16, 127/4, 626/46 and 481/34
@@ -853,9 +942,11 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
     nef row there (266/13 before in row 5).  A walk checks neither that
     an active quadratic's gradient keeps its direction along a step nor
     that a line's subset vanishes all along it, which the Hodge index
-    theorem guarantees (157/14 and 261/13 before in rows 4 and 5).  A
-    change that lowers a count re-pins it; the case ids leave the counts
-    out, so a re-pin keeps each case's name."""
+    theorem guarantees (157/14 and 261/13 before in rows 4 and 5).
+    ``limit_single`` adds ``gamma``'s work and one cube, which it reads off
+    the model's cubic rather than a contraction (135/8 with the
+    contraction).  A change that lowers a count re-pins it; the case ids
+    leave the counts out, so a re-pin keeps each case's name."""
     m = model_from_dict(builtin_document())
     args = [m.divisor(coeffs) for coeffs in divisors]
     counts = counting_field_operations(monkeypatch)

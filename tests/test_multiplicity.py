@@ -14,10 +14,15 @@ import pytest
 from test_envelope import (
     UNION_MODEL,
     counting_gamma,
+    proportional,
     seeded_coefficient,
     seeded_pair,
     three_model_pairs,
 )
+from test_generated_models import DIVISORS as GENERATED_DIVISORS
+from test_generated_models import MODELS as GENERATED_MODELS
+from test_generated_models import PINNED as GENERATED_PINNED
+from test_generated_models import polyhedral_document, seeded_divisors
 from test_model import basis_changed_document
 
 import divfilt.envelope
@@ -759,6 +764,106 @@ def test_mixed_values_are_the_four_triples():
         R = m.divisor([seeded_coefficient(rng) for _ in m.primes])
         expanded = dot(R.coeffs, [bilinear(T, P.coeffs, Q.coeffs) for T in m.pairings])
         assert {m.triple(*order) for order in permutations((P, Q, R))} == {expanded}
+
+
+def geometric_and_generated_models(seed):
+    """The builtin model, a basis-changed copy, the two-copy union and four
+    seeded all-polyhedral models over 2, 3, 4 and 5 primes."""
+    rng = random.Random(seed)
+    return [
+        builtin_model(),
+        model_from_dict(basis_changed_document()),
+        load_model(UNION_MODEL),
+        *(model_from_dict(polyhedral_document(rng, t)) for t in (2, 3, 4, 5)),
+    ]
+
+
+def test_cube_from_the_models_cubic_equals_the_contraction(monkeypatch):
+    """``triple(D, D, D)`` on one object reads the model's ``cubic``; it
+    equals the contraction of the same divisor (and ``triple`` on an equal
+    copy, which takes the contraction), is a field element of the model's
+    field, and ``limit_single`` and ``mixed([(D, 3)])`` take it with no
+    contraction, on the zero divisor, the primes, ``sum E_i`` (exact ones,
+    whose products are rational coefficients alone) and seeded Q(sqrt(3))
+    divisors of seven models."""
+    rng = random.Random(29)
+    for m in geometric_and_generated_models(30):
+        t = len(m.primes)
+        divisors = [m.zero_divisor(), m.divisor([1] * t), *map(m.prime_divisor, m.primes)]
+        divisors += [m.divisor([seeded_coefficient(rng) for _ in range(t)]) for _ in range(8)]
+        for D in divisors:
+            cube = m.triple(D, D, D)
+            assert isinstance(cube, QuadNumber) and cube.d == m.field_d, D
+            assert cube == bilinear(m.contraction(D), D.coeffs, D.coeffs), D
+            assert cube == m.triple(D, D, m.divisor(D.coeffs)), D
+        assert len(m.cubic) == t and all(len(rows) == t - i for i, rows in enumerate(m.cubic))
+        assert "cubic" not in vars(model_from_dict(polyhedral_document(random.Random(0), 2)))
+    m = builtin_model()
+    S = m.prime_divisor("Sbar")
+    sigma = _sigma(m, S).envelope_divisor
+    contractions = []
+    real = type(m).contraction
+    monkeypatch.setattr(type(m), "contraction", lambda *a: contractions.append(a) or real(*a))
+    assert mixed(m, [(S, 3)]) == limit_single(m, S).multiplicity == 198
+    assert contractions == []
+    assert m.triple(sigma, sigma, m.divisor(sigma.coeffs)) == 198 and len(contractions) == 1
+
+
+def test_minkowski_equality_means_proportional_envelopes():
+    """``minkowski_check`` reads ``exact-equality`` exactly when sigma(D1)
+    and sigma(D2) are proportional: the divisorial Minkowski equality
+    (Cutkosky, "The Minkowski equality of filtrations").  The cube roots
+    are of ``e(D) = sigma(D)^3``, so the equality is read only where both
+    multiplicities are positive.  That is every pair on the three
+    geometric models (seeded pairs, one in eight with proportional
+    inputs).  On the twelve generated models of the pinned seeds of
+    ``test_gamma_on_generated_models``, which are not geometric, a pair
+    with a multiplicity at most 0 reads ``exact`` whether or not its
+    envelopes are proportional, and is counted apart; so are divisors
+    that ``gamma`` refuses.  Each first divisor is also paired with a
+    multiple of itself."""
+    rng = random.Random(41)
+    geometric = [(m, seeded_pair(m, rng)) for m, _, _ in three_model_pairs(40, 12)]
+    generated = []
+    for t, seed in sorted(GENERATED_PINNED):
+        seeds = random.Random(seed)
+        for _ in range(GENERATED_MODELS):
+            m = model_from_dict(polyhedral_document(seeds, t))
+            divisors = seeded_divisors(m, seeds, GENERATED_DIVISORS)
+            generated += [(m, pair) for pair in zip(divisors[::2], divisors[1::2])]
+    seen = Counter()
+    for kind, cases in (("geometric", geometric), ("generated", generated)):
+        for m, (D1, D2) in cases:
+            for pair in ((D1, D2), (D1, D1 * rng.randint(2, 4))):
+                try:
+                    sigmas = [_sigma(m, D).envelope_divisor for D in pair]
+                except ComputationError:
+                    seen[kind, "refused"] += 1
+                    continue
+                report = minkowski_check(m, *pair)
+                equality = report.cube_root_method == "exact-equality"
+                if min(report.e_values[3].sign(), report.e_values[0].sign()) <= 0:
+                    assert kind == "generated" and not equality, pair
+                    seen[kind, "not positive"] += 1
+                    continue
+                assert equality == proportional(*sigmas), (m.primes, pair)
+                seen[kind, equality] += 1
+    assert seen == PROPORTIONALITY_COUNTS, seen
+    m = builtin_model()
+    report = minkowski_check(m, m.divisor([2, 1]), m.divisor([1, 1]))
+    assert report.cube_root_method == "exact-equality"
+
+
+# the cases of test_minkowski_equality_means_proportional_envelopes, by
+# kind of model and by outcome (True: exact-equality, False: another label)
+PROPORTIONALITY_COUNTS = {
+    ("geometric", True): 49,
+    ("geometric", False): 23,
+    ("generated", True): 43,
+    ("generated", False): 22,
+    ("generated", "not positive"): 36,
+    ("generated", "refused"): 19,
+}
 
 
 # SHA-256 of the product_limit coefficients and minkowski_check e-values on

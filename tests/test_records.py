@@ -208,3 +208,16 @@ def test_value_class_is_frozen_and_compared_by_value(cls, make, fields):
     else:
         shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
         assert repr(a) == f"{cls.__name__}({shown})"
+
+
+def test_frozen_value_equals_itself_without_reading_its_fields(monkeypatch):
+    """``x == x`` is True before any field is read; an equal copy still
+    compares its fields, and ``!=`` follows ``==``."""
+    reads = []
+    real = ThreefoldModel._key
+    monkeypatch.setattr(
+        ThreefoldModel, "_key", staticmethod(lambda x: reads.append(x) or real(x))
+    )
+    m, copy_ = (model_from_dict(builtin_document()) for _ in range(2))
+    assert m == m and not m != m and reads == []
+    assert m == copy_ and not m != copy_ and len(reads) == 4
