@@ -26,7 +26,7 @@ and a ruled surface with basis ``C0, f``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -39,6 +39,7 @@ from .qfield import (
     dot,
     scalar_from_json,
     scalar_to_json,
+    times,
 )
 from .surfaces import (
     POLYHEDRAL,
@@ -239,50 +240,61 @@ class ThreefoldModel(Frozen):
         return tuple(map(tuple, M))
 
     @cached_property
-    def cubic(self) -> tuple[tuple[tuple[ScalarLike, ...], ...], ...]:
-        """The coefficients of ``D^3`` in the monomials of ``D``'s
+    def polar_table(self) -> tuple[tuple[ScalarLike, ...], ...]:
+        """The coefficients of ``(E_m . D . D)`` in the monomials of ``D``'s
         coefficients ``g``, built on first use.
 
-        ``cubic[i][j - i][k - j]`` multiplies ``g_i g_j g_k`` for ``i <= j
-        <= k``: the sum of ``pairings[c][a][b]`` over the orderings ``(a,
-        b, c)`` of ``(i, j, k)``, which is exactly what :meth:`triple`'s
-        contraction reads for ``(D . D . D)``.  A rational coefficient is
-        kept as a ``Fraction``, so each product by it scales a field
-        element's two parts directly.
+        ``polar_table[m]`` lists one coefficient per monomial ``g_j g_k``
+        with ``j <= k``, in the order of ``combinations_with_replacement``:
+        ``pairings[k][m][j]``, doubled when ``j < k``, since ``(E_m . E_j .
+        E_k)`` and ``(E_m . E_k . E_j)`` agree by the symmetry that
+        :meth:`validate` certifies.  A rational coefficient is kept as a
+        ``Fraction``, so each product by it scales a field element's two
+        parts directly.
         """
         t = len(self.primes)
-        sums: dict[tuple[int, ...], QuadNumber] = {}
-        for a, b, c in product(range(t), repeat=3):
-            key = tuple(sorted((a, b, c)))
-            sums[key] = sums.get(key, 0) + self.pairings[c][a][b]
-        scalar = {key: v.a if v.is_rational else v for key, v in sums.items()}
+        monomials = list(combinations_with_replacement(range(t), 2))
+        rows = [[self.pairings[k][m][j] * (2 - (j == k)) for j, k in monomials] for m in range(t)]
+        return tuple(tuple(v.a if v.is_rational else v for v in row) for row in rows)
+
+    def polar(self, D: ExcDivisor) -> tuple[QuadNumber, ...]:
+        """``w(D)``, the vector of ``(E_m . D . D)`` over the primes ``m``.
+
+        Read off :attr:`polar_table` from the ``t(t+1)/2`` monomials of
+        ``D``'s coefficients, each taken as ``dot`` takes a product: no
+        multiplication by an exact 0 or 1.  By trilinearity ``(D . D . Z)``
+        is ``Z``'s coefficients dotted with ``w(D)``, so one vector serves
+        every product with ``D`` twice in it.
+        """
+        if D.model != self:
+            raise InputError("divisor belongs to a different model")
+        g = D.coeffs
+        monomials = [
+            times(g[j], g[k]) for j, k in combinations_with_replacement(range(len(g)), 2)
+        ]
+        # dot takes an exact one's partner whole, so a Fraction may come back
         return tuple(
-            tuple(tuple(scalar[i, j, k] for k in range(j, t)) for j in range(i, t))
-            for i in range(t)
+            QuadNumber.in_field(dot(monomials, row), self.field_d)
+            for row in self.polar_table
         )
 
     def triple(self, D1: ExcDivisor, D2: ExcDivisor, D3: ExcDivisor) -> QuadNumber:
         """Trilinear intersection number (D1 . D2 . D3).
 
-        Expands the third argument over primes into :meth:`contraction`
-        and pairs the other two through it; :meth:`validate` certifies
-        that the choice of expanded argument does not matter, so the
-        result is symmetric in its arguments.  When the three arguments
-        are one object (``D^3``, as in a limit), the model's :attr:`cubic`
-        is evaluated instead, nested as ``sum_i g_i sum_{j >= i} g_j
-        sum_{k >= j} g_k c_ijk``.
+        When two of the arguments are one object ``X`` (``D^3`` in a limit,
+        ``(P . P . Q)`` in a mixed value), the result is the third
+        argument's coefficients dotted with :meth:`polar` of ``X``.  Any
+        other call expands the third argument over primes into
+        :meth:`contraction` and pairs the other two through it.
+        :meth:`validate` certifies that neither choice of argument
+        matters, so the result is symmetric in its arguments.
         """
-        for D in (D1, D2):
+        for D in (D1, D2, D3):
             if D.model != self:
                 raise InputError("divisor belongs to a different model")
-        if D1 is D2 is D3:
-            g = D1.coeffs
-            inner = [
-                dot(g[i:], [dot(g[j:], row) for j, row in enumerate(rows, i)])
-                for i, rows in enumerate(self.cubic)
-            ]
-            # dot takes an exact one's partner whole, so a Fraction may come back
-            return QuadNumber.in_field(dot(g, inner), self.field_d)
+        if D1 is D2 or D1 is D3 or D2 is D3:
+            twice, once = (D1, D3) if D1 is D2 else (D1, D2) if D1 is D3 else (D2, D1)
+            return dot(once.coeffs, self.polar(twice))
         return bilinear(self.contraction(D3), D1.coeffs, D2.coeffs)
 
     # -- nef conditions on exceptional divisors ----------------------------

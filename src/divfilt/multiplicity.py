@@ -17,8 +17,10 @@ the divisor built from the envelope coordinates of ``D``:
 
 ``product_limit`` and ``minkowski_check`` read one vector of four mixed
 values ``e(i) = (P^i . Q^(3-i))`` of the two envelope divisors ``P, Q``
-(``_mixed_values``, from two contractions of the trilinear form), as does
-each region's cubic in ``piecewise_limit``.
+(``_mixed_values``, from the polar vectors ``(E_m . P . P)`` and ``(E_m .
+Q . Q)`` of the model's polar table), computed once per pair and kept on
+``D1``; each region's cubic in ``piecewise_limit`` reads the vector of
+its line.
 The Minkowski report's ``((P + Q)^3)`` is ``e(3) + 3 e(2) + 3 e(1) + e(0)``
 by trilinearity and the symmetry that :meth:`ThreefoldModel.validate`
 certifies.
@@ -261,22 +263,40 @@ def _mixed_values(
 ) -> tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]:
     """``(e(0), e(1), e(2), e(3))`` with ``e(i) = (P^i . Q^(3-i))``.
 
-    Two contractions (:meth:`ThreefoldModel.contraction`) give all four:
-    ``e(0), e(1)`` are ``Q, P`` against ``M_Q Q``, and ``e(2), e(3)`` are
-    ``Q, P`` against ``M_P P``, which reads ``(Q . P . P)`` as ``(P . P .
-    Q)`` by the symmetry that :meth:`ThreefoldModel.validate` certifies.
+    Two polar vectors (:meth:`ThreefoldModel.polar`) give all four:
+    ``e(0), e(1)`` are ``Q, P`` dotted with ``w(Q)``, and ``e(2), e(3)``
+    are ``Q, P`` dotted with ``w(P)``, which reads ``(P . P . Q)`` as
+    ``(Q . P . P)`` by the symmetry that :meth:`ThreefoldModel.validate`
+    certifies.
     """
     p, q = P.coeffs, Q.coeffs
-    Mq = [dot(row, q) for row in model.contraction(Q)]
-    Mp = [dot(row, p) for row in model.contraction(P)]
-    return dot(q, Mq), dot(p, Mq), dot(q, Mp), dot(p, Mp)
+    wp, wq = model.polar(P), model.polar(Q)
+    return dot(q, wq), dot(p, wq), dot(q, wp), dot(p, wp)
 
 
-def _region_form(
-    model: ThreefoldModel, P: ExcDivisor, Q: ExcDivisor
-) -> CubicForm:
-    """Cubic of (n*P + j*Q)^3 / 6 expanded in the monomial basis."""
-    e0, e1, e2, e3 = _mixed_values(model, P, Q)
+def _pair_values(
+    model: ThreefoldModel, D1: ExcDivisor, D2: ExcDivisor
+) -> tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]:
+    """:func:`_mixed_values` of ``(sigma(D1), sigma(D2))``, once per pair.
+
+    The vector is kept in ``vars(D1)`` beside its envelope (outside
+    ``==`` and ``hash``), keyed by ``D2``'s coefficients, so
+    :func:`product_limit` and :func:`minkowski_check` on one pair compute
+    it once.  Both divisors' models are checked before the cache is read.
+    """
+    for D in (D1, D2):
+        if D.model != model:
+            raise InputError("divisor belongs to a different model")
+    values = vars(D1).setdefault("mixed_values", {})
+    if D2.coeffs not in values:
+        sigma1, sigma2 = (_sigma(model, D).envelope_divisor for D in (D1, D2))
+        values[D2.coeffs] = _mixed_values(model, sigma1, sigma2)
+    return values[D2.coeffs]
+
+
+def _cubic(e: Sequence[QuadNumber]) -> CubicForm:
+    """Cubic of (n*P + j*Q)^3 / 6 from the mixed values ``e`` of ``(P, Q)``."""
+    e0, e1, e2, e3 = e
     return CubicForm((e3 / 6, e2 / 2, e1 / 2, e0 / 6))
 
 
@@ -295,7 +315,7 @@ def piecewise_limit(
     :func:`minkowski_check` on the same divisors runs no ``gamma`` at all.
     """
     pieces = [
-        PiecewiseRegion(region.lo, region.hi, _region_form(model, *region.line))
+        PiecewiseRegion(region.lo, region.hi, _cubic(_mixed_values(model, *region.line)))
         for region in _walk(model, D1, D2)
     ]
     return PiecewisePoly(tuple(pieces))
@@ -310,10 +330,10 @@ def product_limit(
     exponents divided by ``d1! d2!``; unlike :func:`piecewise_limit` this
     is a single polynomial valid on the whole quadrant.  It reads each
     envelope from its divisor's cache (``envelope._sigma``), both filled
-    after :func:`piecewise_limit`.
+    after :func:`piecewise_limit`, and shares one vector of mixed values
+    with :func:`minkowski_check` (:func:`_pair_values`).
     """
-    sigma1, sigma2 = (_sigma(model, D).envelope_divisor for D in (D1, D2))
-    return _region_form(model, sigma1, sigma2)
+    return _cubic(_pair_values(model, D1, D2))
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +424,24 @@ class MinkowskiReport(NamedTuple):
 def _cube_root_sum_decision(
     L: QuadNumber, a: QuadNumber, b: QuadNumber
 ) -> tuple[bool, str]:
-    """Decide cbrt(L) <= cbrt(a) + cbrt(b) for nonnegative field elements.
+    """Decide cbrt(L) <= cbrt(a) + cbrt(b) for field elements of any sign.
 
-    It holds iff ``f(L) = (L - a - b)^3 - 27abL <= 0``: ``(cbrt(a) +
-    cbrt(b))^3`` is the only root of ``f`` above ``a + b``, where ``f`` is
-    convex, and ``f(a + b) <= 0``.  Interval refinement, when it
-    separates the sides, names the digits that it took.
+    Let ``x, y, z`` be the real cube roots of ``a, b, L``, ``u = a + b -
+    L`` and ``v = 3xyz``.  Then ``f(L) = (L - a - b)^3 - 27abL = -(u^3 +
+    v^3) = -(u + v)(u^2 - uv + v^2)``, and ``u + v = (x + y - z) *
+    ((x - y)^2 + (y + z)^2 + (z + x)^2) / 2``.  The second factors are
+    sums of squares, zero only at ``u = v = 0`` and at ``x = y = -z``.  So
+    ``f(L) <= 0`` holds exactly when ``z <= x + y``, except at ``x = y =
+    -z``, where ``f(L) = 0`` while ``z <= x + y`` holds only for ``x >=
+    0``: at ``a = b = -L < 0`` the inequality fails.  Interval
+    refinement, when it separates the sides of positive ``L, a, b``,
+    names the digits that it took.
     """
     excess = L - a - b
     f = excess**3 - 27 * a * b * L
     if min(L.sign(), a.sign(), b.sign(), excess.sign()) <= 0:
-        return f.sign() <= 0, "exact"
+        corner = a == b == -L and a.sign() < 0
+        return f.sign() <= 0 and not corner, "exact"
     if f.sign() == 0:
         return True, "exact-equality"
     for digits in (20, 40, 80, 128):
@@ -444,8 +471,7 @@ def minkowski_check(
     (:func:`_cube_root_sum_decision`), labelled with the interval
     precision that separates its sides when one does.
     """
-    sigma1, sigma2 = (_sigma(model, D).envelope_divisor for D in (D1, D2))
-    e = _mixed_values(model, sigma1, sigma2)
+    e = _pair_values(model, D1, D2)
     L = e[3] + 3 * e[2] + 3 * e[1] + e[0]
     holds, method = _cube_root_sum_decision(L, e[3], e[0])
     verdicts = [(lhs - rhs).sign() <= 0 for _, lhs, rhs in _sides(e)]

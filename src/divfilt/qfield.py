@@ -16,8 +16,9 @@ squarefree integer ``d >= 2``.  All operations are exact.  In particular:
   (``sqrt(q)`` is either rational or a rational multiple of ``sqrt(d)``)
   and reported as absent otherwise.
 
-The vector kernels every higher layer shares — ``dot``, ``bilinear`` and
-the roots of a quadratic (``quadratic_roots``) — live here too, so each
+The vector kernels every higher layer shares — ``dot`` with its single
+product ``times``, ``bilinear`` and the roots of a quadratic
+(``quadratic_roots``) — live here too, so each
 is written once.  Most rows they meet are unit vectors or sparse (bound
 rows, identity matrices, pairing tables of unrelated primes), so ``dot``
 skips every product with an exact-zero factor and takes the other factor
@@ -375,6 +376,15 @@ def dot(u: Sequence[QuadNumber], v: Sequence[QuadNumber]) -> QuadNumber:
         term = y if x == 1 else x if y == 1 else x * y
         total = term if total is None else total + term
     return QuadNumber.zero(u[0].d) if total is None else total
+
+
+def times(x: QuadNumber, y: QuadNumber) -> QuadNumber:
+    """``x * y`` as :func:`dot` takes a product: an exact-zero factor is
+    returned as the product and an exact-one factor's partner is, so
+    nothing is multiplied by 0 or 1."""
+    if not x or y == 1:
+        return x
+    return y if not y or x == 1 else x * y
 
 
 def bilinear(

@@ -888,29 +888,35 @@ def test_certified_reads_no_nef_row_at_a_point_below_a_bound(monkeypatch):
 
 def counting_field_operations(monkeypatch):
     """Count ``QuadNumber`` multiplications (``__mul__`` and its alias
-    ``__rmul__``) and inverses from outside the class; returns the counter."""
+    ``__rmul__``) and inverses from outside the class; returns the counter.
+    A product of two field elements counts as ``field``, a scaling by an
+    ``int`` or ``Fraction`` as ``scale``."""
     counts = Counter()
-    for name, aliases in (("__mul__", ("__mul__", "__rmul__")), ("inverse", ("inverse",))):
-        real = vars(QuadNumber)[name]
+    real_mul, real_inverse = vars(QuadNumber)["__mul__"], vars(QuadNumber)["inverse"]
 
-        def counted(*args, _name=name, _real=real):
-            counts[_name] += 1
-            return _real(*args)
+    def multiplied(self, other):
+        counts["field" if isinstance(other, QuadNumber) else "scale"] += 1
+        return real_mul(self, other)
 
-        for alias in aliases:
-            monkeypatch.setattr(QuadNumber, alias, counted)
+    def inverted(self):
+        counts["inverse"] += 1
+        return real_inverse(self)
+
+    for alias in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(QuadNumber, alias, multiplied)
+    monkeypatch.setattr(QuadNumber, "inverse", inverted)
     return counts
 
 
 @pytest.mark.parametrize(
-    "function, divisors, multiplications, inverses",
+    "function, divisors, multiplications, scalings, inverses",
     [
-        (gamma, ([2, 1],), 32, 0),
-        (gamma, ([1, 3],), 123, 8),
-        (gamma, ([3, 7],), 31, 0),
-        (piecewise_limit, ([1, 0], [0, 1]), 152, 14),
-        (piecewise_limit, ([1, 2], [2, 7]), 250, 13),
-        (limit_single, ([1, 3],), 133, 8),
+        (gamma, ([2, 1],), 32, 0, 0),
+        (gamma, ([1, 3],), 105, 18, 8),
+        (gamma, ([3, 7],), 31, 0, 0),
+        (piecewise_limit, ([1, 0], [0, 1]), 124, 34, 14),
+        (piecewise_limit, ([1, 2], [2, 7]), 205, 48, 13),
+        (limit_single, ([1, 3],), 109, 31, 8),
     ],
     ids=[
         "gamma-divisors0",
@@ -921,10 +927,16 @@ def counting_field_operations(monkeypatch):
         "limit_single-divisors5",
     ],
 )
-def test_field_operation_counts(monkeypatch, function, divisors, multiplications, inverses):
+def test_field_operation_counts(
+    monkeypatch, function, divisors, multiplications, scalings, inverses
+):
     """The field operations of ``gamma``, ``piecewise_limit`` and
     ``limit_single`` on a fresh
-    builtin model (its ``nef_systems`` built inside the count), pinned.
+    builtin model (its ``nef_systems`` built inside the count), pinned:
+    products of two field elements, scalings by a rational, and inverses.
+    Until the split, one count held both kinds of multiplication (the
+    rows read 32, 123, 31, 152, 250 and 133), and every figure below up
+    to the polar table is of that count.
     ``dot`` and ``_row_reduce`` multiply by no exact 0 or 1; without those
     skips the five rows took 152/6, 310/16, 127/4, 626/46 and 481/34
     multiplications/inverses.  ``gamma``'s walk reads its target's point
@@ -945,13 +957,20 @@ def test_field_operation_counts(monkeypatch, function, divisors, multiplications
     theorem guarantees (157/14 and 261/13 before in rows 4 and 5).
     ``limit_single`` adds ``gamma``'s work and one cube, which it reads off
     the model's cubic rather than a contraction (135/8 with the
-    contraction).  A change that lowers a count re-pins it; the case ids
+    contraction).  Each region's mixed values and the cube read the
+    model's polar table, whose rational coefficients only scale: field
+    products 128, 230 and 110 before in rows 4, 5 and 6, with 24, 20 and
+    23 scalings.  A change that lowers a count re-pins it; the case ids
     leave the counts out, so a re-pin keeps each case's name."""
     m = model_from_dict(builtin_document())
     args = [m.divisor(coeffs) for coeffs in divisors]
     counts = counting_field_operations(monkeypatch)
     function(m, *args)
-    assert (counts["__mul__"], counts["inverse"]) == (multiplications, inverses)
+    assert (counts["field"], counts["scale"], counts["inverse"]) == (
+        multiplications,
+        scalings,
+        inverses,
+    )
 
 
 def test_second_gamma_reuses_the_models_linear_inverses(monkeypatch):

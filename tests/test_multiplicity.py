@@ -7,7 +7,7 @@ import re
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import mpmath
 import pytest
@@ -481,6 +481,54 @@ def test_cube_root_decision_matches_interval_path():
     assert labels == {"exact", "exact-equality", "interval"}
 
 
+def signed_element(rng):
+    """A signed integer or Q(sqrt(3)) element, zero now and then."""
+    if rng.random() < 0.5:
+        return q3(rng.randint(-4, 4))
+    a, b = (Fraction(rng.randint(-n, n), rng.randint(1, 5)) for n in (20, 9))
+    return q3(a, b)
+
+
+def test_cube_root_decision_on_signed_cubes():
+    """With ``a = x^3``, ``b = y^3`` and ``L = z^3`` for signed ``x, y, z``
+    (seeded integers and Q(sqrt(3)) elements, small integers with every
+    tie), the verdict is ``z <= x + y``.  That includes the corner ``a =
+    b = -L``, where ``f(L) = 0``: the inequality fails there when ``a <
+    0``, as at ``(L, a, b) = (1, -1, -1)``, and holds otherwise."""
+    rng = random.Random(11)
+    cases = [tuple(q3(v) for v in c) for c in product(range(-3, 4), repeat=3)]
+    cases += [tuple(signed_element(rng) for _ in "xyz") for _ in range(200)]
+    cases += [(x, x, -x) for x in map(q3, (-2, Fraction(-1, 3), 1, 5))]
+    for x, y, z in cases:
+        holds, _ = _cube_root_sum_decision(z**3, x**3, y**3)
+        assert holds == (z <= x + y), (x, y, z)
+    assert _cube_root_sum_decision(q3(1), q3(-1), q3(-1)) == (False, "exact")
+    assert _cube_root_sum_decision(q3(-1), q3(1), q3(1)) == (True, "exact")
+
+
+def test_region_cubic_slope_is_half_sigma_squared_times_D2():
+    """At an interior slope ``s`` of each region (``lo + 1`` for the last),
+    the j-derivative of the region's cubic at ``(1, s)`` is ``(sigma(D1 +
+    s*D2)^2 . D2) / 2``, read through the contraction of ``D2`` from a
+    fresh ``gamma``: the local form of the derivative of volume
+    (Boucksom-Favre-Jonsson, Theorem A), on seeded pairs of the builtin
+    model, a basis-changed copy and the two-copy union.  It follows from
+    orthogonality, which the generated polyhedral models need not have,
+    so they are left out."""
+    seen = 0
+    for m, D1, D2 in three_model_pairs(91, 8):
+        M = m.contraction(D2)
+        for region in piecewise_limit(m, D1, D2).regions:
+            lo, hi = region.lower_slope, region.upper_slope
+            s = lo + 1 if hi is None else (lo + hi) / 2
+            _, c21, c12, c03 = region.poly.coefficients
+            sigma = gamma(m, D1 + D2 * s).envelope_divisor
+            expected = bilinear(M, sigma.coeffs, sigma.coeffs) / 2
+            assert c21 + 2 * c12 * s + 3 * c03 * s * s == expected, (D1, D2, s)
+            seen += 1
+    assert seen >= 40, seen
+
+
 def test_minkowski_report_lines(model):
     S, F = model.prime_divisor("Sbar"), model.prime_divisor("F")
     report = minkowski_check(model, S, F)
@@ -752,18 +800,26 @@ def test_filled_sigma_of_D2_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def expanded_triple(m, D1, D2, D3):
+    """``(D1 . D2 . D3)`` summed over the pairing tables, with no call into
+    ``triple``, ``polar`` or ``contraction``."""
+    return dot(D3.coeffs, [bilinear(T, D1.coeffs, D2.coeffs) for T in m.pairings])
+
+
 def test_mixed_values_are_the_four_triples():
-    """``_mixed_values`` (two contractions) equals the four ``triple``
-    values, and ``triple`` equals the expansion of its third argument over
-    the pairing tables in every order of its arguments, on seeded
-    divisors of three models."""
+    """``_mixed_values`` (two polar vectors) equals the four products
+    expanded over the pairing tables, and ``triple`` equals that
+    expansion in every order of its arguments, with three distinct
+    objects (the contraction) and with one repeated (the polar table), on
+    seeded divisors of three models."""
     rng = random.Random(73)
     for m, P, Q in three_model_pairs(70, 12):
-        triples = (m.triple(Q, Q, Q), m.triple(P, Q, Q), m.triple(P, P, Q), m.triple(P, P, P))
-        assert _mixed_values(m, P, Q) == triples, (P, Q)
+        slots = ((Q, Q, Q), (P, Q, Q), (P, P, Q), (P, P, P))
+        assert _mixed_values(m, P, Q) == tuple(expanded_triple(m, *s) for s in slots), (P, Q)
         R = m.divisor([seeded_coefficient(rng) for _ in m.primes])
-        expanded = dot(R.coeffs, [bilinear(T, P.coeffs, Q.coeffs) for T in m.pairings])
-        assert {m.triple(*order) for order in permutations((P, Q, R))} == {expanded}
+        for args in ((P, Q, R), (P, P, R), (R, Q, Q)):
+            expected = expanded_triple(m, *args)
+            assert {m.triple(*order) for order in permutations(args)} == {expected}
 
 
 def geometric_and_generated_models(seed):
@@ -778,14 +834,16 @@ def geometric_and_generated_models(seed):
     ]
 
 
-def test_cube_from_the_models_cubic_equals_the_contraction(monkeypatch):
-    """``triple(D, D, D)`` on one object reads the model's ``cubic``; it
-    equals the contraction of the same divisor (and ``triple`` on an equal
-    copy, which takes the contraction), is a field element of the model's
-    field, and ``limit_single`` and ``mixed([(D, 3)])`` take it with no
-    contraction, on the zero divisor, the primes, ``sum E_i`` (exact ones,
-    whose products are rational coefficients alone) and seeded Q(sqrt(3))
-    divisors of seven models."""
+def test_cube_from_the_models_polar_table_equals_the_contraction(monkeypatch):
+    """``triple(D, D, D)`` on one object reads the model's polar table; it
+    equals the contraction of the same divisor and the expansion over the
+    pairing tables, is a field element of the model's field, and
+    ``limit_single``, ``mixed([(D, 3)])`` and ``mixed([(D, 2), (E, 1)])``
+    take it with no contraction,
+    on the zero divisor, the primes, ``sum E_i`` (exact ones, whose
+    products are rational coefficients alone) and seeded Q(sqrt(3))
+    divisors of seven models.  ``triple`` on three distinct objects takes
+    one contraction."""
     rng = random.Random(29)
     for m in geometric_and_generated_models(30):
         t = len(m.primes)
@@ -795,9 +853,13 @@ def test_cube_from_the_models_cubic_equals_the_contraction(monkeypatch):
             cube = m.triple(D, D, D)
             assert isinstance(cube, QuadNumber) and cube.d == m.field_d, D
             assert cube == bilinear(m.contraction(D), D.coeffs, D.coeffs), D
-            assert cube == m.triple(D, D, m.divisor(D.coeffs)), D
-        assert len(m.cubic) == t and all(len(rows) == t - i for i, rows in enumerate(m.cubic))
-        assert "cubic" not in vars(model_from_dict(polyhedral_document(random.Random(0), 2)))
+            assert cube == expanded_triple(m, D, D, D), D
+            w = m.polar(D)
+            assert all(isinstance(x, QuadNumber) and x.d == m.field_d for x in w), D
+            assert list(w) == [expanded_triple(m, m.prime_divisor(p), D, D) for p in m.primes]
+        assert len(m.polar_table) == t
+        assert all(len(row) == t * (t + 1) // 2 for row in m.polar_table)
+        assert "polar_table" not in vars(model_from_dict(polyhedral_document(random.Random(0), 2)))
     m = builtin_model()
     S = m.prime_divisor("Sbar")
     sigma = _sigma(m, S).envelope_divisor
@@ -805,8 +867,49 @@ def test_cube_from_the_models_cubic_equals_the_contraction(monkeypatch):
     real = type(m).contraction
     monkeypatch.setattr(type(m), "contraction", lambda *a: contractions.append(a) or real(*a))
     assert mixed(m, [(S, 3)]) == limit_single(m, S).multiplicity == 198
+    F = m.prime_divisor("F")
+    sigma_F = _sigma(m, F).envelope_divisor
+    assert mixed(m, [(S, 2), (F, 1)]) == expanded_triple(m, sigma, sigma, sigma_F)
     assert contractions == []
-    assert m.triple(sigma, sigma, m.divisor(sigma.coeffs)) == 198 and len(contractions) == 1
+    copies = [m.divisor(sigma.coeffs) for _ in range(2)]
+    assert m.triple(sigma, *copies) == 198 and len(contractions) == 1
+
+
+def test_product_and_minkowski_read_one_vector_per_pair(monkeypatch):
+    """``product_limit`` followed by ``minkowski_check`` on one pair builds
+    one vector of mixed values, kept on ``D1`` outside ``==`` and ``hash``
+    and keyed by ``D2``'s coefficients; a second ``D2`` builds a second
+    vector.  An equal divisor of another model, or a ``D1`` of another
+    model, is refused even when the cache holds an entry for those
+    coefficients, and the cache outlives no divisor through a cycle."""
+    built = []
+    real = divfilt.multiplicity._mixed_values
+    monkeypatch.setattr(
+        divfilt.multiplicity, "_mixed_values", lambda *a: built.append(a) or real(*a)
+    )
+    m = builtin_model()
+    D1, D2 = m.divisor([1, 2]), m.divisor([2, 7])
+    fresh = D1 * 1
+    form, report = product_limit(m, D1, D2), minkowski_check(m, D1, D2)
+    assert len(built) == 1
+    assert vars(D1)["mixed_values"] == {D2.coeffs: report.e_values}
+    assert D1 == fresh and hash(D1) == hash(fresh)
+    assert form == product_limit(m, fresh, D2) and len(built) == 2
+    minkowski_check(m, D1, m.divisor([1, 1]))
+    assert len(built) == 3 and len(vars(D1)["mixed_values"]) == 2
+    other = model_from_dict(basis_changed_document())
+    for args in ((D1, other.divisor([2, 7])), (other.divisor([1, 2]), D2)):
+        for function in (product_limit, minkowski_check):
+            with pytest.raises(InputError, match="different model"):
+                function(m, *args)
+    assert len(built) == 3
+    ref = weakref.ref(D1)
+    gc.disable()
+    try:
+        del D1
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_minkowski_equality_means_proportional_envelopes():

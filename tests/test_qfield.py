@@ -25,7 +25,7 @@ from divfilt import (
     scalar_to_json,
     sqrt_in_field,
 )
-from divfilt.qfield import bilinear, dot, quadratic_roots
+from divfilt.qfield import bilinear, dot, quadratic_roots, times
 
 
 def q3(a, b=0):
@@ -452,6 +452,8 @@ def unit_rich(rng, d):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_dot_and_bilinear_match_the_unskipped_loop(d):
+    """``dot``, ``bilinear`` and ``times`` equal the plain products; ``times``
+    hands back one of its factors when either is an exact 0 or 1."""
     rng = random.Random(d)
     zero, one = QuadNumber.zero(d), QuadNumber.one(d)
     for _ in range(300):
@@ -461,6 +463,11 @@ def test_dot_and_bilinear_match_the_unskipped_loop(d):
         unit = [one if i == k else zero for i in range(n)]
         for x, y in ((u, v), (unit, v), (u, unit), ([zero] * n, v), (u, [-one] * n)):
             assert exactly(dot(x, y)) == exactly(reference_dot(x, y)), (x, y)
+            for a, b in zip(x, y):
+                product = times(a, b)
+                assert product == a * b, (a, b)
+                if a in (0, 1) or b in (0, 1):  # taken, not multiplied
+                    assert product is a or product is b, (a, b)
         matrix = [[unit_rich(rng, d) for _ in range(n)] for _ in range(n)]
         identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for m in (matrix, identity, [[zero] * n] * n):
