@@ -16,7 +16,10 @@ built, ``pairings[e][i][j] = r_e(E_i) . r_e(E_j)``.  The number
 (``pairings[i][j][k]``, ``pairings[j][i][k]``, ``pairings[k][i][j]``);
 :meth:`ThreefoldModel.validate` checks that all three agree, which is
 exactly the redundancy that catches transcription errors in the
-restriction data.
+restriction data.  Every value of the form is read in one place: the
+per-model polar table holds the coefficients of ``(E_m . X . Y)`` in the
+symmetric monomials of ``X``'s and ``Y``'s coefficients, and
+``(X . Y . Z)`` is ``Z``'s coefficients dotted with that vector.
 
 The built-in model (addressable as ``"paper"`` on the command line) has
 two primes over Q(sqrt(3)): an abelian surface with basis ``A, B, Delta``
@@ -35,7 +38,6 @@ from .frozen import Frozen
 from .qfield import (
     QuadNumber,
     ScalarLike,
-    bilinear,
     dot,
     scalar_from_json,
     scalar_to_json,
@@ -58,8 +60,10 @@ DIMENSION = 3
 class ExcDivisor(Frozen):
     """A divisor supported on the exceptional primes: D = sum g_i E_i.
 
-    Instances keep a ``__dict__``, where ``envelope._sigma`` caches the
-    divisor's envelope outside ``==`` and ``hash``.
+    Instances keep a ``__dict__``, outside ``==`` and ``hash``, where
+    ``envelope._sigma`` caches the divisor's envelope and
+    ``multiplicity._pair_values`` the mixed values of each pair that
+    starts with it.
     """
 
     _fields = ("model", "coeffs")
@@ -221,24 +225,6 @@ class ThreefoldModel(Frozen):
             acc = acc + cls * coeff
         return acc
 
-    def contraction(self, D: ExcDivisor) -> tuple[tuple[QuadNumber, ...], ...]:
-        """The matrix ``M_D = sum_k coeff_k(D) * pairings[k]``.
-
-        ``(D1 . D2 . D) = D1^T M_D D2``: the form with its last argument
-        fixed, so one contraction serves every product that ends in ``D``.
-        Each ``pairings[k]`` is symmetric, since :class:`SurfaceLattice`
-        refuses an asymmetric gram matrix, so the entries with ``j >= i``
-        are computed and mirrored.
-        """
-        if D.model != self:
-            raise InputError("divisor belongs to a different model")
-        t = len(self.primes)
-        M = [[None] * t for _ in range(t)]
-        for i in range(t):
-            for j in range(i, t):
-                M[i][j] = M[j][i] = dot(D.coeffs, [T[i][j] for T in self.pairings])
-        return tuple(map(tuple, M))
-
     @cached_property
     def polar_table(self) -> tuple[tuple[ScalarLike, ...], ...]:
         """The coefficients of ``(E_m . D . D)`` in the monomials of ``D``'s
@@ -257,21 +243,29 @@ class ThreefoldModel(Frozen):
         rows = [[self.pairings[k][m][j] * (2 - (j == k)) for j, k in monomials] for m in range(t)]
         return tuple(tuple(v.a if v.is_rational else v for v in row) for row in rows)
 
-    def polar(self, D: ExcDivisor) -> tuple[QuadNumber, ...]:
-        """``w(D)``, the vector of ``(E_m . D . D)`` over the primes ``m``.
+    def polar(self, X: ExcDivisor, Y: ExcDivisor) -> tuple[QuadNumber, ...]:
+        """The vector of ``(E_m . X . Y)`` over the primes ``m``.
 
-        Read off :attr:`polar_table` from the ``t(t+1)/2`` monomials of
-        ``D``'s coefficients, each taken as ``dot`` takes a product: no
-        multiplication by an exact 0 or 1.  By trilinearity ``(D . D . Z)``
-        is ``Z``'s coefficients dotted with ``w(D)``, so one vector serves
-        every product with ``D`` twice in it.
+        Read off :attr:`polar_table` from the ``t(t+1)/2`` symmetric
+        monomials of the coefficients ``g`` of ``X`` and ``h`` of ``Y``:
+        ``g_j h_j``, and ``(g_j h_k + g_k h_j)/2`` for ``j < k``, since the
+        table doubles those entries.  When ``Y`` is ``X`` they are the
+        products ``g_j g_k``.  Each product is taken as ``dot`` takes one:
+        no multiplication by an exact 0 or 1.  The vector is symmetric in
+        ``X`` and ``Y`` and linear in each.
         """
-        if D.model != self:
-            raise InputError("divisor belongs to a different model")
-        g = D.coeffs
-        monomials = [
-            times(g[j], g[k]) for j, k in combinations_with_replacement(range(len(g)), 2)
-        ]
+        for D in (X, Y):
+            if D.model != self:
+                raise InputError("divisor belongs to a different model")
+        g, h = X.coeffs, Y.coeffs
+        pairs = combinations_with_replacement(range(len(g)), 2)
+        if Y is X:
+            monomials = [times(g[j], g[k]) for j, k in pairs]
+        else:
+            monomials = [
+                times(g[j], h[j]) if j == k else (times(g[j], h[k]) + times(g[k], h[j])) / 2
+                for j, k in pairs
+            ]
         # dot takes an exact one's partner whole, so a Fraction may come back
         return tuple(
             QuadNumber.in_field(dot(monomials, row), self.field_d)
@@ -281,21 +275,18 @@ class ThreefoldModel(Frozen):
     def triple(self, D1: ExcDivisor, D2: ExcDivisor, D3: ExcDivisor) -> QuadNumber:
         """Trilinear intersection number (D1 . D2 . D3).
 
-        When two of the arguments are one object ``X`` (``D^3`` in a limit,
-        ``(P . P . Q)`` in a mixed value), the result is the third
-        argument's coefficients dotted with :meth:`polar` of ``X``.  Any
-        other call expands the third argument over primes into
-        :meth:`contraction` and pairs the other two through it.
-        :meth:`validate` certifies that neither choice of argument
-        matters, so the result is symmetric in its arguments.
+        By trilinearity it is ``Z``'s coefficients dotted with
+        ``polar(X, Y)``, for ``X, Y, Z`` the arguments in some order; a
+        repeated object, if there is one (``D^3`` in a limit, ``(P . P .
+        Q)`` in a mixed value), is taken as ``X`` and ``Y``, so its
+        monomials are products of one divisor's coefficients.
+        :meth:`validate` certifies that the order does not matter, so the
+        result is symmetric in its arguments.
         """
-        for D in (D1, D2, D3):
-            if D.model != self:
-                raise InputError("divisor belongs to a different model")
-        if D1 is D2 or D1 is D3 or D2 is D3:
-            twice, once = (D1, D3) if D1 is D2 else (D1, D2) if D1 is D3 else (D2, D1)
-            return dot(once.coeffs, self.polar(twice))
-        return bilinear(self.contraction(D3), D1.coeffs, D2.coeffs)
+        X, Y, Z = (D1, D3, D2) if D1 is D3 else (D2, D3, D1) if D2 is D3 else (D1, D2, D3)
+        if Z.model != self:
+            raise InputError("divisor belongs to a different model")
+        return dot(Z.coeffs, self.polar(X, Y))
 
     # -- nef conditions on exceptional divisors ----------------------------
 

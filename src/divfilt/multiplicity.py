@@ -264,13 +264,13 @@ def _mixed_values(
     """``(e(0), e(1), e(2), e(3))`` with ``e(i) = (P^i . Q^(3-i))``.
 
     Two polar vectors (:meth:`ThreefoldModel.polar`) give all four:
-    ``e(0), e(1)`` are ``Q, P`` dotted with ``w(Q)``, and ``e(2), e(3)``
-    are ``Q, P`` dotted with ``w(P)``, which reads ``(P . P . Q)`` as
-    ``(Q . P . P)`` by the symmetry that :meth:`ThreefoldModel.validate`
-    certifies.
+    ``e(0), e(1)`` are ``Q, P`` dotted with ``polar(Q, Q)``, and ``e(2),
+    e(3)`` are ``Q, P`` dotted with ``polar(P, P)``, which reads ``(P . P
+    . Q)`` as ``(Q . P . P)`` by the symmetry that
+    :meth:`ThreefoldModel.validate` certifies.
     """
     p, q = P.coeffs, Q.coeffs
-    wp, wq = model.polar(P), model.polar(Q)
+    wp, wq = model.polar(P, P), model.polar(Q, Q)
     return dot(q, wq), dot(p, wq), dot(q, wp), dot(p, wp)
 
 

@@ -320,13 +320,15 @@ def run_golden_suite(model: Optional[ThreefoldModel] = None) -> VerifyReport:
 def _orthogonality(model: ThreefoldModel, D) -> str:
     """``sigma^2 . E_i`` at each prime ``E_i`` that ``D``'s envelope raises:
     zero is the local form of the orthogonality of the positive intersection
-    product (Boucksom-Favre-Jonsson, J. Algebraic Geom. 18, 2009)."""
+    product (Boucksom-Favre-Jonsson, J. Algebraic Geom. 18, 2009).  The
+    values are the raised entries of one polar vector ``polar(sigma,
+    sigma)``."""
     env = gamma(model, D)
     sigma = env.envelope_divisor
-    raised = [model.primes[i] for i in env.raised_indices]
-    values = [model.triple(sigma, sigma, model.prime_divisor(p)) for p in raised]
+    w = model.polar(sigma, sigma)
     return ", ".join(
-        f"sigma^2*{p} = {v.canonical_string()}" for p, v in zip(raised, values)
+        f"sigma^2*{model.primes[i]} = {w[i].canonical_string()}"
+        for i in env.raised_indices
     )
 
 

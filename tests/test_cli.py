@@ -2,16 +2,21 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 from test_envelope import AMPLE_SELF_RESTRICTION, UNION_MODEL
+from test_generated_models import polyhedral_document
+from test_multiplicity import expanded_triple
 
 from divfilt import cli, verify
 from divfilt.errors import ComputationError
-from divfilt.model import builtin_document, builtin_model
+from divfilt.model import builtin_document, builtin_model, model_from_dict
 
 # past Python's default limit of 4300 digits for int() of a string
 BIG = "7" * 5000
@@ -107,6 +112,30 @@ def test_intersect_mixed_exponents(capsys):
     )
     assert code == 0
     assert out == "triple = -162\n"
+
+
+def test_intersect_table_on_three_primes(capsys, tmp_path):
+    """The full table of a seeded three-prime polyhedral model, in text and
+    JSON, on which ``triple`` meets three distinct prime divisors at a
+    nonzero entry: every entry equals the expansion over the pairing
+    tables."""
+    doc = polyhedral_document(random.Random(30), 3)
+    path = tmp_path / "three_primes.json"
+    path.write_text(json.dumps(doc))
+    m = model_from_dict(doc)
+    units = [m.prime_divisor(p) for p in m.primes]
+    expected = {}
+    for ijk in combinations_with_replacement(range(3), 3):
+        powers = Counter(m.primes[n] for n in ijk)
+        name = "*".join(p if k == 1 else f"{p}^{k}" for p, k in powers.items())
+        expected[name] = expanded_triple(m, *(units[n] for n in ijk)).canonical_string()
+    assert len(expected) == 10 and expected["E0*E1*E2"] != "0"
+    code, out, err = run_cli(capsys, ["intersect", "--model", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{name} = {value}" for name, value in expected.items()]
+    code, out, err = run_cli(capsys, ["intersect", "--model", str(path), "--output", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"table": expected}
 
 
 @pytest.mark.parametrize(

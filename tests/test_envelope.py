@@ -931,37 +931,24 @@ def test_field_operation_counts(
     monkeypatch, function, divisors, multiplications, scalings, inverses
 ):
     """The field operations of ``gamma``, ``piecewise_limit`` and
-    ``limit_single`` on a fresh
-    builtin model (its ``nef_systems`` built inside the count), pinned:
-    products of two field elements, scalings by a rational, and inverses.
-    Until the split, one count held both kinds of multiplication (the
-    rows read 32, 123, 31, 152, 250 and 133), and every figure below up
-    to the polar table is of that count.
-    ``dot`` and ``_row_reduce`` multiply by no exact 0 or 1; without those
-    skips the five rows took 152/6, 310/16, 127/4, 626/46 and 481/34
-    multiplications/inverses.  ``gamma``'s walk reads its target's point
-    on a line ``(P, Q)`` as ``P + Q``, not ``P + Q*1``: that saves one
-    multiplication per prime and tried line (52, 140, 41, 204 and 302
-    before).  A walk's first step, at slope 0, multiplies nothing by it;
+    ``limit_single`` on a fresh builtin model (its ``nef_systems`` built
+    inside the count), pinned: products of two field elements, scalings by
+    a rational, and inverses.
+    ``dot`` and ``_row_reduce`` multiply by no exact 0 or 1.  ``gamma``'s
+    walk reads its target's point on a line ``(P, Q)`` as ``P + Q``, not
+    ``P + Q*1``; a walk's first step, at slope 0, multiplies nothing by it;
     a line of linear rows is the model's inverse of those rows times the
     right-hand side, not an elimination; and a line's rows are eliminated
-    in family order (50/0, 136/10, 39/0, 202/29 and 300/23 before).  An
-    int or Fraction divisor scales both parts, with no multiplication and
-    no inverse, and a contraction computes only its upper triangle
-    (124/9, 172/28 and 282/22 before in rows 2, 4 and 5).  A family
-    walk reads its first anchor's active set off ``sigma(D1)``'s
-    certified envelope instead of evaluating every bound difference and
-    nef row there (266/13 before in row 5).  A walk checks neither that
-    an active quadratic's gradient keeps its direction along a step nor
-    that a line's subset vanishes all along it, which the Hodge index
-    theorem guarantees (157/14 and 261/13 before in rows 4 and 5).
-    ``limit_single`` adds ``gamma``'s work and one cube, which it reads off
-    the model's cubic rather than a contraction (135/8 with the
-    contraction).  Each region's mixed values and the cube read the
-    model's polar table, whose rational coefficients only scale: field
-    products 128, 230 and 110 before in rows 4, 5 and 6, with 24, 20 and
-    23 scalings.  A change that lowers a count re-pins it; the case ids
-    leave the counts out, so a re-pin keeps each case's name."""
+    in family order.  An int or Fraction divisor scales both parts, with
+    no multiplication and no inverse.  A family walk reads its first
+    anchor's active set off ``sigma(D1)``'s certified envelope, and checks
+    neither that an active quadratic's gradient keeps its direction along
+    a step nor that a line's subset vanishes all along it, which the Hodge
+    index theorem guarantees.  ``limit_single`` adds ``gamma``'s work and
+    one cube.  Each region's mixed values and the cube read the model's
+    polar table, whose rational coefficients only scale.  A change that
+    lowers a count re-pins it; the case ids leave the counts out, so a
+    re-pin keeps each case's name."""
     m = model_from_dict(builtin_document())
     args = [m.divisor(coeffs) for coeffs in divisors]
     counts = counting_field_operations(monkeypatch)

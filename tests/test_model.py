@@ -121,19 +121,24 @@ def basis_changed_document():
 
 
 def test_contraction_matches_the_full_sum(model):
-    """``contraction`` mirrors its upper triangle; every entry equals the
-    full sum ``sum_k coeff_k(D) * pairings[k][i][j]``, on the builtin
-    model, a basis-changed copy, the two-copy union and seeded generated
-    polyhedral models over two and three primes."""
-    # imported here: test_generated_models imports this module through test_envelope
+    """The test-side ``contraction`` mirrors its upper triangle; every entry
+    equals the full sum ``sum_k coeff_k(D) * pairings[k][i][j]`` and
+    ``triple(E_i, E_j, D)``, three distinct objects off the diagonal and a
+    repeated prime on it, on the builtin model, a basis-changed copy, the
+    two-copy union and seeded generated polyhedral models over two and
+    three primes."""
+    # imported here: test_generated_models and test_multiplicity import this
+    # module through test_envelope
     from test_envelope import UNION_MODEL
     from test_generated_models import polyhedral_document
+    from test_multiplicity import contraction
 
     rng = random.Random(7)
     models = [model, model_from_dict(basis_changed_document()), load_model(UNION_MODEL)]
     models += [model_from_dict(polyhedral_document(rng, t)) for t in (2, 2, 3, 3)]
     for m in models:
         t = len(m.primes)
+        units = [m.prime_divisor(p) for p in m.primes]
         for _ in range(10):
             D = m.divisor(
                 q3(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-2, 2))
@@ -146,7 +151,8 @@ def test_contraction_matches_the_full_sum(model):
                 )
                 for i in range(t)
             )
-            assert m.contraction(D) == full, (m.primes, D)
+            assert contraction(m, D) == full, (m.primes, D)
+            assert full == tuple(tuple(m.triple(Ei, Ej, D) for Ej in units) for Ei in units)
 
 
 def test_triple_matches_restriction_pairings(model):

@@ -509,15 +509,15 @@ def test_cube_root_decision_on_signed_cubes():
 def test_region_cubic_slope_is_half_sigma_squared_times_D2():
     """At an interior slope ``s`` of each region (``lo + 1`` for the last),
     the j-derivative of the region's cubic at ``(1, s)`` is ``(sigma(D1 +
-    s*D2)^2 . D2) / 2``, read through the contraction of ``D2`` from a
-    fresh ``gamma``: the local form of the derivative of volume
+    s*D2)^2 . D2) / 2``, read through the test-side contraction of ``D2``
+    from a fresh ``gamma``: the local form of the derivative of volume
     (Boucksom-Favre-Jonsson, Theorem A), on seeded pairs of the builtin
     model, a basis-changed copy and the two-copy union.  It follows from
     orthogonality, which the generated polyhedral models need not have,
     so they are left out."""
     seen = 0
     for m, D1, D2 in three_model_pairs(91, 8):
-        M = m.contraction(D2)
+        M = contraction(m, D2)
         for region in piecewise_limit(m, D1, D2).regions:
             lo, hi = region.lower_slope, region.upper_slope
             s = lo + 1 if hi is None else (lo + hi) / 2
@@ -802,22 +802,35 @@ def test_filled_sigma_of_D2_is_freed_without_the_cycle_collector():
 
 def expanded_triple(m, D1, D2, D3):
     """``(D1 . D2 . D3)`` summed over the pairing tables, with no call into
-    ``triple``, ``polar`` or ``contraction``."""
+    ``triple`` or ``polar``."""
     return dot(D3.coeffs, [bilinear(T, D1.coeffs, D2.coeffs) for T in m.pairings])
+
+
+def contraction(m, D):
+    """The matrix ``M_D = sum_k coeff_k(D) * pairings[k]``, so that ``(D1 .
+    D2 . D) = D1^T M_D D2``; built from the pairing tables alone.  Each
+    ``pairings[k]`` is symmetric, so only the entries with ``j >= i`` are
+    computed and mirrored."""
+    t = len(m.primes)
+    M = [[None] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i, t):
+            M[i][j] = M[j][i] = dot(D.coeffs, [T[i][j] for T in m.pairings])
+    return tuple(map(tuple, M))
 
 
 def test_mixed_values_are_the_four_triples():
     """``_mixed_values`` (two polar vectors) equals the four products
     expanded over the pairing tables, and ``triple`` equals that
     expansion in every order of its arguments, with three distinct
-    objects (the contraction) and with one repeated (the polar table), on
-    seeded divisors of three models."""
+    objects, with one repeated and with an equal copy in place of the
+    repeated one, on seeded divisors of three models."""
     rng = random.Random(73)
     for m, P, Q in three_model_pairs(70, 12):
         slots = ((Q, Q, Q), (P, Q, Q), (P, P, Q), (P, P, P))
         assert _mixed_values(m, P, Q) == tuple(expanded_triple(m, *s) for s in slots), (P, Q)
         R = m.divisor([seeded_coefficient(rng) for _ in m.primes])
-        for args in ((P, Q, R), (P, P, R), (R, Q, Q)):
+        for args in ((P, Q, R), (P, P, R), (R, Q, Q), (P, m.divisor(P.coeffs), R)):
             expected = expanded_triple(m, *args)
             assert {m.triple(*order) for order in permutations(args)} == {expected}
 
@@ -834,16 +847,15 @@ def geometric_and_generated_models(seed):
     ]
 
 
-def test_cube_from_the_models_polar_table_equals_the_contraction(monkeypatch):
+def test_cube_from_the_models_polar_table_equals_the_expansion(monkeypatch):
     """``triple(D, D, D)`` on one object reads the model's polar table; it
-    equals the contraction of the same divisor and the expansion over the
-    pairing tables, is a field element of the model's field, and
-    ``limit_single``, ``mixed([(D, 3)])`` and ``mixed([(D, 2), (E, 1)])``
-    take it with no contraction,
-    on the zero divisor, the primes, ``sum E_i`` (exact ones, whose
-    products are rational coefficients alone) and seeded Q(sqrt(3))
-    divisors of seven models.  ``triple`` on three distinct objects takes
-    one contraction."""
+    equals the expansion over the pairing tables and is a field element of
+    the model's field, on the zero divisor, the primes, ``sum E_i`` (exact
+    ones, whose products are rational coefficients alone) and seeded
+    Q(sqrt(3)) divisors of seven models.  ``limit_single``, ``mixed([(D,
+    3)])`` and ``mixed([(D, 2), (E, 1)])`` each take one polar vector of one
+    object, and ``triple`` on three distinct equal copies takes one polar
+    vector of two of them and gives the same value."""
     rng = random.Random(29)
     for m in geometric_and_generated_models(30):
         t = len(m.primes)
@@ -852,27 +864,55 @@ def test_cube_from_the_models_polar_table_equals_the_contraction(monkeypatch):
         for D in divisors:
             cube = m.triple(D, D, D)
             assert isinstance(cube, QuadNumber) and cube.d == m.field_d, D
-            assert cube == bilinear(m.contraction(D), D.coeffs, D.coeffs), D
             assert cube == expanded_triple(m, D, D, D), D
-            w = m.polar(D)
+            w = m.polar(D, D)
             assert all(isinstance(x, QuadNumber) and x.d == m.field_d for x in w), D
             assert list(w) == [expanded_triple(m, m.prime_divisor(p), D, D) for p in m.primes]
         assert len(m.polar_table) == t
         assert all(len(row) == t * (t + 1) // 2 for row in m.polar_table)
         assert "polar_table" not in vars(model_from_dict(polyhedral_document(random.Random(0), 2)))
     m = builtin_model()
-    S = m.prime_divisor("Sbar")
+    S, F = m.prime_divisor("Sbar"), m.prime_divisor("F")
     sigma = _sigma(m, S).envelope_divisor
-    contractions = []
-    real = type(m).contraction
-    monkeypatch.setattr(type(m), "contraction", lambda *a: contractions.append(a) or real(*a))
-    assert mixed(m, [(S, 3)]) == limit_single(m, S).multiplicity == 198
-    F = m.prime_divisor("F")
     sigma_F = _sigma(m, F).envelope_divisor
+    polars = []
+    real = type(m).polar
+    monkeypatch.setattr(type(m), "polar", lambda *a: polars.append(a[1:]) or real(*a))
+    assert mixed(m, [(S, 3)]) == limit_single(m, S).multiplicity == 198
     assert mixed(m, [(S, 2), (F, 1)]) == expanded_triple(m, sigma, sigma, sigma_F)
-    assert contractions == []
-    copies = [m.divisor(sigma.coeffs) for _ in range(2)]
-    assert m.triple(sigma, *copies) == 198 and len(contractions) == 1
+    assert len(polars) == 3 and all(X is Y for X, Y in polars)
+    polars.clear()
+    copies = [m.divisor(sigma.coeffs) for _ in range(3)]
+    assert m.triple(*copies) == 198 and polars == [(copies[0], copies[1])]
+
+
+def signed_divisor(m, rng):
+    """A divisor whose seeded coefficients take either sign."""
+    return m.divisor([seeded_coefficient(rng) * rng.choice((1, -1)) for _ in m.primes])
+
+
+def test_polar_is_the_symmetric_bilinear_vector():
+    """``polar(X, Y)`` is symmetric and linear in each argument, its entry
+    at ``m`` is the expanded ``(E_m . X . Y)``, ``polar(X, X)`` (products of
+    one divisor's coefficients) equals ``polar`` of ``X`` and an equal copy
+    (the halved sums), and ``triple`` on ``P``, an equal copy of ``P`` and
+    ``Q`` equals ``triple(P, P, Q)``, on seeded signed divisors of seven
+    models."""
+    rng = random.Random(47)
+    for m in geometric_and_generated_models(48):
+        units = [m.prime_divisor(p) for p in m.primes]
+        for _ in range(6):
+            X, Y, Z = (signed_divisor(m, rng) for _ in "XYZ")
+            a, b = seeded_coefficient(rng), q3(rng.randint(-5, 5))
+            w = m.polar(X, Y)
+            assert w == m.polar(Y, X), (X, Y)
+            assert list(w) == [expanded_triple(m, E, X, Y) for E in units], (X, Y)
+            combined = m.polar(X * a + Z * b, Y)
+            assert combined == tuple(
+                u * a + v * b for u, v in zip(w, m.polar(Z, Y))
+            ), (X, Y, Z)
+            assert m.polar(X, X) == m.polar(X, m.divisor(X.coeffs)), X
+            assert m.triple(X, m.divisor(X.coeffs), Y) == m.triple(X, X, Y), (X, Y)
 
 
 def test_product_and_minkowski_read_one_vector_per_pair(monkeypatch):

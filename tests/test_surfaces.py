@@ -558,6 +558,9 @@ def test_union_block_diagonal_systems_match_the_unskipped_loop(monkeypatch):
     two copies: its pairings and contractions (block-diagonal), and every
     four of its unit bound rows and nef gradients at seeded points, as the
     certificates solve them."""
+    # imported here: test_multiplicity imports this module through test_envelope
+    from test_multiplicity import contraction
+
     union = load_model(UNION_MODEL)
     rng = random.Random(44)
     zero, one = QuadNumber.zero(3), QuadNumber.one(3)
@@ -565,7 +568,7 @@ def test_union_block_diagonal_systems_match_the_unskipped_loop(monkeypatch):
     matrices = list(union.pairings)
     for _ in range(4):
         D = union.divisor([rng.randint(0, 3) for _ in range(4)])
-        matrices.append(union.contraction(D))
+        matrices.append(contraction(union, D))
     for _ in range(4):
         point = [q3(rng.randint(1, 9), rng.randint(0, 2)) for _ in range(4)]
         grads = units + [c.gradient(point) for c in union.nef_systems]
