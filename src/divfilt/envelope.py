@@ -24,8 +24,7 @@ to ``r = 1`` and reads the last record's envelope; ``regions`` walks
 ``D1 + r*D2`` from ``sigma(D1)`` and returns the records' lower slopes
 past the first, the breakpoints of the piecewise multiplicity formulas,
 and ``multiplicity.piecewise_limit`` builds one cubic per record from
-its line.  The last region's direction is ``sigma(D2)``; certified, it
-fills the envelope cache of ``D2`` that :func:`_sigma` reads.
+its line.  The last region's direction, certified, is kept as ``sigma(D2)``.
 
 Every answer is certified, not assumed: for each coordinate ``i`` there
 are multipliers ``lam >= 0`` on the active constraints with ``sum lam_c
@@ -43,6 +42,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError, RootOutsideFieldError
+from .frozen import _kept
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber, dot, quadratic_roots
 from .surfaces import (
@@ -157,8 +157,7 @@ def _bounds(model: ThreefoldModel, D: ExcDivisor) -> list[Constraint]:
 def _require_effective(
     model: ThreefoldModel, D: ExcDivisor, *, nonzero: bool
 ) -> None:
-    if D.model != model:
-        raise InputError("divisor belongs to a different model")
+    model._check_own(D)
     if not D.is_effective:
         raise InputError(f"divisor {D} must be effective")
     if nonzero and D.is_zero():
@@ -191,17 +190,13 @@ def _linear_inverse(
     ``rows``, or None if it is singular.
 
     A linear row's gradient is constant, so the inverse depends on the
-    model alone: it is computed on first use and kept in a table in
-    ``vars(model)``, keyed by the rows' idents in order (None for a
-    singular matrix), outside ``==`` and ``hash``.  Callers list the rows
-    in the order of ``[*bounds, *model.nef_systems]``, so the table holds
-    at most one entry per subset of the linear rows.
+    model alone and is kept on it (:func:`frozen._kept`), keyed by the
+    rows' idents in order.  Callers list the rows in the order of
+    ``[*bounds, *model.nef_systems]``, so the table holds at most one
+    entry per subset of the linear rows.
     """
-    table = vars(model).setdefault("linear_inverses", {})
-    key = tuple(c.ident for c in rows)
-    if key not in table:
-        table[key] = _inverse([c.coeffs for c in rows], model.field_d)
-    return table[key]
+    key, d = tuple(c.ident for c in rows), model.field_d
+    return _kept(model, "linear_inverses", lambda: _inverse([c.coeffs for c in rows], d), key)
 
 
 def _certificate(
@@ -314,18 +309,19 @@ def _anchor(model: ThreefoldModel) -> tuple[Point, frozenset[str]]:
     active at it, from ``_certified(model, A, A)``, which certifies ``A``
     exactly when ``-A`` is nef (the ``t`` bound rows give the identity).
 
-    Both depend on the model alone, so they are kept in ``vars(model)`` on
-    first use, as field elements and strings that point nowhere back at
-    the model (None for the active set when ``-A`` is not nef).  Such a
-    model is refused on every call, naming the first nef row negative at
-    ``A``.
+    Both depend on the model alone, so they are kept on it
+    (:func:`frozen._kept`) as field elements and strings that point
+    nowhere back at the model (None for the active set when ``-A`` is not
+    nef).  Such a model is refused on every call, naming the first nef
+    row negative at ``A``.
     """
-    record = vars(model).get("anchor")
-    if record is None:
+
+    def record() -> tuple[Point, Optional[frozenset[str]]]:
         A = (QuadNumber.one(model.field_d),) * len(model.primes)
         env = _certified(model, ExcDivisor(model, A), A)
-        record = vars(model)["anchor"] = A, None if env is None else env.active
-    A, active = record
+        return A, None if env is None else env.active
+
+    A, active = _kept(model, "anchor", record)
     if active is None:
         failed = next(c for c in model.nef_systems if c.value(A).sign() < 0)
         raise ComputationError(
@@ -335,22 +331,25 @@ def _anchor(model: ThreefoldModel) -> tuple[Point, frozenset[str]]:
     return A, active
 
 
-def _sigma(model: ThreefoldModel, D: ExcDivisor) -> GammaEnvelope:
-    """``gamma`` of ``D``, computed once per divisor object.
+def _sigma(
+    model: ThreefoldModel, D: ExcDivisor, direction: Optional[Point] = None
+) -> Optional[GammaEnvelope]:
+    """``gamma`` of ``D``, once per divisor object (:func:`frozen._kept`).
 
-    The envelope is kept in ``vars(D)``, outside ``==`` and ``hash``.
     ``gamma`` is looked up on this module at each fill, so a replaced
     ``gamma`` is the one called.  It runs on an equal copy: the envelope's
     ``input`` does not point back at ``D``, so no reference cycle outlives
-    the divisor's last reference.  A region walk along ``D1 + r*D2`` may
-    fill the cache of ``D2`` first (:func:`_walk`).
+    the divisor's last reference.  With a ``direction`` (:func:`_walk`'s
+    last line) the copy's envelope is that point if :func:`_certified`
+    certifies it, and None, kept nowhere, if not.
     """
-    if D.model != model:
-        raise InputError("divisor belongs to a different model")
-    cache = vars(D)
-    if "envelope" not in cache:
-        cache["envelope"] = gamma(model, ExcDivisor(model, D.coeffs))
-    return cache["envelope"]
+    model._check_own(D)
+
+    def envelope() -> Optional[GammaEnvelope]:
+        copy = ExcDivisor(model, D.coeffs)
+        return gamma(model, copy) if direction is None else _certified(model, copy, direction)
+
+    return _kept(D, "envelope", envelope)
 
 
 Line = tuple[ExcDivisor, ExcDivisor]
@@ -477,11 +476,8 @@ def _walk(
 
     Without a ``target``, the last region's line ``(P, Q)`` gives
     ``sigma(D1/r + D2) = P/r + Q`` for every large ``r``, so ``Q`` is
-    ``sigma(D2)`` in the limit; the certificate, not the limit, proves it.
-    When ``D2``'s cache is empty and :func:`_certified` certifies ``Q``
-    for an equal copy of ``D2`` (so that the envelope does not point back
-    at ``D2``), it is stored there, and a later ``_sigma(model, D2)`` runs
-    no ``gamma``; refused, nothing is stored.
+    ``sigma(D2)`` in the limit; the certificate, not the limit, proves it,
+    and ``_sigma(model, D2, Q)`` keeps it unless ``D2``'s is kept already.
 
     On a model whose nef cones are all polyhedral (every nef row linear) a
     step finds no line only where some divisor on the walk's segment has
@@ -577,10 +573,7 @@ def _walk(
         else:
             walk.append(Region(lo, hi, line, env))
         if hi is None:
-            if "envelope" not in vars(D2):
-                env = _certified(model, ExcDivisor(model, D2.coeffs), line[1].coeffs)
-                if env is not None:
-                    vars(D2)["envelope"] = env
+            _sigma(model, D2, line[1].coeffs)
             return walk
         lo, g = hi, (line[0] + line[1] * hi).coeffs
         at_anchor = [k for k, rs in enumerate(roots) if rs is not None and hi in rs]
@@ -596,8 +589,6 @@ def regions(
     (:func:`_walk`) follows it region by region from ``sigma(D1)``, so its
     work is proportional to the number of regions and ``gamma`` runs only
     for ``_sigma(model, D1)``.  The slopes are the lower ends of the walk's
-    records past the first.  The last region's direction, certified, fills
-    ``D2``'s envelope cache when it is empty.  Dependent directions give a
-    single region.
+    records past the first.  Dependent directions give a single region.
     """
     return [region.lo for region in _walk(model, D1, D2)[1:]]

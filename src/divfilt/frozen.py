@@ -6,8 +6,10 @@ them in its own ``__init__`` (with ``_set_fields``, or with
 behaves as a frozen value: assigning or deleting an attribute raises
 ``AttributeError``; ``==`` compares the fields of two instances of the
 same class, ``hash`` hashes them, and the repr reads ``Name(field=value,
-...)``.  Values kept outside ``_fields`` (a table derived in ``__init__``,
-a ``cached_property``) take no part in any of these.
+...)``.  Values kept outside ``_fields`` take no part in any of these,
+nor in copies and pickles, which rebuild through ``__init__``: a table
+derived in ``__init__``, a ``cached_property``, and the slots that
+other modules fill, all through :func:`_kept`.
 
 Defining such a class generates and executes no code, so importing the
 package stays cheap.  Records without validation, coercion or caches are
@@ -17,6 +19,7 @@ package stays cheap.  Records without validation, coercion or caches are
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Any, Callable, Hashable
 
 
 class Frozen:
@@ -57,3 +60,19 @@ class Frozen:
     def __reduce__(self):
         # ``__init__`` takes the fields in order, so copies rebuild through it
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+def _kept(owner: object, slot: str, compute: Callable[[], Any], key: Hashable = None) -> Any:
+    """``owner``'s slot ``slot``, or with a ``key`` its table's entry at
+    ``key``, filled by ``compute()`` while empty.  A table keeps None (a
+    singular matrix); a single slot does not (a refused certificate).
+    """
+    kept = vars(owner)
+    if key is not None:
+        kept, slot = kept.setdefault(slot, {}), key
+    if slot in kept:
+        return kept[slot]
+    value = compute()
+    if value is not None or key is not None:
+        kept[slot] = value
+    return value

@@ -60,10 +60,7 @@ DIMENSION = 3
 class ExcDivisor(Frozen):
     """A divisor supported on the exceptional primes: D = sum g_i E_i.
 
-    Instances keep a ``__dict__``, outside ``==`` and ``hash``, where
-    ``envelope._sigma`` caches the divisor's envelope and
-    ``multiplicity._pair_values`` the mixed values of each pair that
-    starts with it.
+    Its envelope and its pairs' mixed values are kept on it (``frozen._kept``).
     """
 
     _fields = ("model", "coeffs")
@@ -79,10 +76,6 @@ class ExcDivisor(Frozen):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def _check_same_model(self, other: "ExcDivisor") -> None:
-        if self.model != other.model:
-            raise InputError("divisors belong to different models")
-
     @property
     def is_effective(self) -> bool:
         return all(c.sign() >= 0 for c in self.coeffs)
@@ -91,7 +84,7 @@ class ExcDivisor(Frozen):
         return all(c.sign() == 0 for c in self.coeffs)
 
     def __add__(self, other: "ExcDivisor") -> "ExcDivisor":
-        self._check_same_model(other)
+        self.model._check_own(other)
         return ExcDivisor(
             self.model, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
         )
@@ -139,8 +132,8 @@ class ValidationReport(NamedTuple):
 class ThreefoldModel(Frozen):
     """Exceptional primes, their surfaces, and the restriction table.
 
-    ``pairings`` and the cached properties (kept in ``__dict__``) take no
-    part in ``==``, ``hash`` or the repr.
+    ``pairings``, the cached properties and the slots kept on it
+    (``frozen._kept``) take no part in ``==``, ``hash`` or the repr.
     """
 
     _fields = ("field_d", "primes", "surfaces", "restrictions")
@@ -212,12 +205,17 @@ class ThreefoldModel(Frozen):
     def zero_divisor(self) -> ExcDivisor:
         return self.divisor([0] * len(self.primes))
 
+    def _check_own(self, *divisors: ExcDivisor) -> None:
+        """Refuse the first of ``divisors`` that belongs to another model."""
+        for D in divisors:
+            if D.model != self:
+                raise InputError("divisor belongs to a different model")
+
     # -- restriction and the trilinear form --------------------------------
 
     def restrict(self, D: ExcDivisor, prime: str) -> SurfaceClass:
         """Class of ``O(D)`` on the surface over ``prime`` (linear in D)."""
-        if D.model != self:
-            raise InputError("divisor belongs to a different model")
+        self._check_own(D)
         i = self.index_of(prime)
         surface = self.surfaces[i]
         acc = surface.cls([0] * surface.rank)
@@ -254,9 +252,7 @@ class ThreefoldModel(Frozen):
         no multiplication by an exact 0 or 1.  The vector is symmetric in
         ``X`` and ``Y`` and linear in each.
         """
-        for D in (X, Y):
-            if D.model != self:
-                raise InputError("divisor belongs to a different model")
+        self._check_own(X, Y)
         g, h = X.coeffs, Y.coeffs
         pairs = combinations_with_replacement(range(len(g)), 2)
         if Y is X:
@@ -284,8 +280,7 @@ class ThreefoldModel(Frozen):
         result is symmetric in its arguments.
         """
         X, Y, Z = (D1, D3, D2) if D1 is D3 else (D2, D3, D1) if D2 is D3 else (D1, D2, D3)
-        if Z.model != self:
-            raise InputError("divisor belongs to a different model")
+        self._check_own(Z)
         return dot(Z.coeffs, self.polar(X, Y))
 
     # -- nef conditions on exceptional divisors ----------------------------
@@ -296,9 +291,7 @@ class ThreefoldModel(Frozen):
 
         Restricting ``-sum g_i E_i`` to the surface over ``E`` gives the
         point ``sum g_i (-r_E(E_i))``, so each nef constraint of that
-        surface pulls back along the columns ``-r_E(E_i)``.  The
-        constraints do not depend on a divisor, so each model builds them
-        once; the cache takes no part in ``==`` or ``hash``.
+        surface pulls back along the columns ``-r_E(E_i)``.
         """
         rows = zip(self.primes, self.surfaces, self.restrictions)
         return tuple(

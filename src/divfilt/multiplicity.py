@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 # unused here, but bench/tracing.py wraps ``multiplicity.gamma`` too
 from .envelope import GammaEnvelope, _sigma, _walk, gamma  # noqa: F401
 from .errors import ComputationError, InputError
-from .frozen import Frozen
+from .frozen import Frozen, _kept
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
 from .qfield import QuadNumber, ScalarLike, dot
@@ -277,21 +277,16 @@ def _mixed_values(
 def _pair_values(
     model: ThreefoldModel, D1: ExcDivisor, D2: ExcDivisor
 ) -> tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]:
-    """:func:`_mixed_values` of ``(sigma(D1), sigma(D2))``, once per pair.
+    """:func:`_mixed_values` of ``(sigma(D1), sigma(D2))``, kept on ``D1``
+    by ``D2``'s coefficients (:func:`frozen._kept`) once both divisors'
+    models are checked."""
+    model._check_own(D1, D2)
 
-    The vector is kept in ``vars(D1)`` beside its envelope (outside
-    ``==`` and ``hash``), keyed by ``D2``'s coefficients, so
-    :func:`product_limit` and :func:`minkowski_check` on one pair compute
-    it once.  Both divisors' models are checked before the cache is read.
-    """
-    for D in (D1, D2):
-        if D.model != model:
-            raise InputError("divisor belongs to a different model")
-    values = vars(D1).setdefault("mixed_values", {})
-    if D2.coeffs not in values:
+    def values() -> tuple[QuadNumber, QuadNumber, QuadNumber, QuadNumber]:
         sigma1, sigma2 = (_sigma(model, D).envelope_divisor for D in (D1, D2))
-        values[D2.coeffs] = _mixed_values(model, sigma1, sigma2)
-    return values[D2.coeffs]
+        return _mixed_values(model, sigma1, sigma2)
+
+    return _kept(D1, "mixed_values", values, key=D2.coeffs)
 
 
 def _cubic(e: Sequence[QuadNumber]) -> CubicForm:
@@ -309,10 +304,8 @@ def piecewise_limit(
     envelope is an affine function ``P + r*Q`` of the slope; one
     :class:`PiecewiseRegion` per walk record carries its slopes and the
     cubic ``(n*P + j*Q)^3/6`` of its line.  The lines are the ones the
-    walk certified, so beyond ``sigma(D1)`` no ``gamma`` call runs.  The
-    walk also fills the envelope cache of ``D2`` from the last region's
-    certified direction, so a following :func:`product_limit` or
-    :func:`minkowski_check` on the same divisors runs no ``gamma`` at all.
+    walk certified, so beyond ``sigma(D1)`` no ``gamma`` call runs, and
+    the last one's direction is kept as ``sigma(D2)``.
     """
     pieces = [
         PiecewiseRegion(region.lo, region.hi, _cubic(_mixed_values(model, *region.line)))
@@ -328,10 +321,9 @@ def product_limit(
 
     The coefficient of ``n^d1 j^d2`` is the mixed multiplicity with those
     exponents divided by ``d1! d2!``; unlike :func:`piecewise_limit` this
-    is a single polynomial valid on the whole quadrant.  It reads each
-    envelope from its divisor's cache (``envelope._sigma``), both filled
-    after :func:`piecewise_limit`, and shares one vector of mixed values
-    with :func:`minkowski_check` (:func:`_pair_values`).
+    is a single polynomial valid on the whole quadrant.  It shares one
+    vector of mixed values with :func:`minkowski_check`
+    (:func:`_pair_values`).
     """
     return _cubic(_pair_values(model, D1, D2))
 

@@ -1,7 +1,9 @@
 """Limits, mixed multiplicities, piecewise formulas, inequality checks."""
 
+import copy
 import gc
 import hashlib
+import pickle
 import random
 import re
 import weakref
@@ -28,7 +30,7 @@ from test_model import basis_changed_document
 import divfilt.envelope
 import divfilt.multiplicity
 from divfilt import cli
-from divfilt.envelope import _sigma, _walk, gamma, regions
+from divfilt.envelope import _sigma, _walk, gamma, is_antinef, regions
 from divfilt.errors import ComputationError, InputError
 from divfilt.intervals import cbrt_enclosure, quad_enclosure
 from divfilt.model import builtin_model, load_model, model_from_dict
@@ -1055,3 +1057,81 @@ def test_envelope_of_divisor_from_other_model_is_refused(model):
     assert _sigma(other, D).model == other  # fills the cache
     with pytest.raises(InputError, match="different model"):
         limit_single(model, D)
+
+
+# Each entry point called with a divisor ``D`` of another model and a
+# divisor ``E`` of the model itself.  In a pair ``E`` comes first, so its
+# own caches are read before ``D`` would be, except in ``minkowski_check``,
+# where ``D`` is the one that would keep the pair's values.
+FOREIGN_ENTRY_POINTS = {
+    "add": lambda m, D, E: E + D,
+    "restrict": lambda m, D, E: m.restrict(D, m.primes[0]),
+    "polar": lambda m, D, E: m.polar(E, D),
+    "triple": lambda m, D, E: m.triple(E, E, D),
+    "gamma": lambda m, D, E: gamma(m, D),
+    "is_antinef": lambda m, D, E: is_antinef(m, D),
+    "regions": lambda m, D, E: regions(m, E, D),
+    "limit_single": lambda m, D, E: limit_single(m, D),
+    "mixed": lambda m, D, E: mixed(m, [(E, 1), (D, 2)]),
+    "piecewise_limit": lambda m, D, E: piecewise_limit(m, E, D),
+    "product_limit": lambda m, D, E: product_limit(m, E, D),
+    "minkowski_check": lambda m, D, E: minkowski_check(m, D, E),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FOREIGN_ENTRY_POINTS))
+@pytest.mark.parametrize("foreign", ["basis-changed", "union"])
+def test_every_entry_point_refuses_a_divisor_of_another_model(entry, foreign):
+    """A divisor of the basis-changed or the union model is refused by
+    every entry point on the builtin model, and nothing is kept on it.
+    For the basis-changed model the entry point first runs on a builtin
+    divisor with the same coefficients, so ``E``'s caches hold an entry
+    for them; it is refused all the same."""
+    call = FOREIGN_ENTRY_POINTS[entry]
+    m = builtin_model()
+    E = m.divisor([1, 2])
+    if foreign == "union":
+        D = load_model(UNION_MODEL).divisor([2, 7, 1, 1])
+    else:
+        D = model_from_dict(basis_changed_document()).divisor([2, 7])
+        call(m, m.divisor(D.coeffs), E)
+    assert D.model != m
+    with pytest.raises(InputError, match="different model"):
+        call(m, D, E)
+    assert set(vars(D)) == {"model", "coeffs"}
+
+
+def test_kept_slots_stay_outside_value_semantics():
+    """After ``piecewise_limit``, ``product_limit`` and ``minkowski_check``
+    on seeded pairs of the builtin and union models, ``D1`` keeps only its
+    envelope and its pairs' mixed values, ``D2`` only its envelope, and the
+    model only its five per-model values.  Copies and pickles of a divisor
+    and of a model with full caches compare equal and carry none of them."""
+    rng = random.Random(27)
+    kept = {"polar_table", "nef_systems", "validation", "linear_inverses", "anchor"}
+    for m in (builtin_model(), load_model(UNION_MODEL)):
+        for _ in range(4):
+            D1, D2 = seeded_pair(m, rng)
+            family_sweep(m, D1, D2)
+            assert set(vars(D1)) == {"model", "coeffs", "envelope", "mixed_values"}
+            assert set(vars(D2)) == {"model", "coeffs", "envelope"}
+            assert set(vars(m)) - {*m._fields, "pairings"} <= kept
+            for D in (D1, D2):
+                for twin in (copy.deepcopy(D), pickle.loads(pickle.dumps(D))):
+                    assert twin == D and hash(twin) == hash(D)
+                    assert set(vars(twin)) == {"model", "coeffs"}
+        m.validation
+        assert set(vars(m)) == {*m._fields, "pairings", *kept}
+        for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and hash(twin) == hash(m)
+            assert set(vars(twin)) == {*m._fields, "pairings"}
+
+
+def test_a_refused_fill_keeps_nothing_and_chains_no_exception(model):
+    """An envelope whose computation raises leaves the divisor's slot empty,
+    and the error carries no exception from the lookup of that slot."""
+    D = model.zero_divisor()
+    for _ in range(2):
+        with pytest.raises(InputError, match="nonzero") as info:
+            limit_single(model, D)
+        assert info.value.__context__ is None and "envelope" not in vars(D)
