@@ -118,7 +118,7 @@ def _intersect(model: ThreefoldModel, args, D: dict) -> _Outcome:
             raise ParseError("intersect with -D1/-D2 needs --exponents 'd1,d2'")
         d1, d2 = _parse_exponents(args.exponents)
         if d1 + d2 != model.dimension:
-            raise ParseError(f"exponents must sum to {model.dimension}")
+            raise InputError(f"exponents must sum to {model.dimension}")
         slots = [D["-D1"]] * d1 + [D["-D2"]] * d2
         return _named("triple", model.triple(*slots))
     # no divisor flags: the full basis table

@@ -42,7 +42,7 @@ from .errors import ComputationError, InputError
 from .frozen import Frozen, _kept
 from .intervals import cbrt_enclosure, quad_enclosure
 from .model import ExcDivisor, ThreefoldModel
-from .qfield import QuadNumber, ScalarLike, dot
+from .qfield import QuadNumber, ScalarLike, dot, times
 
 MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3))
 MONOMIAL_NAMES = ("n^3", "n^2*j", "n*j^2", "j^3")
@@ -167,7 +167,6 @@ class PiecewisePoly(Frozen):
         for region in self.regions:
             if region.upper_slope is None or slope < region.upper_slope:
                 return region
-        return self.regions[-1]
 
     def value_at(self, n: ScalarLike, j: ScalarLike) -> QuadNumber:
         return self.region_for(n, j).poly.value_at(n, j)
@@ -354,7 +353,7 @@ def _sides(
     return [
         *((f"1(i={i})", e[i] ** 2, e[i + 1] * e[i - 1]) for i in (1, 2)),
         *((f"2(i={i})", e[i] * e[3 - i], e[3] * e[0]) for i in range(4)),
-        *((f"3(i={i})", e[3 - i] ** 3, e[3] ** (3 - i) * e[0] ** i) for i in range(4)),
+        *((f"3(i={i})", e[3 - i] ** 3, times(e[3] ** (3 - i), e[0] ** i)) for i in range(4)),
     ]
 
 

@@ -16,13 +16,15 @@ squarefree integer ``d >= 2``.  All operations are exact.  In particular:
   (``sqrt(q)`` is either rational or a rational multiple of ``sqrt(d)``)
   and reported as absent otherwise.
 
-The vector kernels every higher layer shares — ``dot`` with its single
-product ``times``, ``bilinear`` and the roots of a quadratic
-(``quadratic_roots``) — live here too, so each
-is written once.  Most rows they meet are unit vectors or sparse (bound
-rows, identity matrices, pairing tables of unrelated primes), so ``dot``
-skips every product with an exact-zero factor and takes the other factor
-of an exact one instead of multiplying.  Every zero part of an element is
+Each rule of the field is stated once: ``_coerce`` picks the field of
+every binary result, ``times`` is the product with no exact 0 or 1
+factor (inlined only in ``dot``, the hot loop), and one pattern is the
+scalar grammar.  The vector kernels every higher layer shares — ``dot``,
+``bilinear`` and the roots of a quadratic (``quadratic_roots``) — live
+here too.  Most rows they meet are unit vectors or sparse (bound rows,
+identity matrices, pairing tables of unrelated primes), so ``dot`` skips
+every product with an exact-zero factor and takes the other factor of an
+exact one instead of multiplying.  Every zero part of an element is
 one shared ``Fraction``, so a rational element keeps none of its own.
 
 No floating point participates in any of these paths; ``float(x)`` exists
@@ -150,7 +152,10 @@ class QuadNumber(Frozen):
         return cls(Fraction(0), Fraction(1), d)
 
     def _coerce(self, other: ScalarLike) -> Optional["QuadNumber"]:
-        """Bring ``other`` into this element's field, or None if impossible."""
+        """The operand, in the field every binary result is built in:
+        ``other`` in this element's field, or ``other`` itself when this
+        element is rational (its zero root part adds nothing) and ``other``
+        irrational in another field.  None for a type that is not a scalar."""
         if isinstance(other, QuadNumber):
             if other.d == self.d or other.b == 0:
                 return QuadNumber(other.a, other.b, self.d) if other.d != self.d else other
@@ -169,9 +174,7 @@ class QuadNumber(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.d != self.d:  # self was rational, o irrational in another field
-            return QuadNumber(self.a + o.a, o.b, o.d)
-        return QuadNumber(self.a + o.a, self.b + o.b, self.d)
+        return QuadNumber(self.a + o.a, self.b + o.b, o.d)
 
     __radd__ = __add__
 
@@ -182,9 +185,7 @@ class QuadNumber(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.d != self.d:  # self was rational, o irrational in another field
-            return self.__add__(-o)
-        return QuadNumber(self.a - o.a, self.b - o.b, self.d)
+        return QuadNumber(self.a - o.a, self.b - o.b, o.d)
 
     def __rsub__(self, other: ScalarLike) -> "QuadNumber":
         return (-self).__add__(other)
@@ -195,12 +196,8 @@ class QuadNumber(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.d != self.d:
-            return o.__mul__(self)
         return QuadNumber(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.d,
+            self.a * o.a + o.d * self.b * o.b, self.a * o.b + self.b * o.a, o.d
         )
 
     __rmul__ = __mul__
@@ -219,8 +216,6 @@ class QuadNumber(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.d != self.d:
-            return QuadNumber(self.a, self.b, o.d).__truediv__(o)
         return self.__mul__(o.inverse())
 
     def __rtruediv__(self, other: ScalarLike) -> "QuadNumber":
@@ -430,11 +425,10 @@ def quadratic_roots(
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
-_RAT_UNSIGNED = r"\d+(?:/\d+)?"
 _RE_RATIONAL = re.compile(rf"({_RAT})$")
-_RE_ROOT_TERM = re.compile(rf"([+-]?)(?:({_RAT_UNSIGNED})\*)?sqrt\((\d+)\)$")
-_RE_FULL = re.compile(
-    rf"({_RAT})([+-])(?:({_RAT_UNSIGNED})\*)?sqrt\((\d+)\)$"
+# an optional rational, then an optional root term, signed after a rational
+_RE_SCALAR = re.compile(
+    rf"({_RAT})?(?:((?(1)[+-]|[+-]?))(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\))?$"
 )
 
 
@@ -463,26 +457,16 @@ def parse_scalar(text: str, d: int) -> QuadNumber:
     compact = text.strip().replace(" ", "")
     if not compact:
         raise ParseError("empty scalar")
-    m = _RE_RATIONAL.match(compact)
-    if m:
-        return QuadNumber(_rational(m.group(1)), Fraction(0), d)
-    m = _RE_ROOT_TERM.match(compact)
-    if m:
-        sign_str, coeff, found_d = m.groups()
+    m = _RE_SCALAR.match(compact)
+    if m is None:
+        raise ParseError(f"cannot parse scalar {text!r}")
+    a_str, sign, coeff, found_d = m.groups()
+    b = _ZERO
+    if found_d is not None:
         _check_discriminant(_rational(found_d), d)
         b = _rational(coeff) if coeff else Fraction(1)
-        if sign_str == "-":
-            b = -b
-        return QuadNumber(Fraction(0), b, d)
-    m = _RE_FULL.match(compact)
-    if m:
-        a_str, op, coeff, found_d = m.groups()
-        _check_discriminant(_rational(found_d), d)
-        b = _rational(coeff) if coeff else Fraction(1)
-        if op == "-":
-            b = -b
-        return QuadNumber(_rational(a_str), b, d)
-    raise ParseError(f"cannot parse scalar {text!r}")
+        b = -b if sign == "-" else b
+    return QuadNumber(_rational(a_str) if a_str else _ZERO, b, d)
 
 
 def scalar_to_json(x: QuadNumber) -> Union[str, dict]:
@@ -556,8 +540,11 @@ def field_sqrt(x: QuadNumber) -> Optional[QuadNumber]:
     """Nonnegative square root of ``x`` within its own field, if any.
 
     For irrational ``x = a + b*sqrt(d)``, a root ``p + q*sqrt(d)`` forces
-    ``p**2`` to be ``(a ± sqrt(norm(x)))/2``, so the norm must be a
-    rational square; both branches are tried and verified by squaring.
+    ``p**2`` to be ``(a ± s)/2`` with ``s**2 = norm(x) = a**2 - d*b**2``,
+    so the norm must be a rational square, and ``q = b/(2p)``.  Either
+    branch whose ``p**2`` is a rational square gives a root, with no
+    check: ``p**2 + d*b**2/(4p**2) = a`` because ``d*b**2 = (a+s)(a-s)``,
+    and ``p`` is never 0 because ``b`` is not.
     """
     if x.sign() < 0:
         return None
@@ -568,9 +555,7 @@ def field_sqrt(x: QuadNumber) -> Optional[QuadNumber]:
         return None
     for u in ((x.a + s) / 2, (x.a - s) / 2):
         p = rational_sqrt(u)
-        if p is None or p == 0:
-            continue
-        candidate = QuadNumber(p, x.b / (2 * p), x.d)
-        if candidate * candidate == x:
-            return candidate if candidate.sign() >= 0 else -candidate
+        if p is not None:
+            root = QuadNumber(p, x.b / (2 * p), x.d)
+            return root if root.sign() >= 0 else -root
     return None

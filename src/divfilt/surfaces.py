@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError
 from .frozen import Frozen
-from .qfield import QuadNumber, ScalarLike, bilinear, dot, quadratic_roots
+from .qfield import QuadNumber, ScalarLike, bilinear, dot, quadratic_roots, times
 
 POLYHEDRAL = "polyhedral"
 QUADRATIC = "quadratic"
@@ -122,7 +122,8 @@ def _falls_past(along: Quadratic, lo: QuadNumber) -> bool:
 
 def _row_reduce(aug: list[list[QuadNumber]], ncols: int) -> list[int]:
     """Gauss-Jordan over Q(sqrt(d)) on the first ``ncols`` columns of
-    ``aug``, in place; returns the pivot columns, one per leading row."""
+    ``aug``, in place; returns the pivot columns, one per leading row.
+    Each product is a :func:`times`, so none is by an exact 0 or 1."""
     pivot_cols: list[int] = []
     row = 0
     for col in range(ncols):
@@ -134,11 +135,11 @@ def _row_reduce(aug: list[list[QuadNumber]], ncols: int) -> list[int]:
         aug[row], aug[pivot] = aug[pivot], aug[row]
         if aug[row][col] != 1:
             inv = aug[row][col].inverse()
-            aug[row] = [x * inv if x else x for x in aug[row]]
+            aug[row] = [times(x, inv) for x in aug[row]]
         for r in range(len(aug)):
             if r != row and aug[r][col].sign() != 0:
                 factor = aug[r][col]
-                aug[r] = [x - factor * y if y else x for x, y in zip(aug[r], aug[row])]
+                aug[r] = [x - times(factor, y) if y else x for x, y in zip(aug[r], aug[row])]
         pivot_cols.append(col)
         row += 1
         if row == len(aug):

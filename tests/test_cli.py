@@ -405,6 +405,16 @@ def test_bad_exponents_exit_2(capsys):
     assert err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("command", ["intersect", "mixed"])
+def test_exponent_sum_refused_alike(capsys, command):
+    """``intersect`` and ``mixed`` refuse exponents that do not sum to the
+    dimension with one message and exit 2."""
+    code, out, err = run_cli(
+        capsys, [command, "-D1", "1,0", "-D2", "0,1", "--exponents", "2,2"]
+    )
+    assert (code, out, err) == (2, "", "invalid input: exponents must sum to 3\n")
+
+
 def test_huge_exponent_exit_2(capsys):
     """An exponent past ``sys.maxsize`` is refused by its sum, before any
     slot is built."""

@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,31 @@ def test_parse_scalar_rejects_garbage_and_wrong_root():
         parse_scalar("sqrt(2)", 3)
     with pytest.raises(ParseError):
         parse_scalar("1 ++ sqrt(3)", 3)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("+5", q3(5)),
+        ("+2*sqrt(3)", q3(0, 2)),
+        ("1/2-1/2*sqrt(3)", q3(Fraction(1, 2), Fraction(-1, 2))),
+        ("1sqrt(3)", "cannot parse scalar '1sqrt(3)'"),
+        ("1+-sqrt(3)", "cannot parse scalar '1+-sqrt(3)'"),
+        ("sqrt(3)+1", "cannot parse scalar 'sqrt(3)+1'"),
+        ("1+", "cannot parse scalar '1+'"),
+        ("2*", "cannot parse scalar '2*'"),
+        ("1/0+sqrt(2)", "expected sqrt(3), found sqrt(2)"),
+    ],
+)
+def test_parse_scalar_grammar_edges(text, expected):
+    """A leading sign on a lone rational or root term is accepted, a root
+    term after a rational needs exactly one sign, and the root's
+    discriminant is checked before the rational part is read."""
+    if isinstance(expected, str):
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            parse_scalar(text, 3)
+    else:
+        assert exactly(parse_scalar(text, 3)) == exactly(expected)
 
 
 @pytest.mark.parametrize("value", [0.5, 2.0, True, "1", None, 1j])
@@ -290,6 +316,14 @@ def test_field_sqrt_inverts_squaring(x):
     root = field_sqrt(x * x)
     assert root is not None
     assert root == abs(x)
+
+
+@given(st.one_of(quads, quads.map(lambda x: x * x)))
+def test_field_sqrt_is_a_root_or_none(x):
+    """On any element, square or not, ``field_sqrt`` returns None or a
+    nonnegative root, which it does not square to check itself."""
+    root = field_sqrt(x)
+    assert root is None or (root >= 0 and root * root == x)
 
 
 def test_field_sqrt_absent_cases():
